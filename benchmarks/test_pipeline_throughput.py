@@ -21,9 +21,9 @@ def test_crawl_throughput(benchmark):
     def crawl():
         study = MalwareSlumsStudy(StudyConfig(seed=99, scale=0.01))
         study.generate_web()
-        from repro.crawler import CrawlPipeline
+        from repro.crawler import CrawlPipeline, PipelineOptions
 
-        pipeline = CrawlPipeline(study.web, seed=7)
+        pipeline = CrawlPipeline(study.web, PipelineOptions(seed=7))
         pipeline.crawl()
         return pipeline
 
@@ -37,13 +37,13 @@ def test_observer_overhead(benchmark):
     """An attached RunObserver must stay within 10% of the bare crawl."""
     import time
 
-    from repro.crawler import CrawlPipeline
+    from repro.crawler import CrawlPipeline, PipelineOptions
     from repro.obs import RunObserver
 
     def crawl(observer=None):
         study = MalwareSlumsStudy(StudyConfig(seed=99, scale=0.01))
         study.generate_web()
-        pipeline = CrawlPipeline(study.web, seed=7, observer=observer)
+        pipeline = CrawlPipeline(study.web, PipelineOptions(seed=7, observer=observer))
         pipeline.crawl()
         return pipeline
 
@@ -74,9 +74,9 @@ def test_observer_overhead(benchmark):
 def test_scan_throughput(benchmark):
     study = MalwareSlumsStudy(StudyConfig(seed=99, scale=0.01))
     study.generate_web()
-    from repro.crawler import CrawlPipeline
+    from repro.crawler import CrawlPipeline, PipelineOptions
 
-    pipeline = CrawlPipeline(study.web, seed=7)
+    pipeline = CrawlPipeline(study.web, PipelineOptions(seed=7))
     pipeline.crawl()
     distinct = len(pipeline.dataset.distinct_urls())
 

@@ -10,7 +10,7 @@ holds a fully profiled run (work ledger + memory ledger) to at most
 import time
 
 from repro import MalwareSlumsStudy, StudyConfig
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import MemoryLedger, RunObserver
 
 
@@ -19,8 +19,8 @@ def _run(profile):
     study.generate_web()
     observer = RunObserver(profile=profile)
     pipeline = CrawlPipeline(
-        study.web, seed=7, observer=observer,
-        memory_ledger=MemoryLedger() if profile else None,
+        study.web, PipelineOptions(seed=7, observer=observer,
+                                   memory_ledger=MemoryLedger() if profile else None),
     )
     pipeline.run()
     return observer

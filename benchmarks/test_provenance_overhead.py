@@ -11,14 +11,14 @@ unrecorded scan.
 import time
 
 from repro import MalwareSlumsStudy, StudyConfig
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 
 
 def _run(record_provenance):
     study = MalwareSlumsStudy(StudyConfig(seed=99, scale=0.008))
     study.generate_web()
-    pipeline = CrawlPipeline(study.web, seed=7,
-                             record_provenance=record_provenance)
+    pipeline = CrawlPipeline(study.web, PipelineOptions(
+        seed=7, record_provenance=record_provenance))
     pipeline.run()
     return pipeline
 

@@ -7,15 +7,15 @@ never entered the JS sandbox.
 """
 
 from repro import MalwareSlumsStudy, StudyConfig
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import RunObserver
 
 
 def _crawled_pipeline(observer=None, static_prefilter=True):
     study = MalwareSlumsStudy(StudyConfig(seed=99, scale=0.01))
     study.generate_web()
-    pipeline = CrawlPipeline(study.web, seed=7, observer=observer,
-                             static_prefilter=static_prefilter)
+    pipeline = CrawlPipeline(study.web, PipelineOptions(
+        seed=7, observer=observer, static_prefilter=static_prefilter))
     pipeline.crawl()
     return pipeline
 

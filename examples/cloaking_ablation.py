@@ -13,7 +13,7 @@ benign decoy to referrer-less scanner fetches) and compares detection:
 """
 
 
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.detection import Submission, VirusTotalSim
 from repro.httpsim import SimHttpClient
 from repro.simweb.generator import WebGenerationConfig, WebGenerator
@@ -21,7 +21,7 @@ from repro.simweb.generator import WebGenerationConfig, WebGenerator
 
 def main() -> None:
     web = WebGenerator(WebGenerationConfig(seed=11, scale=0.01)).build()
-    pipeline = CrawlPipeline(web, seed=5)
+    pipeline = CrawlPipeline(web, PipelineOptions(seed=5))
 
     # cloak every malicious member page that carries active content
     cloaked_urls = []

@@ -61,11 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(repro.crawlexec + repro.scanexec; default 1 or "
                           "$REPRO_WORKERS; results are identical at any "
                           "width)")
-    run.add_argument("--js-backend", choices=("ast", "vm"), default=None,
-                     help="JS sandbox backend: 'ast' (tree-walking "
-                          "reference) or 'vm' (opcode dispatch loop); "
-                          "default $REPRO_JS_BACKEND or 'ast'; results "
-                          "are identical either way")
     run.add_argument("--markdown", action="store_true",
                      help="emit the report as Markdown")
 
@@ -107,9 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--workers", type=int, default=None, metavar="N",
                      help="crawl+scan worker count (adds the executor "
                           "report sections when > 1)")
-    obs.add_argument("--js-backend", choices=("ast", "vm"), default=None,
-                     help="JS sandbox backend (the report is bit-identical "
-                          "either way)")
     obs.add_argument("-o", "--output",
                      help="write the JSON report here (schema: repro.obs.report)")
     obs.add_argument("--markdown", action="store_true",
@@ -163,9 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--workers", type=int, default=None, metavar="N",
                          help="crawl+scan worker count (the work ledger is "
                               "bit-identical at any width)")
-    profile.add_argument("--js-backend", choices=("ast", "vm"), default=None,
-                         help="JS sandbox backend; the vm backend adds a "
-                              "js.vm.ops work kind and simulates fewer steps")
     profile.add_argument("--top", type=int, default=10, metavar="N",
                          help="hot paths to print (default 10)")
     profile.add_argument("--budget", metavar="PATH",
@@ -248,7 +237,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         seed=args.seed, scale=args.scale,
         submit_files=not args.no_file_submission,
         workers=args.workers,
-        js_backend=args.js_backend,
     ))
     results = study.run()
     if args.table == 1:
@@ -358,7 +346,6 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     pipeline = CrawlPipeline(web, PipelineOptions(
         seed=args.seed + 61, observer=observer,
         workers=args.workers, record_provenance=True,
-        js_backend=args.js_backend,
         status_path=args.status_out, watchdog=watchdog))
     outcome = pipeline.run()
     report = build_run_report(pipeline, outcome)
@@ -454,15 +441,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     with memory:
         pipeline = CrawlPipeline(web, PipelineOptions(
             seed=args.seed + 61, observer=observer,
-            workers=args.workers, memory_ledger=memory,
-            js_backend=args.js_backend))
+            workers=args.workers, memory_ledger=memory))
         pipeline.run()
     assert observer.profiler is not None
     ledger = observer.profiler.ledger
     totals = ledger.totals_by_kind()
     meta = {"seed": args.seed, "scale": args.scale,
-            "workers": pipeline.workers,
-            "js_backend": pipeline.js_backend}
+            "workers": pipeline.workers}
 
     if args.json:
         print(json.dumps({

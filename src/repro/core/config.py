@@ -28,19 +28,13 @@ class StudyConfig:
     submit_files: bool = True
     #: worker count for both sharded phases (repro.crawlexec and
     #: repro.scanexec); None resolves to the REPRO_WORKERS environment
-    #: override (REPRO_SCAN_WORKERS is a deprecated alias) or the serial
-    #: default of 1.  Results are bit-identical at any width for a
-    #: fixed seed
+    #: override or the serial default of 1.  Results are bit-identical
+    #: at any width for a fixed seed
     workers: Optional[int] = None
     #: record a per-URL VerdictProvenance chain during the scan phase
     #: (the flight recorder behind ``repro explain``); off by default —
     #: measurement outputs are identical either way
     record_provenance: bool = False
-    #: JS sandbox execution backend: "ast" (tree-walking reference),
-    #: "vm" (opcode-compiled dispatch loop), or None to read
-    #: $REPRO_JS_BACKEND.  Verdicts and reports are bit-identical
-    #: either way; the vm backend just simulates fewer steps
-    js_backend: Optional[str] = None
     #: enable the deterministic work-accounting profiler and memory
     #: ledger (repro.obs.profile): the study builds its pipeline with a
     #: profiling RunObserver and a MemoryLedger attached.  Off by
@@ -70,5 +64,4 @@ class StudyConfig:
             record_provenance=self.record_provenance,
             observer=observer,
             memory_ledger=memory_ledger,
-            js_backend=self.js_backend,
         )

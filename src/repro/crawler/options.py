@@ -1,17 +1,14 @@
 """Pipeline configuration as one value object.
 
-``CrawlPipeline.__init__`` had grown eleven keyword arguments, each
-threaded separately through :class:`~repro.core.config.StudyConfig`,
-the CLI, and every test harness.  :class:`PipelineOptions` collapses
-them into a single dataclass that all of those share; the old kwargs
-keep working through a deprecation shim
-(:func:`repro.crawler.pipeline.legacy_pipeline_kwargs`) during the
-migration window.
+``CrawlPipeline(web, options)`` takes its whole configuration as one
+:class:`PipelineOptions`, the single dataclass that
+:class:`~repro.core.config.StudyConfig`, the CLI, and every test
+harness build and share.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from ..obs.observer import RunObserver
@@ -53,11 +50,6 @@ class PipelineOptions:
     provenance_path: Optional[str] = None
     #: optional per-phase tracemalloc accounting
     memory_ledger: Optional[MemoryLedger] = None
-    #: JS sandbox execution backend: "ast" (tree-walking reference),
-    #: "vm" (opcode-compiled dispatch loop), or None to read
-    #: $REPRO_JS_BACKEND (defaulting to "ast"); both backends produce
-    #: bit-identical verdicts and reports
-    js_backend: Optional[str] = None
     #: JSON-lines live-status sink (repro.obs.live) that `repro watch`
     #: tails; setting it attaches streaming telemetry to the run (an
     #: internal observer is created if none was passed) without changing
@@ -66,7 +58,3 @@ class PipelineOptions:
     #: in-flight health checks (a repro.obs.live.Watchdog); None with a
     #: status_path set still attaches the default watchdog
     watchdog: Optional[object] = None
-
-    @classmethod
-    def field_names(cls) -> "tuple[str, ...]":
-        return tuple(f.name for f in fields(cls))

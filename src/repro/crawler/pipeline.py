@@ -22,7 +22,6 @@ from __future__ import annotations
 import os
 import random
 import threading
-import warnings
 from contextlib import nullcontext
 from typing import Dict, List, Optional, Tuple
 
@@ -37,7 +36,7 @@ from ..detection import (
 from ..exchanges import AutoSurfExchange, ManualSurfExchange, TrafficExchange
 from ..exchanges.roster import ExchangeProfile
 from ..httpsim import SimHttpClient, SimHttpServer
-from ..jsengine import CompileCache, resolve_js_backend
+from ..jsengine import CompileCache
 from ..obs.provenance import (
     STAGE_CRAWL,
     STAGE_REDIRECT,
@@ -57,20 +56,14 @@ __all__ = [
     "ScanOutcome",
     "CrawlPipeline",
     "PipelineOptions",
-    "legacy_pipeline_kwargs",
     "workers_from_env",
     "WORKERS_ENV",
-    "WORKERS_ENV_VAR",
 ]
 
 #: environment override for the default worker count of BOTH phases
 #: (crawl shards by exchange, scan shards by domain) — lets CI run the
 #: whole suite through the parallel executors without code changes
 WORKERS_ENV = "REPRO_WORKERS"
-
-#: deprecated scan-era name for :data:`WORKERS_ENV`; still honoured
-#: (with a DeprecationWarning) when the new variable is unset
-WORKERS_ENV_VAR = "REPRO_SCAN_WORKERS"
 
 #: live-telemetry scan heartbeat cadence (one beat per N verdicts); the
 #: serial loop and the executor merge iterate the same workload order,
@@ -79,43 +72,8 @@ _SCAN_HEARTBEAT_EVERY = 64
 
 
 def workers_from_env() -> int:
-    """Default worker count from ``$REPRO_WORKERS`` (1 when unset).
-
-    Falls back to the deprecated ``$REPRO_SCAN_WORKERS`` with a
-    :class:`DeprecationWarning` so existing CI matrices keep working
-    through the migration window.
-    """
-    value = os.environ.get(WORKERS_ENV)
-    if value is None:
-        legacy = os.environ.get(WORKERS_ENV_VAR)
-        if legacy is not None:
-            warnings.warn(
-                "the %s environment variable is deprecated; set %s, which "
-                "governs both the crawl and scan phases"
-                % (WORKERS_ENV_VAR, WORKERS_ENV),
-                DeprecationWarning, stacklevel=2)
-            value = legacy
-    return int(value or 1)
-
-
-def legacy_pipeline_kwargs(**kwargs: object) -> PipelineOptions:
-    """Adapt pre-:class:`PipelineOptions` keyword arguments (deprecated).
-
-    ``CrawlPipeline(web, seed=..., workers=...)`` still works through
-    this shim, but new code should build a :class:`PipelineOptions` and
-    pass it as ``options`` — in-repo use of the legacy spelling is
-    banned by ruff (TID251).
-    """
-    unknown = sorted(set(kwargs) - set(PipelineOptions.field_names()))
-    if unknown:
-        raise TypeError(
-            "unknown CrawlPipeline argument(s): %s" % ", ".join(unknown))
-    warnings.warn(
-        "passing CrawlPipeline configuration as individual keyword "
-        "arguments is deprecated; build a repro.crawler.PipelineOptions "
-        "and pass it as `options`",
-        DeprecationWarning, stacklevel=3)
-    return PipelineOptions(**kwargs)  # type: ignore[arg-type]
+    """Default worker count from ``$REPRO_WORKERS`` (1 when unset)."""
+    return int(os.environ.get(WORKERS_ENV) or 1)
 
 
 class ScanOutcome:
@@ -187,20 +145,12 @@ class CrawlPipeline:
     """Runs the full measurement."""
 
     def __init__(self, web: GeneratedWeb,
-                 options: Optional[PipelineOptions] = None,
-                 **legacy: object) -> None:
-        if legacy:
-            if options is not None:
-                raise TypeError(
-                    "pass either `options` or legacy keyword arguments, "
-                    "not both")
-            options = legacy_pipeline_kwargs(**legacy)
-        elif options is None:
+                 options: Optional[PipelineOptions] = None) -> None:
+        if options is None:
             options = PipelineOptions()
-        elif isinstance(options, int):
-            # the pre-options signature was (web, seed=77, ...); a bare
-            # int in the second slot is a positional legacy seed
-            options = legacy_pipeline_kwargs(seed=options)
+        elif not isinstance(options, PipelineOptions):
+            raise TypeError("CrawlPipeline options must be a PipelineOptions, not %s"
+                            % type(options).__name__)
         #: the resolved configuration value object (never None)
         self.options = options
         self.web = web
@@ -278,15 +228,9 @@ class CrawlPipeline:
                 status_path=options.status_path,
                 watchdog=options.watchdog,
             ).attach(observer)
-        #: JS sandbox backend, resolved once (explicit option beats
-        #: $REPRO_JS_BACKEND beats "ast") and threaded into every
-        #: scanner so serial and sharded scans execute scripts the
-        #: same way
-        self.js_backend = resolve_js_backend(options.js_backend)
         #: pipeline-scoped parsed-program cache shared by every sandbox
         #: run (and every scan-shard clone): each distinct script source
         #: is tokenized/parsed once, then re-run from the cached AST
-        #: (or, under the vm backend, from cached bytecode)
         self.compile_cache = CompileCache()
         self.server = SimHttpServer(web.registry, observer=observer)
         # the client's HAR capture shares the observer's clock so span
@@ -553,7 +497,7 @@ class CrawlPipeline:
         live = self.live
         if live is not None:
             live.run_started(seed=self.options.seed, scale=scale,
-                             workers=self.workers, js_backend=self.js_backend)
+                             workers=self.workers)
             live.phase_started("crawl", total_units=len(specs),
                                unit="exchanges")
         with (memory.phase("crawl") if memory is not None else nullcontext()):
@@ -653,20 +597,17 @@ class CrawlPipeline:
             virustotal=VirusTotalSim(client=SimHttpClient(self.server),
                                      observer=self.observer,
                                      static_prefilter=self.static_prefilter,
-                                     compile_cache=self.compile_cache,
-                                     js_backend=self.js_backend),
+                                     compile_cache=self.compile_cache),
             quttera=QutteraSim(client=SimHttpClient(self.server),
                                observer=self.observer,
                                static_prefilter=self.static_prefilter,
-                               compile_cache=self.compile_cache,
-                               js_backend=self.js_backend),
+                               compile_cache=self.compile_cache),
             blacklists=self.blacklists,
             submit_files=self.submit_files,
             observer=self.observer,
             static_prefilter=self.static_prefilter,
             record_provenance=self.record_provenance,
             compile_cache=self.compile_cache,
-            js_backend=self.js_backend,
         )
         return self.verdict_service
 

@@ -10,14 +10,7 @@
 """
 
 from .aggregate import UrlVerdict, UrlVerdictService
-from .base import (
-    DeprecatedScanShims,
-    EngineResult,
-    ScanReport,
-    Scanner,
-    Submission,
-    stable_unit,
-)
+from .base import EngineResult, ScanReport, Scanner, Submission, stable_unit
 from .blacklists import BLACKLIST_PROFILES, Blacklist, BlacklistSet, build_blacklists
 from .engines import SimulatedEngine, default_engine_pool
 from .heuristics import ContentAnalysis, IframeFinding, analyze_content, analyze_html, analyze_swf
@@ -40,7 +33,6 @@ __all__ = [
     "Blacklist",
     "BlacklistSet",
     "ContentAnalysis",
-    "DeprecatedScanShims",
     "EngineResult",
     "GoldSample",
     "IframeFinding",

@@ -88,7 +88,6 @@ class UrlVerdictService:
         static_prefilter: bool = True,
         record_provenance: bool = False,
         compile_cache: Optional[object] = None,
-        js_backend: Optional[str] = None,
     ) -> None:
         self.virustotal = virustotal
         self.quttera = quttera
@@ -110,10 +109,6 @@ class UrlVerdictService:
         #: cache, so the hit rate (and the compile work saved) does not
         #: depend on the worker count
         self.compile_cache = compile_cache
-        #: JS sandbox backend ("ast" or "vm") for the shared analysis
-        #: pass; propagated to shard clones so every worker executes
-        #: scripts the same way
-        self.js_backend = js_backend
 
     def shard_clone(self, observer: Optional[object] = None) -> "UrlVerdictService":
         """A clone safe to run on one executor shard's worker thread.
@@ -128,12 +123,10 @@ class UrlVerdictService:
         return UrlVerdictService(
             virustotal=VirusTotalSim(observer=observer,
                                      static_prefilter=self.static_prefilter,
-                                     compile_cache=self.compile_cache,
-                                     js_backend=self.js_backend),
+                                     compile_cache=self.compile_cache),
             quttera=QutteraSim(observer=observer,
                                static_prefilter=self.static_prefilter,
-                               compile_cache=self.compile_cache,
-                               js_backend=self.js_backend),
+                               compile_cache=self.compile_cache),
             blacklists=self.blacklists,
             min_blacklist_hits=self.min_blacklist_hits,
             submit_files=self.submit_files,
@@ -141,7 +134,6 @@ class UrlVerdictService:
             static_prefilter=self.static_prefilter,
             record_provenance=self.record_provenance,
             compile_cache=self.compile_cache,
-            js_backend=self.js_backend,
         )
 
     def verdict(
@@ -163,8 +155,7 @@ class UrlVerdictService:
                 analysis = analyze_content(content, content_type, url,
                                            observer=self.observer,
                                            static_prefilter=self.static_prefilter,
-                                           compile_cache=self.compile_cache,
-                                           js_backend=self.js_backend)
+                                           compile_cache=self.compile_cache)
                 submission = Submission(
                     url=url, content=content, content_type=content_type,
                     final_url=final_url, analysis=analysis,

@@ -10,16 +10,13 @@ footnote 1):
 :class:`Submission` models both — plus an optional pre-computed
 :class:`~repro.detection.heuristics.ContentAnalysis` so several tools
 can share one sandbox run.  Every scanner implements the single
-:class:`Scanner` entry point, ``scan(Submission) -> ScanReport``; the
-historical ``scan_url`` / ``scan_file`` / ``scan_prepared`` spellings
-live on as deprecated shims in :class:`DeprecatedScanShims`.
+:class:`Scanner` entry point, ``scan(Submission) -> ScanReport``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (heuristics imports base)
@@ -30,7 +27,6 @@ __all__ = [
     "EngineResult",
     "ScanReport",
     "Scanner",
-    "DeprecatedScanShims",
     "stable_unit",
 ]
 
@@ -129,48 +125,6 @@ class Scanner(Protocol):
 
     def scan(self, submission: Submission) -> ScanReport:  # pragma: no cover - protocol
         ...
-
-
-class DeprecatedScanShims:
-    """Back-compat shims for the pre-unification scanner entry points.
-
-    ``scan_url`` / ``scan_file`` / ``scan_prepared`` were three
-    inconsistent spellings of :meth:`Scanner.scan`; they now warn and
-    delegate.  New code (and everything in-repo — enforced by the
-    TID251 ruff ban) must call ``scan(Submission(...))`` directly.
-    Removal timeline: the shims survive two release cycles from the
-    unification and then disappear (see DESIGN.md §6).
-    """
-
-    def scan(self, submission: Submission) -> ScanReport:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def scan_url(self, url: str) -> ScanReport:
-        warnings.warn(
-            "%s.scan_url(url) is deprecated; call scan(Submission(url=url))"
-            % type(self).__name__,
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.scan(Submission(url=url))
-
-    def scan_file(self, url: str, content: bytes,
-                  content_type: str = "text/html") -> ScanReport:
-        warnings.warn(
-            "%s.scan_file(url, content) is deprecated; call "
-            "scan(Submission(url=url, content=content))" % type(self).__name__,
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.scan(Submission(url=url, content=content, content_type=content_type))
-
-    def scan_prepared(self, submission: Submission,
-                      analysis: "ContentAnalysis") -> ScanReport:
-        warnings.warn(
-            "%s.scan_prepared(submission, analysis) is deprecated; attach the "
-            "analysis to the submission: scan(replace(submission, "
-            "analysis=analysis))" % type(self).__name__,
-            DeprecationWarning, stacklevel=2,
-        )
-        return self.scan(replace(submission, analysis=analysis))
 
 
 def stable_unit(*parts: str) -> float:

@@ -193,8 +193,7 @@ def analyze_content(content: bytes, content_type: str = "text/html",
                     url: str = "http://unknown.invalid/",
                     observer: Optional[object] = None,
                     static_prefilter: bool = True,
-                    compile_cache: Optional[object] = None,
-                    js_backend: Optional[str] = None) -> ContentAnalysis:
+                    compile_cache: Optional[object] = None) -> ContentAnalysis:
     """Dispatch on artifact type and analyze.
 
     ``observer`` (a :class:`repro.obs.RunObserver`, optional) is threaded
@@ -204,15 +203,12 @@ def analyze_content(content: bytes, content_type: str = "text/html",
     sandbox run, and pages whose every inline script is provably
     side-effect-free skip dynamic execution entirely.  ``compile_cache``
     (a :class:`repro.jsengine.CompileCache`, optional) makes the sandbox
-    compile each distinct script source once per run.  ``js_backend``
-    selects the sandbox execution backend (``"ast"`` or ``"vm"``; both
-    produce identical analyses).
+    compile each distinct script source once per run.
     """
     if content_type.startswith("application/x-shockwave-flash") or SwfFile.sniff(content):
         return analyze_swf(content)
     if content_type.startswith("application/pdf") or content[:5] == b"%PDF-":
-        return analyze_pdf(content, observer=observer, compile_cache=compile_cache,
-                           js_backend=js_backend)
+        return analyze_pdf(content, observer=observer, compile_cache=compile_cache)
     if content_type.startswith(("application/x-msdownload", "application/octet-stream")) and content[:2] == b"MZ":
         analysis = ContentAnalysis(kind="executable")
         analysis.executable_signature_hit = is_malicious_executable(content)
@@ -221,10 +217,9 @@ def analyze_content(content: bytes, content_type: str = "text/html",
     if content_type.startswith(("application/javascript", "text/javascript")):
         return _analyze_standalone_js(text, url, observer=observer,
                                       static_prefilter=static_prefilter,
-                                      compile_cache=compile_cache,
-                                      js_backend=js_backend)
+                                      compile_cache=compile_cache)
     return analyze_html(text, url, observer=observer, static_prefilter=static_prefilter,
-                        compile_cache=compile_cache, js_backend=js_backend)
+                        compile_cache=compile_cache)
 
 
 def _observe(observer: Optional[object], name: str, amount: float = 1.0,
@@ -246,8 +241,7 @@ def _frame(observer: Optional[object], name: str) -> ContextManager[None]:
 def analyze_html(html: str, url: str = "http://unknown.invalid/",
                  observer: Optional[object] = None,
                  static_prefilter: bool = True,
-                 compile_cache: Optional[object] = None,
-                 js_backend: Optional[str] = None) -> ContentAnalysis:
+                 compile_cache: Optional[object] = None) -> ContentAnalysis:
     """Full static + dynamic analysis of an HTML page.
 
     With ``static_prefilter`` on, every inline script is first analyzed
@@ -325,8 +319,7 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         with _frame(observer, "sandbox"):
             host = run_script_in_page(html, url=url, step_budget=200_000,
                                       observer=observer,
-                                      compile_cache=compile_cache,
-                                      js_backend=js_backend)
+                                      compile_cache=compile_cache)
         document = host.document_tree
         analysis.navigations = list(host.log.navigations)
         analysis.popups = list(host.log.popups)
@@ -597,8 +590,7 @@ def analyze_swf(content: bytes) -> ContentAnalysis:
 
 
 def analyze_pdf(content: bytes, observer: Optional[object] = None,
-                compile_cache: Optional[object] = None,
-                js_backend: Optional[str] = None) -> ContentAnalysis:
+                compile_cache: Optional[object] = None) -> ContentAnalysis:
     """Inspect a PDF: malformed structure and embedded JavaScript.
 
     Quttera-style heuristics (Section III-B lists "malformed PDFs"):
@@ -637,8 +629,7 @@ def analyze_pdf(content: bytes, observer: Optional[object] = None,
         with _frame(observer, "sandbox"):
             host = run_script_in_page(page, step_budget=100_000,
                                       observer=observer,
-                                      compile_cache=compile_cache,
-                                      js_backend=js_backend)
+                                      compile_cache=compile_cache)
         analysis.navigations.extend(host.log.navigations)
         analysis.download_triggers.extend(host.log.download_triggers)
         analysis.popups.extend(host.log.popups)
@@ -649,14 +640,12 @@ def analyze_pdf(content: bytes, observer: Optional[object] = None,
 def _analyze_standalone_js(source: str, url: str,
                            observer: Optional[object] = None,
                            static_prefilter: bool = True,
-                           compile_cache: Optional[object] = None,
-                           js_backend: Optional[str] = None) -> ContentAnalysis:
+                           compile_cache: Optional[object] = None) -> ContentAnalysis:
     """Analyze a bare ``.js`` file by wrapping it in a page."""
     page = "<html><body><script>%s</script></body></html>" % source
     analysis = analyze_html(page, url=url, observer=observer,
                             static_prefilter=static_prefilter,
-                            compile_cache=compile_cache,
-                            js_backend=js_backend)
+                            compile_cache=compile_cache)
     analysis.kind = "javascript"
     return analysis
 

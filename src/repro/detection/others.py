@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..httpsim import SimHttpClient
-from .base import DeprecatedScanShims, ScanReport, Submission, stable_unit
+from .base import ScanReport, Submission, stable_unit
 from .heuristics import ContentAnalysis, analyze_content
 
 __all__ = [
@@ -34,7 +34,7 @@ __all__ = [
 
 
 @dataclass
-class LimitedScanner(DeprecatedScanShims):
+class LimitedScanner:
     """A scanner with partial capability.
 
     ``capability`` maps an analysis to True/False (would detect if its

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..httpsim import SimHttpClient
-from .base import DeprecatedScanShims, ScanReport, Submission
+from .base import ScanReport, Submission
 from .heuristics import ContentAnalysis, analyze_content
 
 __all__ = ["QutteraThreat", "QutteraSim"]
@@ -38,7 +38,7 @@ class QutteraThreat:
     evidence: str = ""
 
 
-class QutteraSim(DeprecatedScanShims):
+class QutteraSim:
     """Heuristic scanner producing detailed threat reports."""
 
     name = "Quttera"
@@ -46,8 +46,7 @@ class QutteraSim(DeprecatedScanShims):
     def __init__(self, client: Optional[SimHttpClient] = None,
                  observer: Optional[object] = None,
                  static_prefilter: bool = True,
-                 compile_cache: Optional[object] = None,
-                 js_backend: Optional[str] = None) -> None:
+                 compile_cache: Optional[object] = None) -> None:
         self.client = client
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks)
         self.observer = observer
@@ -56,8 +55,6 @@ class QutteraSim(DeprecatedScanShims):
         #: optional :class:`repro.jsengine.CompileCache` shared across
         #: the run so templated scripts compile once
         self.compile_cache = compile_cache
-        #: JS sandbox backend ("ast" or "vm"); None = resolve from env
-        self.js_backend = js_backend
 
     # ------------------------------------------------------------------
     def scan(self, submission: Submission) -> ScanReport:
@@ -77,7 +74,7 @@ class QutteraSim(DeprecatedScanShims):
         analysis = analyze_content(
             submission.content or b"", submission.content_type, submission.url,
             observer=self.observer, static_prefilter=self.static_prefilter,
-            compile_cache=self.compile_cache, js_backend=self.js_backend,
+            compile_cache=self.compile_cache,
         )
         return self._report_from_analysis(submission, analysis)
 

@@ -18,14 +18,14 @@ from typing import Dict, List, Optional
 
 from ..httpsim import SimHttpClient
 from ..simweb.categories import CATEGORY_TOPICS
-from .base import DeprecatedScanShims, ScanReport, Submission
+from .base import ScanReport, Submission
 from .engines import SimulatedEngine, default_engine_pool
 from .heuristics import ContentAnalysis, analyze_content
 
 __all__ = ["VirusTotalSim"]
 
 
-class VirusTotalSim(DeprecatedScanShims):
+class VirusTotalSim:
     """The VirusTotal-like aggregator.
 
     Parameters
@@ -50,7 +50,6 @@ class VirusTotalSim(DeprecatedScanShims):
         observer: Optional[object] = None,
         static_prefilter: bool = True,
         compile_cache: Optional[object] = None,
-        js_backend: Optional[str] = None,
     ) -> None:
         self.client = client
         self.engines = engines if engines is not None else default_engine_pool(observer)
@@ -64,8 +63,6 @@ class VirusTotalSim(DeprecatedScanShims):
         #: optional :class:`repro.jsengine.CompileCache` shared across
         #: the run so templated scripts compile once
         self.compile_cache = compile_cache
-        #: JS sandbox backend ("ast" or "vm"); None = resolve from env
-        self.js_backend = js_backend
         self._url_cache: Dict[str, ScanReport] = {}
 
     # ------------------------------------------------------------------
@@ -79,8 +76,7 @@ class VirusTotalSim(DeprecatedScanShims):
                 analyze_content(submission.content or b"", submission.content_type,
                                 submission.url, observer=self.observer,
                                 static_prefilter=self.static_prefilter,
-                                compile_cache=self.compile_cache,
-                                js_backend=self.js_backend),
+                                compile_cache=self.compile_cache),
             )
         return self._scan_fetched(submission.url)
 
@@ -101,8 +97,7 @@ class VirusTotalSim(DeprecatedScanShims):
         analysis = analyze_content(submission.content or b"", submission.content_type,
                                    url, observer=self.observer,
                                    static_prefilter=self.static_prefilter,
-                                   compile_cache=self.compile_cache,
-                                   js_backend=self.js_backend)
+                                   compile_cache=self.compile_cache)
         report = self._scan_analysis(submission, analysis)
         if result.redirected:
             report.details["final_url"] = result.final_url

@@ -143,8 +143,6 @@ class FlashPlayer:
                     break
                 getter = getattr(target, "js_get", None)
                 target = getter(part) if getter else None
-            # isinstance, not a class-name check: the bytecode backend's
-            # VMFunction subclasses JSFunction and must bridge identically
             if target is not None and target is not False and callable(getattr(target, "__call__", None)):
                 interpreter.call_function(target, [arg] if arg else [])
             elif isinstance(target, JSFunction):

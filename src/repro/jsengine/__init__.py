@@ -3,11 +3,13 @@
 Provides everything the paper's behavioural/static JS analysis needs:
 
 * :func:`repro.jsengine.parser.parse` — ES5-subset parser,
-* :class:`repro.jsengine.interpreter.Interpreter` — sandboxed execution
-  (tree-walking reference backend),
-* :class:`repro.jsengine.vm.VirtualMachine` /
-  :func:`repro.jsengine.compiler.compile_program` — opcode-compiled
-  dispatch-loop backend, selectable via ``$REPRO_JS_BACKEND``,
+* :class:`repro.jsengine.interpreter.Interpreter` — sandboxed
+  tree-walking execution, the one JS engine; its
+  :func:`~repro.jsengine.interpreter.evaluate_binary` is the one
+  implementation of JS operator semantics (static analysis folds
+  through it too),
+* :class:`repro.jsengine.compilecache.CompileCache` — once-per-source
+  parse cache shared by a pipeline run,
 * :class:`repro.jsengine.hostenv.BrowserHost` /
   :func:`repro.jsengine.hostenv.run_script_in_page` — browser host
   environment with behaviour capture,
@@ -17,7 +19,6 @@ Provides everything the paper's behavioural/static JS analysis needs:
 """
 
 from .compilecache import CompileCache
-from .compiler import Code, compile_program
 from .deobfuscate import DeobfuscationResult, deobfuscate, looks_obfuscated
 from .features import JsFeatures, extract_features
 from .hostenv import BehaviorLog, BrowserHost, run_script_in_page
@@ -25,30 +26,22 @@ from .interpreter import BudgetExceeded, Interpreter
 from .lexer import LexError
 from .parser import ParseError, parse
 from .values import JSException, UNDEFINED
-from .vm import JS_BACKEND_ENV, JS_BACKENDS, VirtualMachine, make_js_engine, resolve_js_backend
 
 __all__ = [
     "BehaviorLog",
     "BrowserHost",
     "BudgetExceeded",
-    "Code",
     "CompileCache",
     "DeobfuscationResult",
     "Interpreter",
     "JSException",
-    "JS_BACKENDS",
-    "JS_BACKEND_ENV",
     "JsFeatures",
     "LexError",
     "ParseError",
     "UNDEFINED",
-    "VirtualMachine",
-    "compile_program",
     "deobfuscate",
     "extract_features",
     "looks_obfuscated",
-    "make_js_engine",
     "parse",
-    "resolve_js_backend",
     "run_script_in_page",
 ]

@@ -43,23 +43,15 @@ __all__ = ["CompileCache"]
 
 
 class _Entry:
-    """One compiled source: the program, its cost, or its failure.
+    """One compiled source: the program, its cost, or its failure."""
 
-    ``codes`` holds backend-specific lowerings of the shared AST, keyed
-    by ``("vm",) + limits`` — backend identity plus the interpreter
-    limits that influence code generation (the VM's constant folder
-    honours ``MAX_STRING_LENGTH``), so an AST entry is never replayed
-    into the VM and codes compiled under different limits never mix.
-    """
-
-    __slots__ = ("program", "token_count", "error", "codes")
+    __slots__ = ("program", "token_count", "error")
 
     def __init__(self, program: Optional[N.Program], token_count: int,
                  error: Optional[BaseException]) -> None:
         self.program = program
         self.token_count = token_count
         self.error = error
-        self.codes: Dict[tuple, Any] = {}
 
 
 class CompileCache:
@@ -84,36 +76,6 @@ class CompileCache:
     def hit_rate(self) -> float:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
-
-    def compile_code(self, source: str, limits: tuple,
-                     observer: Optional[Any] = None,
-                     charge_tokens: bool = True) -> Any:
-        """Return VM bytecode for ``source``, caching by source + limits.
-
-        Hit/miss accounting stays keyed per *source request* — exactly
-        like :meth:`compile` — so the ``jsengine.cache.*`` counters are
-        invariant across backends; the bytecode lowering itself is keyed
-        by backend identity and the codegen-relevant limits inside the
-        entry.  Compile errors replay with the same token charges.
-        """
-        from .compiler import compile_program
-
-        with self._lock:
-            entry, hit = self._lookup(source)
-            code = None
-            if entry.error is None:
-                key = ("vm",) + tuple(limits)
-                code = entry.codes.get(key)
-                if code is None:
-                    # limits[-1] is MAX_STRING_LENGTH, the only limit the
-                    # compiler consumes (budget is dispatch-time state)
-                    code = compile_program(entry.program,
-                                           max_string_length=limits[-1])
-                    entry.codes[key] = code
-        self._charge(entry, hit, observer, charge_tokens)
-        if entry.error is not None:
-            raise entry.error
-        return code
 
     def compile(self, source: str, observer: Optional[Any] = None,
                 charge_tokens: bool = True) -> N.Program:

@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..htmlparse import Document, Element, parse_fragment, serialize_children
+from .interpreter import Interpreter
 from .values import UNDEFINED, JSArray, JSObject, NativeFunction, to_number, to_string
-from .vm import make_js_engine, resolve_js_backend
 
 __all__ = ["BehaviorLog", "BrowserHost", "DomElement", "run_script_in_page"]
 
@@ -440,7 +440,6 @@ class BrowserHost:
         now_ms: float = 1_420_070_400_000.0,  # fixed clock: 2015-01-01
         observer: Optional[Any] = None,
         compile_cache: Optional[Any] = None,
-        js_backend: Optional[str] = None,
     ) -> None:
         self.document_tree = document if document is not None else Document()
         #: threaded into fragment parses (document.write / innerHTML) so
@@ -455,9 +454,7 @@ class BrowserHost:
         self.now_ms = now_ms
         self._wrappers: Dict[int, DomElement] = {}
         self.location = LocationObject(self, url)
-        self.js_backend = resolve_js_backend(js_backend)
-        self.interpreter = make_js_engine(
-            self.js_backend,
+        self.interpreter = Interpreter(
             host_globals={}, step_budget=step_budget, rng=rng or random.Random(0),
             observer=observer, compile_cache=compile_cache,
         )
@@ -611,8 +608,7 @@ def run_script_in_page(html: str, url: str = "http://localhost/", referrer: str 
                        step_budget: int = 500_000, simulate_events: bool = True,
                        rng: Optional[random.Random] = None,
                        observer: Optional[Any] = None,
-                       compile_cache: Optional[Any] = None,
-                       js_backend: Optional[str] = None) -> BrowserHost:
+                       compile_cache: Optional[Any] = None) -> BrowserHost:
     """Parse ``html``, execute its inline scripts, optionally fire events.
 
     Returns the :class:`BrowserHost`, whose ``log`` and mutated
@@ -624,7 +620,7 @@ def run_script_in_page(html: str, url: str = "http://localhost/", referrer: str 
     document = parse(html, observer=observer)
     host = BrowserHost(document=document, url=url, referrer=referrer,
                        step_budget=step_budget, rng=rng, observer=observer,
-                       compile_cache=compile_cache, js_backend=js_backend)
+                       compile_cache=compile_cache)
     for script in document.find_all("script"):
         if script.get("src"):
             host.on_script_src(script.get("src"))

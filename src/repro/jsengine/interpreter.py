@@ -38,7 +38,7 @@ from .values import (
     type_of,
 )
 
-__all__ = ["Interpreter", "BudgetExceeded", "Environment", "evaluate_binary"]
+__all__ = ["Interpreter", "BudgetExceeded", "Environment", "evaluate_binary", "evaluate_unary"]
 
 
 class BudgetExceeded(RuntimeError):
@@ -120,10 +120,6 @@ class Interpreter:
     #: strings longer than this abort the script (memory-bomb guard; real
     #: sandboxes enforce allocation limits the same way)
     MAX_STRING_LENGTH = 2_000_000
-
-    #: execution-backend identity (the bytecode VM reports "vm"); see
-    #: :func:`repro.jsengine.vm.resolve_js_backend`
-    backend = "ast"
 
     def __init__(
         self,
@@ -495,18 +491,7 @@ class Interpreter:
                     obj.js_delete(prop)
                 return True
             return True
-        value = self._eval(node.argument, env)
-        if operator == "!":
-            return not to_boolean(value)
-        if operator == "-":
-            return -to_number(value)
-        if operator == "+":
-            return to_number(value)
-        if operator == "~":
-            return float(~_to_int32(to_number(value)))
-        if operator == "void":
-            return UNDEFINED
-        raise JSException("unsupported unary %s" % operator)
+        return evaluate_unary(operator, self._eval(node.argument, env))
 
     def _eval_update(self, node: N.Update, env: Environment) -> Any:
         old = to_number(self._read_target(node.argument, env))
@@ -574,13 +559,33 @@ class Interpreter:
         raise JSException("TypeError: %s is not a constructor" % to_string(callee))
 
 
-def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int) -> Any:
-    """Binary-operator semantics shared by both execution backends.
+def evaluate_unary(operator: str, value: Any) -> Any:
+    """Semantics of the unary operators that act on a value.
 
-    This is the single source of truth: the tree-walking
-    :class:`Interpreter`, the opcode VM's ``BINOP`` handler, and the
-    bytecode compiler's constant folder all call it, so a folded constant
-    can never diverge from what runtime evaluation would have produced.
+    ``typeof`` and ``delete`` inspect their operand's binding, not its
+    value, so each evaluator handles those two itself.
+    """
+    if operator == "!":
+        return not to_boolean(value)
+    if operator == "-":
+        return -to_number(value)
+    if operator == "+":
+        return to_number(value)
+    if operator == "~":
+        return float(~_to_int32(to_number(value)))
+    if operator == "void":
+        return UNDEFINED
+    raise JSException("unsupported unary %s" % operator)
+
+
+def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int) -> Any:
+    """Binary-operator semantics: the one implementation in the repo.
+
+    The :class:`Interpreter`, the abstract machine in
+    :mod:`repro.staticjs.absint` (on concrete operands) and the constant
+    folder in :mod:`repro.staticjs.dataflow` all call it, so a value the
+    static side computes can never diverge from what the sandbox would
+    have produced.
     """
     if operator == "+":
         if isinstance(left, str) or isinstance(right, str) or isinstance(left, (JSObject, JSArray)) or isinstance(right, (JSObject, JSArray)):
@@ -601,7 +606,7 @@ def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int
         if rnum == 0:
             if lnum == 0 or math.isnan(lnum):
                 return float("nan")
-            return math.copysign(float("inf"), lnum) * (1 if rnum == 0 and not str(rnum).startswith("-") else 1)
+            return math.copysign(float("inf"), lnum) * math.copysign(1.0, rnum)
         return lnum / rnum
     if operator == "%":
         rnum = to_number(right)

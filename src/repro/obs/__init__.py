@@ -4,10 +4,10 @@ The crawl-and-scan pipeline is instrumented end to end — HTTP client,
 crawlers, detection engines, JS sandbox — behind one opt-in hook::
 
     from repro.obs import RunObserver
-    from repro.crawler import CrawlPipeline
+    from repro.crawler import CrawlPipeline, PipelineOptions
 
     observer = RunObserver()
-    pipeline = CrawlPipeline(web, observer=observer)
+    pipeline = CrawlPipeline(web, PipelineOptions(observer=observer))
     outcome = pipeline.run()
 
     from repro.obs import build_run_report, render_run_report_markdown
@@ -20,7 +20,7 @@ pipeline outputs are byte-identical to an unobserved run.
 Three companion layers sit on top of the observer:
 
 - :mod:`repro.obs.provenance` — the per-URL verdict flight recorder
-  (``CrawlPipeline(record_provenance=True)``, rendered by
+  (``PipelineOptions(record_provenance=True)``, rendered by
   ``repro explain <url>``);
 - :mod:`repro.obs.export` — Chrome-trace-format span export with
   per-shard scanexec tracks (``repro obs-report --trace-out``);

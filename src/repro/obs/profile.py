@@ -15,10 +15,8 @@ work units on a lightweight frame stack::
             profiler.add("js.interp.steps", 1841)
 
 Work kinds are free-form dotted names; the load-bearing ones are
-``js.interp.steps`` (simulated interpreter steps — identical under
-both JS backends), ``js.vm.ops`` (instructions the vm backend actually
-dispatched; absent under the ast backend — the steps/ops gap is the
-bytecode win), ``js.tokens``, ``jsengine.cache.hits``/``.misses``,
+``js.interp.steps`` (interpreter steps in the JS sandbox),
+``js.tokens``, ``jsengine.cache.hits``/``.misses``,
 ``html.nodes``, and the per-phase request/scan counts.
 
 and aggregates them into a :class:`WorkLedger` keyed by

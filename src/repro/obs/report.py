@@ -84,7 +84,7 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
     observer: Optional[RunObserver] = getattr(pipeline, "observer", None)
     if observer is None:
         raise ValueError("pipeline has no observer attached; "
-                         "construct it with CrawlPipeline(web, observer=RunObserver())")
+                         "construct it with CrawlPipeline(web, PipelineOptions(observer=RunObserver()))")
     metrics = observer.metrics
     dataset = pipeline.dataset
 
@@ -496,15 +496,6 @@ def render_run_report_markdown(report: Dict[str, Any],
     work = report.get("work")
     if work and work["totals"]:
         sections.append("\n## Work profile\n")
-        vm_ops = work["totals"].get("js.vm.ops")
-        steps = work["totals"].get("js.interp.steps")
-        if vm_ops and steps:
-            # vm backend: simulated steps (walker-parity accounting) vs
-            # instructions actually dispatched — the gap is the
-            # compile-time win (constant folding, fused tick weights)
-            sections.append("Dispatch: %d simulated steps over %d vm "
-                            "instructions (%.2f steps/op)\n"
-                            % (int(steps), int(vm_ops), steps / vm_ops))
         sections.append(markdown_table(
             ("Path", "Kind", "Units"),
             [(hp["path"] or "(root)", hp["kind"], int(hp["units"]))

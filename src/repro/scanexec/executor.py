@@ -298,7 +298,7 @@ class ParallelScanExecutor(PhaseExecutor):
 class SerialScanExecutor(ParallelScanExecutor):
     """The serial reference: one worker, inline execution, no threads.
 
-    Useful as an explicit ``CrawlPipeline(scan_executor=...)`` when a
+    Useful as an explicit ``PipelineOptions(scan_executor=...)`` when a
     caller wants executor accounting (shard stats, simulated makespan)
     with serial semantics.
     """

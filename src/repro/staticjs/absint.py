@@ -34,7 +34,7 @@ from ..htmlparse import Element, parse_fragment, serialize_children
 from ..jsengine import nodes as N
 from ..jsengine.builtins import _int_or, get_member, make_global_builtins
 from ..jsengine.deobfuscate import DECODER_NAMES
-from ..jsengine.interpreter import BudgetExceeded, _to_int32, _wrap_int32
+from ..jsengine.interpreter import Interpreter, evaluate_binary, evaluate_unary
 from ..jsengine.parser import parse
 from ..jsengine.values import (
     UNDEFINED,
@@ -43,8 +43,6 @@ from ..jsengine.values import (
     JSFunction,
     JSObject,
     NativeFunction,
-    loose_equals,
-    strict_equals,
     to_boolean,
     to_number,
     to_string,
@@ -86,7 +84,6 @@ PAGE_STEP_BUDGET = 150_000
 #: events the page driver fires after the script phase, in order
 EVENT_PHASES = ("load", "click", "mousemove")
 
-_MAX_STRING_LENGTH = 2_000_000
 _MAX_AST_DEPTH = 120
 _MAX_NODE_NESTING = 300
 _MAX_EVAL_DEPTH = 8
@@ -1202,14 +1199,15 @@ class AbstractMachine:
     """Tick-for-tick abstract mirror of the sandbox interpreter.
 
     Concrete values take exactly the sandbox's paths (same coercions
-    from :mod:`repro.jsengine.values`, same builtin implementations);
+    from :mod:`repro.jsengine.values`, same operator functions
+    ``evaluate_binary``/``evaluate_unary``, same builtin implementations);
     abstract values take the domain paths; anything unmirrorable raises
     :class:`_Abort`.
     """
 
-    #: mirrors Interpreter.MAX_STRING_LENGTH — the machine applies the
-    #: same allocation guard on concrete concatenation
-    MAX_STRING_LENGTH = 2_000_000
+    #: the machine applies the sandbox's allocation guard on concrete
+    #: concatenation
+    MAX_STRING_LENGTH = Interpreter.MAX_STRING_LENGTH
 
     def __init__(self, source: str,
                  call_graph: Optional[CallGraph] = None) -> None:
@@ -2102,17 +2100,7 @@ class AbstractMachine:
             if operator == "void":
                 return UNDEFINED
             raise JSException("unsupported unary %s" % operator)
-        if operator == "!":
-            return not to_boolean(value)
-        if operator == "-":
-            return -to_number(value)
-        if operator == "+":
-            return to_number(value)
-        if operator == "~":
-            return float(~_to_int32(to_number(value)))
-        if operator == "void":
-            return UNDEFINED
-        raise JSException("unsupported unary %s" % operator)
+        return evaluate_unary(operator, value)
 
     def _eval_update(self, node: N.Update, env: _Env) -> Any:
         raw = self._read_target(node.argument, env)
@@ -2278,7 +2266,7 @@ class AbstractMachine:
             # to_string/to_number of a node list needs its elements
             raise _Abort("opaque-nodelist")
         if not contains_abstract(left) and not contains_abstract(right):
-            return self._binary_concrete(operator, left, right)
+            return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
         return self._binary_abstract(operator, left, right)
 
     def _equality(self, operator: str, left: Any, right: Any) -> Any:
@@ -2296,79 +2284,7 @@ class AbstractMachine:
                     raise _Abort("opaque-nodelist")
         if contains_abstract(left) or contains_abstract(right):
             return BOOL_TOP
-        return self._binary_concrete(operator, left, right)
-
-    def _binary_concrete(self, operator: str, left: Any, right: Any) -> Any:
-        """Verbatim mirror of Interpreter._eval_binary."""
-        if operator == "+":
-            if isinstance(left, str) or isinstance(right, str) or isinstance(left, (JSObject, JSArray)) or isinstance(right, (JSObject, JSArray)):
-                joined = to_string(left) + to_string(right)
-                if len(joined) > self.MAX_STRING_LENGTH:
-                    raise BudgetExceeded(
-                        "string allocation limit (%d chars) exceeded" % self.MAX_STRING_LENGTH
-                    )
-                return joined
-            return to_number(left) + to_number(right)
-        if operator == "-":
-            return to_number(left) - to_number(right)
-        if operator == "*":
-            return to_number(left) * to_number(right)
-        if operator == "/":
-            rnum = to_number(right)
-            lnum = to_number(left)
-            if rnum == 0:
-                if lnum == 0 or math.isnan(lnum):
-                    return float("nan")
-                return math.copysign(float("inf"), lnum)
-            return lnum / rnum
-        if operator == "%":
-            rnum = to_number(right)
-            lnum = to_number(left)
-            if rnum == 0 or math.isnan(lnum) or math.isinf(lnum):
-                return float("nan")
-            return math.fmod(lnum, rnum)
-        if operator == "==":
-            return loose_equals(left, right)
-        if operator == "!=":
-            return not loose_equals(left, right)
-        if operator == "===":
-            return strict_equals(left, right)
-        if operator == "!==":
-            return not strict_equals(left, right)
-        if operator in ("<", ">", "<=", ">="):
-            if isinstance(left, str) and isinstance(right, str):
-                lval: Any = left
-                rval: Any = right
-            else:
-                lval, rval = to_number(left), to_number(right)
-                if math.isnan(lval) or math.isnan(rval):
-                    return False
-            if operator == "<":
-                return lval < rval
-            if operator == ">":
-                return lval > rval
-            if operator == "<=":
-                return lval <= rval
-            return lval >= rval
-        if operator == "&":
-            return float(_to_int32(to_number(left)) & _to_int32(to_number(right)))
-        if operator == "|":
-            return float(_to_int32(to_number(left)) | _to_int32(to_number(right)))
-        if operator == "^":
-            return float(_to_int32(to_number(left)) ^ _to_int32(to_number(right)))
-        if operator == "<<":
-            return float(_wrap_int32(_to_int32(to_number(left)) << (_to_int32(to_number(right)) & 31)))
-        if operator == ">>":
-            return float(_to_int32(to_number(left)) >> (_to_int32(to_number(right)) & 31))
-        if operator == ">>>":
-            return float((_to_int32(to_number(left)) & 0xFFFFFFFF) >> (_to_int32(to_number(right)) & 31))
-        if operator == "instanceof":
-            return isinstance(left, (JSObject, JSFunction))
-        if operator == "in":
-            if isinstance(right, JSObject):
-                return right.js_has(to_string(left))
-            return False
-        raise JSException("unsupported operator %s" % operator)
+        return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
 
     def _binary_abstract(self, operator: str, left: Any, right: Any) -> Any:
         if operator == "+":

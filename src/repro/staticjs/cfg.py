@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Set, Union
 
 from ..jsengine import nodes as N
-from .dataflow import UNKNOWN, fold
+from ..jsengine.values import to_boolean
+from .dataflow import UNKNOWN, fold, to_js
 
 __all__ = ["BasicBlock", "Cfg", "build_cfg"]
 
@@ -102,11 +103,7 @@ class _Builder:
         value = fold(test, self.env)
         if value is UNKNOWN:
             return UNKNOWN
-        if isinstance(value, str):
-            return bool(value)
-        if isinstance(value, float):
-            return value != 0.0 and value == value
-        return bool(value)
+        return to_boolean(to_js(value))
 
     # ------------------------------------------------------------------
     def build(self, statements: Sequence[N.Node]) -> Cfg:

@@ -17,14 +17,15 @@ resolved string that reaches an ``eval``-like sink, a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..jsengine import nodes as N
 from ..jsengine.deobfuscate import PURE_DECODERS
+from ..jsengine.interpreter import BudgetExceeded, evaluate_binary, evaluate_unary
+from ..jsengine.values import UNDEFINED, JSArray, JSException, to_boolean, to_number, to_string, type_of
 
-__all__ = ["UNKNOWN", "Resolution", "ResolvedString", "fold", "propagate", "callee_path"]
+__all__ = ["UNKNOWN", "Resolution", "ResolvedString", "fold", "propagate", "callee_path", "to_js"]
 
 
 class _Unknown:
@@ -79,55 +80,27 @@ def callee_path(node: N.Node) -> str:
     return ""
 
 
-def _truthy(value: Any) -> bool:
-    if isinstance(value, str):
-        return bool(value)
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, float):
-        return value != 0.0 and value == value  # NaN is falsy
-    if value is None:
-        return False
-    return bool(value)
+def to_js(value: Any) -> Any:
+    """A folded value as the sandbox sees it.
 
-
-def _to_str(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if math.isinf(value):
-            return "Infinity" if value > 0 else "-Infinity"
-        if value == int(value) and abs(value) < 1e21:
-            return str(int(value))
-        return repr(value)
-    if value is None:
-        return "null"
+    Folded arrays are Python lists; every other folded value already is
+    a sandbox value.  Operators and coercions run on the sandbox's own
+    functions, so each call into them converts its operands here.
+    """
     if isinstance(value, list):
-        return ",".join(_to_str(v) for v in value)
-    return str(value)
+        return JSArray([to_js(item) for item in value])
+    return value
 
 
-def _to_num(value: Any) -> float:
-    if isinstance(value, bool):
-        return 1.0 if value else 0.0
-    if isinstance(value, float):
-        return value
-    if isinstance(value, str):
-        # mirrors values.to_number: hex literals parse, junk is NaN
-        text = value.strip()
-        if not text:
-            return 0.0
-        try:
-            if text.lower().startswith(("0x", "-0x", "+0x")):
-                return float(int(text, 16))
-            return float(text)
-        except ValueError:
-            return float("nan")
-    if value is None:
-        return 0.0
-    return float("nan")
+def _binary(operator: str, left: Any, right: Any) -> Any:
+    """``left <operator> right`` with the sandbox's semantics."""
+    js_left = to_js(left)
+    # the same folded array on both sides is one JS object (a === a)
+    js_right = js_left if right is left else to_js(right)
+    try:
+        return evaluate_binary(operator, js_left, js_right, _MAX_FOLDED_STRING)
+    except (BudgetExceeded, JSException):
+        return UNKNOWN
 
 
 def fold(node: Optional[N.Node], env: Optional[Dict[str, Any]] = None,
@@ -136,6 +109,10 @@ def fold(node: Optional[N.Node], env: Optional[Dict[str, Any]] = None,
 
     Strings fold to ``str``, numbers to ``float``, booleans to ``bool``,
     ``null`` to ``None``, and all-constant array literals to ``list``.
+    Operators and coercions are the sandbox's
+    (:func:`repro.jsengine.interpreter.evaluate_binary` and
+    :mod:`repro.jsengine.values`), so a folded value is the value the
+    sandbox would compute.
     """
     if env is None:
         env = {}
@@ -163,15 +140,15 @@ def fold(node: Optional[N.Node], env: Optional[Dict[str, Any]] = None,
         if left is UNKNOWN:
             return UNKNOWN
         if node.operator == "&&":
-            return fold(node.right, env, _depth + 1) if _truthy(left) else left
-        return left if _truthy(left) else fold(node.right, env, _depth + 1)
+            return fold(node.right, env, _depth + 1) if to_boolean(to_js(left)) else left
+        return left if to_boolean(to_js(left)) else fold(node.right, env, _depth + 1)
     if isinstance(node, N.Unary):
         return _fold_unary(node, env, _depth)
     if isinstance(node, N.Conditional):
         test = fold(node.test, env, _depth + 1)
         if test is UNKNOWN:
             return UNKNOWN
-        branch = node.consequent if _truthy(test) else node.alternate
+        branch = node.consequent if to_boolean(to_js(test)) else node.alternate
         return fold(branch, env, _depth + 1)
     if isinstance(node, N.Sequence):
         return fold(node.expressions[-1], env, _depth + 1) if node.expressions else UNKNOWN
@@ -183,102 +160,48 @@ def fold(node: Optional[N.Node], env: Optional[Dict[str, Any]] = None,
 
 
 def _fold_binary(node: N.Binary, env: Dict[str, Any], depth: int) -> Any:
-    # '+' chains parse left-deep; collect the spine iteratively so a
-    # thousand-piece concatenation cannot exhaust the Python stack
-    if node.operator == "+":
-        operands: List[N.Node] = []
-        stack: List[N.Node] = [node]
-        while stack:
-            current = stack.pop()
-            if isinstance(current, N.Binary) and current.operator == "+":
-                stack.append(current.right)
-                stack.append(current.left)
-            else:
-                operands.append(current)
-        values = [fold(op, env, depth + 1) for op in operands]
-        if any(v is UNKNOWN for v in values):
+    if node.operator != "+":
+        left = fold(node.left, env, depth + 1)
+        if left is UNKNOWN:
             return UNKNOWN
-        if any(isinstance(v, (str, list)) for v in values):
-            out = "".join(_to_str(v) for v in values)
-            return out if len(out) <= _MAX_FOLDED_STRING else UNKNOWN
-        return float(sum(_to_num(v) for v in values))
-    left = fold(node.left, env, depth + 1)
-    right = fold(node.right, env, depth + 1)
-    if left is UNKNOWN or right is UNKNOWN:
+        right = fold(node.right, env, depth + 1)
+        if right is UNKNOWN:
+            return UNKNOWN
+        return _binary(node.operator, left, right)
+    # '+' chains parse left-deep; collect the left spine iteratively so a
+    # thousand-piece concatenation cannot exhaust the Python stack, then
+    # add left to right as the sandbox does (a parenthesised right
+    # operand is its own sum)
+    operands: List[N.Node] = []
+    current: N.Node = node
+    while isinstance(current, N.Binary) and current.operator == "+":
+        operands.append(current.right)
+        current = current.left
+    operands.append(current)
+    operands.reverse()
+    values = [fold(op, env, depth + 1) for op in operands]
+    if any(v is UNKNOWN for v in values):
         return UNKNOWN
-    op = node.operator
-    if op in ("==", "==="):
-        return left == right
-    if op in ("!=", "!=="):
-        return left != right
-    if op in ("<", ">", "<=", ">="):
-        try:
-            if isinstance(left, str) and isinstance(right, str):
-                pair: Tuple[Any, Any] = (left, right)
-            else:
-                pair = (_to_num(left), _to_num(right))
-            return {"<": pair[0] < pair[1], ">": pair[0] > pair[1],
-                    "<=": pair[0] <= pair[1], ">=": pair[0] >= pair[1]}[op]
-        except TypeError:
+    total = values[0]
+    for value in values[1:]:
+        total = _binary("+", total, value)
+        if total is UNKNOWN:
             return UNKNOWN
-    a, b = _to_num(left), _to_num(right)
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        # mirrors Interpreter: x/0 is signed Infinity, 0/0 and NaN/0 NaN
-        if b == 0:
-            if a == 0 or math.isnan(a):
-                return float("nan")
-            return math.copysign(float("inf"), a)
-        return a / b
-    if op == "%":
-        # mirrors Interpreter: fmod (JS remainder keeps the dividend sign)
-        if b == 0 or math.isnan(a) or math.isinf(a):
-            return float("nan")
-        return math.fmod(a, b)
-    if op in ("&", "|", "^", "<<", ">>", ">>>"):
-        try:
-            ia, ib = int(a), int(b)
-        except (ValueError, OverflowError):
-            return UNKNOWN
-        if op == "&":
-            return float(ia & ib)
-        if op == "|":
-            return float(ia | ib)
-        if op == "^":
-            return float(ia ^ ib)
-        if op == "<<":
-            return float((ia << (ib & 31)) & 0xFFFFFFFF)
-        return float((ia & 0xFFFFFFFF) >> (ib & 31))
-    return UNKNOWN
+    return total
 
 
 def _fold_unary(node: N.Unary, env: Dict[str, Any], depth: int) -> Any:
     value = fold(node.argument, env, depth + 1)
     if value is UNKNOWN:
         return UNKNOWN
-    if node.operator == "!":
-        return not _truthy(value)
-    if node.operator == "-":
-        return -_to_num(value)
-    if node.operator == "+":
-        return _to_num(value)
-    if node.operator == "~":
-        try:
-            return float(~int(_to_num(value)))
-        except (ValueError, OverflowError):
-            return UNKNOWN
     if node.operator == "typeof":
-        if isinstance(value, str):
-            return "string"
-        if isinstance(value, bool):
-            return "boolean"
-        if isinstance(value, float):
-            return "number"
-        return "object"
-    return UNKNOWN
+        return type_of(to_js(value))
+    try:
+        result = evaluate_unary(node.operator, to_js(value))
+    except JSException:  # delete: not a value operator
+        return UNKNOWN
+    # void: undefined is outside the folded domain
+    return UNKNOWN if result is UNDEFINED else result
 
 
 def _fold_member(node: N.Member, env: Dict[str, Any], depth: int) -> Any:
@@ -292,7 +215,7 @@ def _fold_member(node: N.Member, env: Dict[str, Any], depth: int) -> Any:
         return UNKNOWN
     if prop == "length" and isinstance(obj, (str, list)):
         return float(len(obj))
-    if isinstance(obj, (str, list)) and isinstance(prop, float):
+    if isinstance(obj, (str, list)) and isinstance(prop, float) and prop.is_integer():
         index = int(prop)
         if 0 <= index < len(obj):
             return obj[index]
@@ -303,12 +226,13 @@ def _fold_member(node: N.Member, env: Dict[str, Any], depth: int) -> Any:
 def _fold_call(node: N.Call, env: Dict[str, Any], depth: int) -> Any:
     path = callee_path(node.callee)
     args = [fold(a, env, depth + 1) for a in node.arguments]
+    js_args = [to_js(a) for a in args]
 
     if path == "String.fromCharCode":
         if any(a is UNKNOWN for a in args):
             return UNKNOWN
         try:
-            return "".join(chr(int(_to_num(a)) & 0xFFFF) for a in args)
+            return "".join(chr(int(to_number(a)) & 0xFFFF) for a in js_args)
         except (ValueError, OverflowError):
             return UNKNOWN
     if path in ("unescape", "window.unescape", "decodeURIComponent", "decodeURI",
@@ -318,15 +242,15 @@ def _fold_call(node: N.Call, env: Dict[str, Any], depth: int) -> Any:
             return decoded if decoded is not None else UNKNOWN
         return UNKNOWN
     if path == "parseInt" and args and isinstance(args[0], (str, float)):
-        base_val = int(_to_num(args[1])) if len(args) > 1 and args[1] is not UNKNOWN else 10
         try:
-            return float(int(_to_str(args[0]).strip(), base_val or 10))
+            base_val = int(to_number(js_args[1])) if len(args) > 1 and args[1] is not UNKNOWN else 10
+            return float(int(to_string(args[0]).strip(), base_val or 10))
         except (ValueError, OverflowError):
             return UNKNOWN
     if path == "String" and len(args) == 1 and args[0] is not UNKNOWN:
-        return _to_str(args[0])
+        return to_string(js_args[0])
     if path == "Number" and len(args) == 1 and args[0] is not UNKNOWN:
-        return _to_num(args[0])
+        return to_number(js_args[0])
 
     # method call on a foldable receiver: 'abc'.split('') etc.
     if isinstance(node.callee, N.Member) and isinstance(node.callee.prop, N.StringLiteral):
@@ -339,25 +263,26 @@ def _fold_call(node: N.Call, env: Dict[str, Any], depth: int) -> Any:
 def _fold_method(receiver: Any, method: str, args: List[Any]) -> Any:
     if any(a is UNKNOWN for a in args):
         return UNKNOWN
+    js_args = [to_js(a) for a in args]
     if isinstance(receiver, str):
         if method == "split":
-            sep = _to_str(args[0]) if args else UNKNOWN
-            if sep is UNKNOWN:
+            if not args:
                 return UNKNOWN
+            sep = to_string(js_args[0])
             return list(receiver) if sep == "" else receiver.split(sep)
         if method in ("charAt",):
-            index = int(_to_num(args[0])) if args else 0
+            index = int(to_number(js_args[0])) if args else 0
             return receiver[index] if 0 <= index < len(receiver) else ""
         if method == "charCodeAt":
-            index = int(_to_num(args[0])) if args else 0
+            index = int(to_number(js_args[0])) if args else 0
             return float(ord(receiver[index])) if 0 <= index < len(receiver) else float("nan")
         if method in ("substring", "slice", "substr"):
-            start = int(_to_num(args[0])) if args else 0
+            start = int(to_number(js_args[0])) if args else 0
             if method == "substr":
-                length = int(_to_num(args[1])) if len(args) > 1 else len(receiver)
+                length = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
                 start = max(0, start if start >= 0 else len(receiver) + start)
                 return receiver[start:start + max(0, length)]
-            end = int(_to_num(args[1])) if len(args) > 1 else len(receiver)
+            end = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
             if method == "slice":
                 return receiver[slice(start, end)] if start >= 0 or end >= 0 else receiver[start:end]
             start, end = max(0, min(start, end)), max(0, max(start, end))
@@ -369,23 +294,23 @@ def _fold_method(receiver: Any, method: str, args: List[Any]) -> Any:
         if method == "trim":
             return receiver.strip()
         if method == "concat":
-            return receiver + "".join(_to_str(a) for a in args)
+            return receiver + "".join(to_string(a) for a in js_args)
         if method == "indexOf":
-            return float(receiver.find(_to_str(args[0]))) if args else -1.0
+            return float(receiver.find(to_string(js_args[0]))) if args else -1.0
         if method == "replace" and len(args) >= 2 and isinstance(args[0], str):
-            return receiver.replace(args[0], _to_str(args[1]), 1)
+            return receiver.replace(args[0], to_string(js_args[1]), 1)
         if method == "toString":
             return receiver
     if isinstance(receiver, list):
         if method == "join":
-            sep = _to_str(args[0]) if args else ","
-            out = sep.join(_to_str(v) for v in receiver)
+            sep = to_string(js_args[0]) if args else ","
+            out = sep.join(to_string(to_js(v)) for v in receiver)
             return out if len(out) <= _MAX_FOLDED_STRING else UNKNOWN
         if method == "reverse":
             return list(reversed(receiver))
         if method == "slice":
-            start = int(_to_num(args[0])) if args else 0
-            end = int(_to_num(args[1])) if len(args) > 1 else len(receiver)
+            start = int(to_number(js_args[0])) if args else 0
+            end = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
             return receiver[start:end]
         if method == "concat":
             out = list(receiver)
@@ -394,9 +319,9 @@ def _fold_method(receiver: Any, method: str, args: List[Any]) -> Any:
             return out
     if isinstance(receiver, float):
         if method == "toString":
-            base_val = int(_to_num(args[0])) if args else 10
+            base_val = int(to_number(js_args[0])) if args else 10
             if base_val == 10:
-                return _to_str(receiver)
+                return to_string(receiver)
             try:
                 value = int(receiver)
             except (ValueError, OverflowError):

@@ -49,6 +49,11 @@ class TestAbstractMachine:
         assert effects.steps > 0
         assert effects.redirect_targets == ()
 
+    def test_division_by_negative_zero_matches_sandbox(self):
+        # concrete operators run on the sandbox's evaluate_binary
+        effects = interpret_script('eval("" + (1 / -0));')
+        assert effects.eval_sources == ("-Infinity",)
+
     def test_redirect_target_recovered_through_concat(self):
         effects = interpret_script(
             "var u = 'http://x/' + 'y'; window.location = u;")

@@ -224,38 +224,3 @@ class TestBlacklists:
             assert blacklists.is_blacklisted("b.example", min_hits=hits)
             assert not blacklists.is_blacklisted("b.example", min_hits=hits + 1)
 
-
-class TestDeprecatedShims:
-    """The pre-unification entry points still work but warn (DESIGN.md §6)."""
-
-    def _payload(self, rng):
-        return (SHELL % tiny_iframe(rng, "http://bad.example/").html).encode()
-
-    def test_scan_file_warns_and_delegates(self, rng):
-        content = self._payload(rng)
-        direct = VirusTotalSim().scan(Submission(url="http://m.example/", content=content))
-        with pytest.warns(DeprecationWarning, match="scan_file"):
-            legacy = VirusTotalSim().scan_file("http://m.example/", content)
-        assert legacy.positives == direct.positives
-        assert legacy.labels == direct.labels
-
-    def test_scan_url_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="scan_url"):
-            with pytest.raises(RuntimeError):
-                VirusTotalSim().scan_url("http://x.example/")
-
-    def test_scan_prepared_warns_and_delegates(self, rng):
-        content = self._payload(rng)
-        analysis = analyze_content(content, "text/html")
-        direct = QutteraSim().scan(Submission(
-            url="http://m.example/", content=content, analysis=analysis))
-        with pytest.warns(DeprecationWarning, match="scan_prepared"):
-            legacy = QutteraSim().scan_prepared(
-                Submission(url="http://m.example/", content=content), analysis)
-        assert legacy.malicious == direct.malicious
-        assert legacy.labels == direct.labels
-
-    def test_quttera_scan_file_warns(self, rng):
-        with pytest.warns(DeprecationWarning, match="scan_file"):
-            report = QutteraSim().scan_file("http://m.example/", self._payload(rng))
-        assert report.malicious

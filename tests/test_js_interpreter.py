@@ -6,12 +6,16 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.jsengine.interpreter import BudgetExceeded, Interpreter
-from repro.jsengine.values import JSException
+from repro.jsengine.interpreter import BudgetExceeded, Interpreter, evaluate_binary
+from repro.jsengine.values import JSException, to_number, to_string
 
 
 def run(source):
     return Interpreter().run(source)
+
+
+def binop(operator, left, right):
+    return evaluate_binary(operator, left, right, Interpreter.MAX_STRING_LENGTH)
 
 
 class TestArithmetic:
@@ -86,6 +90,53 @@ class TestCoercion:
     ])
     def test_cases(self, source, expected):
         assert run(source) == expected
+
+
+class TestValuesCoercionCorners:
+    """The numeric corners ``evaluate_binary`` depends on."""
+
+    def test_division_by_zero_takes_dividend_sign(self):
+        assert binop("/", 1.0, 0.0) == float("inf")
+        assert binop("/", -1.0, 0.0) == float("-inf")
+        assert math.isnan(binop("/", 0.0, 0.0))
+        assert math.isnan(binop("/", float("nan"), 0.0))
+
+    def test_division_by_negative_zero_flips_sign(self):
+        assert binop("/", 1.0, -0.0) == float("-inf")
+        assert binop("/", -1.0, -0.0) == float("inf")
+        assert run("1 / -0;") == float("-inf")
+        assert run("-1 / -0;") == float("inf")
+        assert math.isnan(binop("/", 0.0, -0.0))
+
+    def test_modulo_is_fmod_not_python_percent(self):
+        # JS % truncates toward zero (C fmod); Python's % floors.
+        assert binop("%", 7.0, -3.0) == 1.0
+        assert binop("%", -7.0, 3.0) == -1.0
+        assert math.isnan(binop("%", 5.0, 0.0))
+        assert math.isnan(binop("%", float("inf"), 3.0))
+        assert math.isnan(binop("%", float("nan"), 3.0))
+        assert binop("%", 5.5, 2.0) == 1.5
+
+    def test_hex_string_to_number(self):
+        assert to_number("0x1A") == 26.0
+        assert to_number("  0X10  ") == 16.0
+        assert to_number("-0x10") == -16.0
+        assert to_number("") == 0.0
+        assert to_number("  ") == 0.0
+        assert math.isnan(to_number("0xZZ"))
+        assert math.isnan(to_number("12abc"))
+
+    def test_infinity_stringification(self):
+        assert to_string(float("inf")) == "Infinity"
+        assert to_string(float("-inf")) == "-Infinity"
+        assert to_string(float("nan")) == "NaN"
+        assert binop("+", "", float("inf")) == "Infinity"
+        assert to_string(1e21) == "1e+21"
+        assert to_string(3.0) == "3"
+
+    def test_string_allocation_limit_raises_budget(self):
+        with pytest.raises(BudgetExceeded):
+            evaluate_binary("+", "a" * 10, "b" * 10, 16)
 
 
 class TestControlFlow:

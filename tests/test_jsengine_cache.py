@@ -12,10 +12,8 @@ import threading
 
 import pytest
 
-from repro.jsengine import CompileCache, Interpreter, VirtualMachine
-from repro.jsengine.compiler import Code
+from repro.jsengine import CompileCache, Interpreter
 from repro.jsengine.lexer import LexError
-from repro.jsengine.nodes import Program
 from repro.jsengine.parser import ParseError
 from repro.obs import RunObserver
 
@@ -102,86 +100,6 @@ class TestHitRate:
             worker.join()
         assert cache.misses == len(SCRIPTS)
         assert cache.hits + cache.misses == 4 * 10 * len(SCRIPTS)
-
-
-class TestBackendKeying:
-    """PR 9 regression: an AST entry must never replay into the VM.
-
-    ``compile()`` and ``compile_code()`` share one entry per source,
-    but the bytecode lowering is keyed by backend identity plus the
-    codegen-relevant interpreter limits, so mixed-backend runs sharing
-    a cache can never hand the walker bytecode or the VM a bare AST.
-    """
-
-    def test_compile_code_returns_code_never_program(self):
-        cache = CompileCache()
-        # prime the entry through the AST path first
-        program = cache.compile(SCRIPTS[0])
-        assert isinstance(program, Program)
-        code = cache.compile_code(SCRIPTS[0], limits=(500_000, 100_000))
-        assert isinstance(code, Code)
-        assert not isinstance(code, Program)
-
-    def test_codes_keyed_by_limits(self):
-        cache = CompileCache()
-        wide = cache.compile_code(SCRIPTS[0], limits=(500_000, 100_000))
-        narrow = cache.compile_code(SCRIPTS[0], limits=(500_000, 64))
-        again = cache.compile_code(SCRIPTS[0], limits=(500_000, 100_000))
-        assert wide is again  # same limits -> cached lowering
-        assert narrow is not wide  # different limits never mix
-
-    def test_hit_miss_counts_invariant_across_backends(self):
-        # hit/miss telemetry is keyed per source *request*, so a run
-        # under either backend (or both sharing one cache) reports the
-        # same jsengine.cache.* numbers for the same request sequence
-        ast_cache, vm_cache, mixed = CompileCache(), CompileCache(), CompileCache()
-        for _ in range(2):
-            for src in SCRIPTS:
-                ast_cache.compile(src)
-                vm_cache.compile_code(src, limits=(500_000, 100_000))
-        for src in SCRIPTS:
-            mixed.compile(src)
-        for src in SCRIPTS:
-            mixed.compile_code(src, limits=(500_000, 100_000))
-        assert (ast_cache.hits, ast_cache.misses) == (len(SCRIPTS), len(SCRIPTS))
-        assert (vm_cache.hits, vm_cache.misses) == (len(SCRIPTS), len(SCRIPTS))
-        assert (mixed.hits, mixed.misses) == (len(SCRIPTS), len(SCRIPTS))
-
-    def test_shared_cache_preserves_vm_results_and_steps(self):
-        cache = CompileCache()
-        reference = [Interpreter().run(src) for src in SCRIPTS]
-        walker = Interpreter(compile_cache=cache)
-        walked = [walker.run(src) for src in SCRIPTS]
-        vm = VirtualMachine(compile_cache=cache)
-        dispatched = [vm.run(src) for src in SCRIPTS]
-        assert walked == reference == dispatched
-        assert vm.steps == walker.steps
-
-    def test_max_string_length_limit_respected_per_code(self):
-        # a lowering folded under a tiny MAX_STRING_LENGTH must behave
-        # like a walker with the same limit, not like the wide one
-        source = '"aaaa" + "bbbb";'
-        cache = CompileCache()
-        wide_vm = VirtualMachine(compile_cache=cache)
-        assert wide_vm.run(source) == "aaaabbbb"
-        narrow_vm = VirtualMachine(compile_cache=cache)
-        narrow_vm.MAX_STRING_LENGTH = 6
-        narrow_walker = Interpreter()
-        narrow_walker.MAX_STRING_LENGTH = 6
-        narrow_outcomes = []
-        for engine in (narrow_vm, narrow_walker):
-            try:
-                narrow_outcomes.append(("value", engine.run(source)))
-            except Exception as exc:
-                narrow_outcomes.append(("error", type(exc).__name__, str(exc)))
-        assert narrow_outcomes[0] == narrow_outcomes[1]
-
-    def test_compile_error_replays_through_compile_code(self):
-        cache = CompileCache()
-        for _ in range(2):
-            with pytest.raises(ParseError):
-                cache.compile_code("var x = ;", limits=(500_000, 100_000))
-        assert cache.hits == 1 and cache.misses == 1
 
 
 class TestErrorReplay:

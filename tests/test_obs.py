@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro import MalwareSlumsStudy, StudyConfig
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import (
     NULL_OBSERVER,
     EventLog,
@@ -230,7 +230,7 @@ def test_unscanned_top_in_report_and_markdown():
 def _small_pipeline(observer=None):
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
     web = study.generate_web()
-    return CrawlPipeline(web, seed=66, observer=observer)
+    return CrawlPipeline(web, PipelineOptions(seed=66, observer=observer))
 
 
 @pytest.fixture(scope="module")
@@ -321,8 +321,8 @@ def test_run_report_parallel_matches_serial():
         study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
         web = study.generate_web()
         observer = RunObserver()
-        pipeline = CrawlPipeline(web, seed=66, observer=observer,
-                                 workers=workers, record_provenance=True)
+        pipeline = CrawlPipeline(web, PipelineOptions(
+            seed=66, observer=observer, workers=workers, record_provenance=True))
         outcome = pipeline.run()
         return json.loads(json.dumps(build_run_report(pipeline, outcome)))
 

@@ -1,26 +1,20 @@
-"""Tests for the PipelineOptions constructor redesign (PR 8).
+"""Tests for the PipelineOptions constructor.
 
-``CrawlPipeline(web, PipelineOptions(...))`` is the one supported
-construction path; the old individual keyword arguments must keep
-working through the deprecation shim — with a ``DeprecationWarning`` —
-and configure the pipeline identically.
+``CrawlPipeline(web, PipelineOptions(...))`` is the one construction
+path: the pre-options keyword arguments and the positional seed are
+gone and raise ``TypeError``.
 """
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import fields
 
 import pytest
 
 from repro.core import StudyConfig
 from repro.crawler import CrawlPipeline, PipelineOptions
-from repro.crawler.pipeline import (
-    WORKERS_ENV,
-    WORKERS_ENV_VAR,
-    legacy_pipeline_kwargs,
-    workers_from_env,
-)
-from repro.obs import RunObserver
+from repro.crawler.pipeline import WORKERS_ENV, workers_from_env
 from repro.simweb.generator import WebGenerationConfig, WebGenerator
 
 
@@ -29,51 +23,24 @@ def web():
     return WebGenerator(WebGenerationConfig(seed=11, scale=0.002)).build()
 
 
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="PipelineOptions"):
-            options = legacy_pipeline_kwargs(seed=123, submit_files=False,
-                                             workers=3)
-        assert options == PipelineOptions(seed=123, submit_files=False,
-                                          workers=3)
-
-    def test_unknown_kwarg_raises(self):
+class TestConstructor:
+    def test_unknown_kwarg_raises(self, web):
         with pytest.raises(TypeError, match="worker_count"):
-            legacy_pipeline_kwargs(worker_count=3)
+            CrawlPipeline(web, worker_count=3)
 
-    def test_pipeline_accepts_legacy_kwargs(self, web):
-        with pytest.warns(DeprecationWarning):
-            pipeline = CrawlPipeline(web, seed=123, submit_files=False,
-                                     workers=1)
-        assert pipeline.options.seed == 123
-        assert pipeline.submit_files is False
-        assert pipeline.workers == 1
+    def test_option_kwargs_raise(self, web):
+        with pytest.raises(TypeError, match="seed"):
+            CrawlPipeline(web, seed=1)
 
-    def test_pipeline_accepts_positional_legacy_seed(self, web):
-        with pytest.warns(DeprecationWarning):
-            pipeline = CrawlPipeline(web, 321)
-        assert pipeline.options.seed == 321
-
-    def test_options_and_legacy_kwargs_conflict(self, web):
-        with pytest.raises(TypeError, match="not both"):
-            CrawlPipeline(web, PipelineOptions(seed=1), workers=2)
+    def test_positional_seed_raises(self, web):
+        with pytest.raises(TypeError, match="PipelineOptions"):
+            CrawlPipeline(web, 5)
 
     def test_options_path_does_not_warn(self, web):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             pipeline = CrawlPipeline(web, PipelineOptions(seed=9))
         assert pipeline.options.seed == 9
-
-    def test_legacy_and_options_configure_identically(self, web):
-        observer = RunObserver()
-        with pytest.warns(DeprecationWarning):
-            legacy = CrawlPipeline(web, seed=55, observer=observer,
-                                   static_prefilter=False, workers=2,
-                                   record_provenance=True)
-        fresh = CrawlPipeline(web, PipelineOptions(
-            seed=55, observer=observer, static_prefilter=False, workers=2,
-            record_provenance=True))
-        assert legacy.options == fresh.options
 
 
 class TestStudyConfigBridge:
@@ -88,36 +55,20 @@ class TestStudyConfigBridge:
         # guards the bridge against a PipelineOptions field being added
         # without a decision on whether StudyConfig forwards it
         assert set(StudyConfig(seed=1).pipeline_options().__dict__) == \
-            set(PipelineOptions.field_names())
+            {field.name for field in fields(PipelineOptions)}
 
 
 class TestWorkersEnv:
     def test_new_env_var(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "4")
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert workers_from_env() == 4
-
-    def test_deprecated_alias_warns(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "3")
-        with pytest.warns(DeprecationWarning, match=WORKERS_ENV_VAR):
-            assert workers_from_env() == 3
-
-    def test_new_name_wins_over_alias(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            assert workers_from_env() == 2
 
     def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         assert workers_from_env() == 1
 
     def test_env_governs_both_executors(self, web, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "4")
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
         pipeline = CrawlPipeline(web, PipelineOptions(seed=5))
         assert pipeline.workers == 4
         assert pipeline.scan_executor is not None

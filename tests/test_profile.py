@@ -12,7 +12,7 @@ import pytest
 
 from repro import MalwareSlumsStudy, StudyConfig
 from repro.cli import main as cli_main
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import (
     MemoryLedger,
     NullObserver,
@@ -241,8 +241,8 @@ def _profiled_run(workers=1, scale=0.005, seed=5):
     web = study.generate_web()
     observer = RunObserver(profile=True)
     memory = MemoryLedger()
-    pipeline = CrawlPipeline(web, seed=66, observer=observer,
-                             workers=workers, memory_ledger=memory)
+    pipeline = CrawlPipeline(web, PipelineOptions(
+        seed=66, observer=observer, workers=workers, memory_ledger=memory))
     outcome = pipeline.run()
     return pipeline, outcome, observer, memory
 
@@ -294,7 +294,7 @@ def test_work_ledger_bit_identical_serial_vs_parallel(profiled_run):
 def test_profiling_does_not_change_verdicts(profiled_run):
     _pipeline, profiled, _observer, _memory = profiled_run
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
-    plain = CrawlPipeline(study.generate_web(), seed=66).run()
+    plain = CrawlPipeline(study.generate_web(), PipelineOptions(seed=66)).run()
     assert set(plain.verdicts) == set(profiled.verdicts)
     for url, verdict in plain.verdicts.items():
         assert profiled.verdicts[url].malicious == verdict.malicious
@@ -320,8 +320,8 @@ def test_run_report_gains_work_and_memory_sections(profiled_run):
 
 def test_unprofiled_report_has_no_work_section():
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
-    pipeline = CrawlPipeline(study.generate_web(), seed=66,
-                             observer=RunObserver())
+    pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
+        seed=66, observer=RunObserver()))
     report = build_run_report(pipeline, pipeline.run())
     assert "work" not in report and "memory" not in report
 
@@ -329,9 +329,8 @@ def test_unprofiled_report_has_no_work_section():
 def test_empty_profiled_run_renders_cleanly():
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
     observer = RunObserver(profile=True)
-    pipeline = CrawlPipeline(study.generate_web(), seed=66,
-                             observer=observer,
-                             memory_ledger=MemoryLedger())
+    pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
+        seed=66, observer=observer, memory_ledger=MemoryLedger()))
     report = build_run_report(pipeline)  # no crawl, no scan
     assert report["work"]["totals"] == {}
     assert report["work"]["hot_paths"] == []

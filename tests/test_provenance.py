@@ -13,7 +13,7 @@ import pytest
 
 from repro import MalwareSlumsStudy, StudyConfig
 from repro.cli import main as cli_main
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import (
     DiffConfig,
     ProvenanceStore,
@@ -98,8 +98,8 @@ def test_render_provenance_folds_clean_engines():
 def _recorded_pipeline(workers=1, observer=None):
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
     web = study.generate_web()
-    pipeline = CrawlPipeline(web, seed=66, observer=observer, workers=workers,
-                             record_provenance=True)
+    pipeline = CrawlPipeline(web, PipelineOptions(
+        seed=66, observer=observer, workers=workers, record_provenance=True))
     return pipeline, pipeline.run()
 
 
@@ -312,9 +312,8 @@ def test_baseline_report_matches_freshly_built_sections():
         baseline = json.load(handle)
     study = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.01))
     observer = RunObserver()
-    pipeline = CrawlPipeline(study.generate_web(), seed=2016 + 61,
-                             observer=observer, workers=1,
-                             record_provenance=True)
+    pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
+        seed=2016 + 61, observer=observer, workers=1, record_provenance=True))
     outcome = pipeline.run()
     report = json.loads(json.dumps(build_run_report(pipeline, outcome)))
     assert diff_reports(baseline, report).ok
@@ -387,8 +386,8 @@ def test_pipeline_flushes_completed_records_when_scan_raises(tmp_path):
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
     # workers=1 pins the serial loop so the patched service method below
     # is the one the scan actually calls
-    pipeline = CrawlPipeline(study.generate_web(), seed=66, workers=1,
-                             provenance_path=str(path))
+    pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
+        seed=66, workers=1, provenance_path=str(path)))
     assert pipeline.record_provenance  # implied by the sink path
     pipeline.crawl()
     service = pipeline.build_detection()
@@ -417,8 +416,8 @@ def test_pipeline_flushes_completed_records_when_scan_raises(tmp_path):
 def test_pipeline_sink_matches_in_memory_store(tmp_path):
     path = tmp_path / "provenance.jsonl"
     study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.005))
-    pipeline = CrawlPipeline(study.generate_web(), seed=66,
-                             provenance_path=str(path))
+    pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
+        seed=66, provenance_path=str(path)))
     outcome = pipeline.run()
     store = outcome.provenance
     assert store is not None and len(store) == len(outcome.verdicts)

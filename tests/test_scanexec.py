@@ -13,8 +13,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.crawler import CrawlPipeline, ScanOutcome
-from repro.crawler.pipeline import WORKERS_ENV_VAR
+from repro.crawler import CrawlPipeline, PipelineOptions, ScanOutcome
+from repro.crawler.pipeline import WORKERS_ENV
 from repro.detection import UrlVerdict
 from repro.obs import RunObserver, build_run_report
 from repro.scanexec import (
@@ -247,8 +247,9 @@ class TestParallelScanExecutorUnit:
 def _run_pipeline(workers=None, scan_executor=None):
     web = WebGenerator(WebGenerationConfig(seed=2016, scale=0.01)).build()
     observer = RunObserver()
-    pipeline = CrawlPipeline(web, seed=2016 + 61, observer=observer,
-                             workers=workers, scan_executor=scan_executor)
+    pipeline = CrawlPipeline(web, PipelineOptions(
+        seed=2016 + 61, observer=observer, workers=workers,
+        scan_executor=scan_executor))
     outcome = pipeline.run()
     return pipeline, outcome, observer
 
@@ -368,16 +369,16 @@ class TestScanOutcomeThreadSafety:
 class TestWiring:
     def test_env_var_sets_default_workers(self, serial_run, monkeypatch):
         pipeline, _, _ = serial_run
-        monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-        configured = CrawlPipeline(pipeline.web, seed=1)
+        monkeypatch.setenv(WORKERS_ENV, "4")
+        configured = CrawlPipeline(pipeline.web, PipelineOptions(seed=1))
         assert configured.workers == 4
         assert isinstance(configured.scan_executor, ParallelScanExecutor)
         assert configured.scan_executor.workers == 4
 
     def test_workers_one_keeps_serial_loop(self, serial_run, monkeypatch):
         pipeline, _, _ = serial_run
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        configured = CrawlPipeline(pipeline.web, seed=1, workers=1)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        configured = CrawlPipeline(pipeline.web, PipelineOptions(seed=1, workers=1))
         assert configured.workers == 1
         assert configured.scan_executor is None
 

@@ -9,11 +9,15 @@ dynamic-only pipeline while skipping a substantial share of provably
 benign scripts.
 """
 
+import pytest
+
 from repro import MalwareSlumsStudy, StudyConfig
-from repro.crawler import CrawlPipeline
+from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.detection.heuristics import analyze_html
+from repro.jsengine import Interpreter
 from repro.jsengine import nodes as N
 from repro.jsengine.parser import parse
+from repro.jsengine.values import JSArray
 from repro.obs import RunObserver
 from repro.staticjs import (
     UNKNOWN,
@@ -65,6 +69,12 @@ class TestCfg:
         program = parse("do { once(); } while (false);")
         cfg = build_cfg(program.body)
         assert cfg.unreachable_statements() == []
+
+    def test_empty_array_test_is_truthy(self):
+        # [] is an object, so truthy: the consequent stays reachable
+        program = parse("if ([]) { a(); } else { b(); }")
+        cfg = build_cfg(program.body)
+        assert cfg.unreachable_statements() == program.body[0].alternate.body
 
 
 class TestDataflow:
@@ -140,6 +150,11 @@ class TestFoldEdgeCases:
         assert result != result
         assert self._fold("+'';") == 0.0
 
+    def test_nan_index_or_radix_is_unknown_not_an_error(self):
+        assert self._fold("'abc'[0/0];") is UNKNOWN
+        assert self._fold("'abc'[1.5];") is UNKNOWN
+        assert self._fold("parseInt('7', 0/0);") is UNKNOWN
+
     def test_string_method_on_number_receiver(self):
         # toString folds through number formatting...
         assert self._fold("(12).toString();") == "12"
@@ -147,6 +162,45 @@ class TestFoldEdgeCases:
         assert self._fold("(5).toUpperCase();") is UNKNOWN
         assert self._fold("(123).charAt(0);") is UNKNOWN
         assert self._fold("(5).split('');") is UNKNOWN
+
+
+def _canon(value):
+    """Type-exact comparable form (NaN equal to itself, -0.0 not 0.0)."""
+    if isinstance(value, JSArray):
+        value = value.elements
+    if isinstance(value, list):
+        return [_canon(item) for item in value]
+    return (type(value).__name__, repr(value))
+
+
+#: expressions where fold's own operator table disagreed with the sandbox
+FOLD_DIVERGED = [
+    '"1" == 1', "1 === true", "-8 >> 1", "0xFFFFFFFF | 0", "1 << 31",
+    "~4294967296", "(0/0) | 1", '[null, 1] + ""', '1 + 2 + "a"',
+    'true + 1 + "x"', "[] ? 1 : 2", "!![]", '[] && "x"', "1 != '1'",
+    "true !== 1", "[5] * 2", '"x" + (1 + 2)',
+]
+FOLD_AGREED = [
+    "1 + 2 * 3", '"a" + "b" + "c"', '"a" + 1 + 2', "7 - '2'", "5 % -3",
+    "-5 % 3", "1 / 0", "-1 / 0", "1 / -0", "-1 / -0", "0 / 0", "'3' * '4'",
+    "2 < 10", "'2' < '10'", "null == 0", "null >= 0", "(0/0) != (0/0)",
+    "'b' > 'a'", "5 & 3", "5 | 8", "6 ^ 3",
+    "-1 >>> 28", "+'0x10'", "+'3px'", "-'4'", "!0", "!''", "typeof 1",
+    "typeof 'x'", "typeof null", "typeof [1]", "0 || 'x'", "1 && 0",
+    "'' ? 1 : 2", "[1, 2] + [3]", "[1, [2, 3]] + ''",
+    "String.fromCharCode(104, 105)", "[3, 1, 2].join('-')",
+    '1 + (2 + "a")', '"a" + ("b" + "c") + "d"',
+]
+
+
+class TestFoldMatchesSandbox:
+    """fold computes exactly what the interpreter computes."""
+
+    @pytest.mark.parametrize("expression", FOLD_DIVERGED + FOLD_AGREED)
+    def test_fold_equals_interpreter(self, expression):
+        folded = fold(parse(expression + ";").body[0].expression)
+        assert folded is not UNKNOWN
+        assert _canon(folded) == _canon(Interpreter().run(expression + ";"))
 
 
 class TestCfgLoweringEdgeCases:
@@ -309,8 +363,8 @@ class TestPrefilterEquality:
         study = MalwareSlumsStudy(StudyConfig(seed=self.SEED, scale=self.SCALE))
         web = study.generate_web()
         observer = RunObserver()
-        pipeline = CrawlPipeline(web, observer=observer,
-                                 static_prefilter=static_prefilter)
+        pipeline = CrawlPipeline(web, PipelineOptions(
+            observer=observer, static_prefilter=static_prefilter))
         outcome = pipeline.run()
         verdicts = {url: v.malicious for url, v in outcome.verdicts.items()}
         return observer, verdicts

@@ -1,23 +1,24 @@
-"""Differential testing: bytecode VM vs tree-walking interpreter.
+"""Differential testing: cached vs uncached runs of the JS sandbox.
 
-The ``repro.jsengine.vm`` backend's whole contract is *observable
-equivalence* with the reference walker — same values, same host
-effects, same thrown errors, same step counts (the VM charges the
-walker's tick count per instruction), same budget-trip behaviour.
-This harness enforces that contract over a seeded, fully deterministic
-program generator covering expressions, control flow, functions, and
-the deobfuscation idioms exchange malware actually uses
-(``unescape``, ``String.fromCharCode``, ``eval`` re-entry, the repo's
-own :mod:`repro.malware.obfuscation` layers).
+A pipeline-scoped :class:`~repro.jsengine.CompileCache` hands one parsed
+``Program`` to every script, page and shard thread that runs the same
+source, which is safe only while the tree-walking interpreter never
+mutates AST nodes.  This harness enforces that invariant: every program
+runs once uncached and once on a fresh interpreter replaying the
+``Program`` from a cache warmed by an earlier run, and the two runs must
+agree on value, thrown error, step count and ``eval`` log.  Programs
+come from a seeded, fully deterministic generator covering expressions,
+control flow, functions, and the deobfuscation idioms exchange malware
+actually uses (``unescape``, ``String.fromCharCode``, ``eval``
+re-entry, the repo's own :mod:`repro.malware.obfuscation` layers).
 
-Every program runs through both backends; any divergence is recorded
-and the full set is written to ``vm_divergences.json`` (CI uploads it
-as an artifact) before the assertion fires.  To grow the corpus after
-a divergence: fix the bug, add the shrunk program to
-``REGRESSION_PROGRAMS`` below, and leave the generator seed pinned so
-the original random case keeps replaying too.
+Any divergence is recorded and the full set is written to
+``js_divergences.json`` (CI uploads it as an artifact) before the
+assertion fires.  To grow the corpus after a divergence: fix the bug,
+add the shrunk program to ``REGRESSION_PROGRAMS`` below, and leave the
+generator seed pinned so the original random case keeps replaying too.
 
-``REPRO_VM_FUZZ_CASES`` scales the generated-case count (default 500,
+``REPRO_JS_FUZZ_CASES`` scales the generated-case count (default 500,
 the CI floor).
 """
 
@@ -29,17 +30,18 @@ import random
 
 from repro.jsengine import (
     BudgetExceeded,
+    CompileCache,
+    Interpreter,
     JSException,
     run_script_in_page,
-    make_js_engine,
 )
 from repro.jsengine.values import UNDEFINED, JSArray, JSFunction, JSObject
 from repro.malware.obfuscation import obfuscate, random_layers
 
 GENERATOR_SEED = 99173  # pinned: the corpus is part of the contract
-CASES = int(os.environ.get("REPRO_VM_FUZZ_CASES", "500"))
-DIVERGENCE_ARTIFACT = os.environ.get("REPRO_VM_DIVERGENCES",
-                                     "vm_divergences.json")
+CASES = int(os.environ.get("REPRO_JS_FUZZ_CASES", "500"))
+DIVERGENCE_ARTIFACT = os.environ.get("REPRO_JS_DIVERGENCES",
+                                     "js_divergences.json")
 
 BINARY_OPS = ["+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "===",
               "!=", "!==", "&", "|", "^", "<<", ">>", ">>>"]
@@ -208,7 +210,7 @@ REGRESSION_PROGRAMS = [
 
 
 def canon(value, depth=0):
-    """Identity-free canonical form for cross-engine comparison."""
+    """Identity-free canonical form for cross-run comparison."""
     if depth > 4:
         return "<deep>"
     if value is UNDEFINED:
@@ -229,10 +231,10 @@ def canon(value, depth=0):
     return "<%s>" % type(value).__name__
 
 
-def run_engine(backend: str, source: str, step_budget: int = 100_000):
-    """One observation of ``source`` under ``backend``."""
-    engine = make_js_engine(backend, step_budget=step_budget,
-                            rng=random.Random(0))
+def run_engine(source: str, step_budget: int = 100_000, compile_cache=None):
+    """One observation of ``source`` on a fresh interpreter."""
+    engine = Interpreter(step_budget=step_budget, rng=random.Random(0),
+                         compile_cache=compile_cache)
     outcome = {"error": None, "value": None}
     try:
         outcome["value"] = canon(engine.run(source))
@@ -251,16 +253,19 @@ def run_engine(backend: str, source: str, step_budget: int = 100_000):
 
 
 def diff_engines(source: str, step_budget: int = 100_000):
-    ast = run_engine("ast", source, step_budget)
-    vm = run_engine("vm", source, step_budget)
-    if ast != vm:
+    """Uncached run vs a replay from a cache an earlier run warmed."""
+    uncached = run_engine(source, step_budget)
+    cache = CompileCache()
+    run_engine(source, step_budget, cache)
+    replayed = run_engine(source, step_budget, cache)
+    if uncached != replayed:
         return {"source": source, "step_budget": step_budget,
-                "ast": ast, "vm": vm}
+                "uncached": uncached, "replayed": replayed}
     return None
 
 
-def page_observation(html: str, backend: str):
-    host = run_script_in_page(html, js_backend=backend)
+def page_observation(html: str, compile_cache=None):
+    host = run_script_in_page(html, compile_cache=compile_cache)
     from repro.htmlparse import serialize_children
 
     log = host.log
@@ -310,7 +315,7 @@ def _record_and_assert(divergences):
         with open(DIVERGENCE_ARTIFACT, "w", encoding="utf-8") as handle:
             json.dump(divergences, handle, indent=2, sort_keys=True)
     assert not divergences, (
-        "%d vm/ast divergences (full set in %s); first: %r"
+        "%d cached/uncached divergences (full set in %s); first: %r"
         % (len(divergences), DIVERGENCE_ARTIFACT, divergences[0]))
 
 
@@ -355,7 +360,7 @@ def test_obfuscated_payloads_agree():
 
 
 def test_step_budget_truncation_agrees():
-    """Tiny budgets: both backends must trip at the same step count."""
+    """Tiny budgets: both runs must trip at the same step count."""
     rng = random.Random(GENERATOR_SEED + 2)
     sources = [ProgramGen(rng).program() for _ in range(30)]
     sources.append("while (true) { var x = 1; }")
@@ -373,8 +378,11 @@ def test_page_level_host_effects_agree():
     """Full BrowserHost runs: logs, DOM, errors, steps all match."""
     divergences = []
     for html in PAGE_CASES:
-        ast = page_observation(html, "ast")
-        vm = page_observation(html, "vm")
-        if ast != vm:
-            divergences.append({"html": html, "ast": ast, "vm": vm})
+        uncached = page_observation(html)
+        cache = CompileCache()
+        page_observation(html, cache)
+        replayed = page_observation(html, cache)
+        if uncached != replayed:
+            divergences.append({"html": html, "uncached": uncached,
+                                "replayed": replayed})
     _record_and_assert(divergences)

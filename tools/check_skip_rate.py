@@ -27,14 +27,14 @@ DEFAULT_BASELINE = "benchmarks/skip_rate_baseline.json"
 
 def run_pipeline(seed: int, scale: float, static_prefilter: bool):
     from repro import MalwareSlumsStudy, StudyConfig
-    from repro.crawler import CrawlPipeline
+    from repro.crawler import CrawlPipeline, PipelineOptions
     from repro.obs import RunObserver
 
     study = MalwareSlumsStudy(StudyConfig(seed=seed, scale=scale))
     web = study.generate_web()
     observer = RunObserver()
-    pipeline = CrawlPipeline(web, seed=seed + 61, observer=observer,
-                             static_prefilter=static_prefilter)
+    pipeline = CrawlPipeline(web, PipelineOptions(
+        seed=seed + 61, observer=observer, static_prefilter=static_prefilter))
     outcome = pipeline.run()
     verdicts = {url: verdict.malicious
                 for url, verdict in outcome.verdicts.items()}
