@@ -8,8 +8,9 @@ from repro.analysis import (
 )
 
 
-def test_iframe_injection_case_studies(benchmark, dataset, outcome):
-    cases = benchmark(iframe_case_studies, dataset, outcome, 100)
+def test_iframe_injection_case_studies(benchmark, study, dataset, outcome):
+    cases = benchmark(iframe_case_studies, dataset, outcome, 100,
+                      compile_cache=study.pipeline.compile_cache)
     assert cases
     mechanisms = {c.mechanism for c in cases}
     print("\niframe mechanisms observed:", sorted(mechanisms))
@@ -40,8 +41,9 @@ def test_external_interface_case(benchmark, dataset, outcome):
     assert "ExternalInterface.call" in case.decompiled_source
 
 
-def test_false_positive_identification(benchmark, dataset, outcome):
-    fps = benchmark(identify_false_positives, dataset, outcome)
+def test_false_positive_identification(benchmark, study, dataset, outcome):
+    fps = benchmark(identify_false_positives, dataset, outcome,
+                    compile_cache=study.pipeline.compile_cache)
     print("\nfalse positives identified: %d" % len(fps))
     for fp in fps[:5]:
         print("  %s (%s)" % (fp.url, fp.reason))

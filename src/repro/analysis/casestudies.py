@@ -23,7 +23,7 @@ from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset
 from ..detection.heuristics import analyze_content
 from ..flashsim import DecompiledSwf, SwfFile, decompile_bytes
-from ..jsengine import run_script_in_page
+from ..jsengine import CompileCache, run_script_in_page
 
 __all__ = [
     "IframeCaseStudy",
@@ -79,13 +79,19 @@ def _flagged_content(dataset: CrawlDataset, outcome: ScanOutcome):
 
 
 def iframe_case_studies(dataset: CrawlDataset, outcome: ScanOutcome,
-                        limit: int = 50) -> List[IframeCaseStudy]:
-    """Classify hidden iframes on flagged pages (Section V-A taxonomy)."""
+                        limit: int = 50,
+                        compile_cache: Optional[CompileCache] = None,
+                        ) -> List[IframeCaseStudy]:
+    """Classify hidden iframes on flagged pages (Section V-A taxonomy).
+
+    ``compile_cache`` is the scanning pipeline's, as for
+    :func:`identify_false_positives`."""
     out: List[IframeCaseStudy] = []
     for url, cached in _flagged_content(dataset, outcome):
         if not cached.content_type.startswith("text/html"):
             continue
-        analysis = analyze_content(cached.content, cached.content_type, url)
+        analysis = analyze_content(cached.content, cached.content_type, url,
+                                   compile_cache=compile_cache)
         for finding in analysis.hidden_iframes:
             if finding.trusted_host:
                 continue
@@ -162,17 +168,24 @@ def flash_case_study(dataset: CrawlDataset, outcome: ScanOutcome) -> Optional[Fl
 
 
 def identify_false_positives(dataset: CrawlDataset, outcome: ScanOutcome,
-                             limit: int = 100) -> List[FalsePositiveFinding]:
+                             limit: int = 100,
+                             compile_cache: Optional[CompileCache] = None,
+                             ) -> List[FalsePositiveFinding]:
     """Section V-E: flagged URLs whose indicators are benign platform
     plumbing — hidden frames from accounts.google.com only, or a
-    Faceliker label on a stock Google Analytics loader."""
+    Faceliker label on a stock Google Analytics loader.
+
+    ``compile_cache`` is the scanning pipeline's: the re-analysis then
+    reuses the scan's ASTs and static reports instead of recomputing
+    them (no observer is passed, so no telemetry moves)."""
     findings: List[FalsePositiveFinding] = []
     for url, cached in _flagged_content(dataset, outcome):
         if not cached.content_type.startswith("text/html"):
             continue
         verdict = outcome.verdict(url)
         labels = verdict.labels if verdict is not None else []
-        analysis = analyze_content(cached.content, cached.content_type, url)
+        analysis = analyze_content(cached.content, cached.content_type, url,
+                                   compile_cache=compile_cache)
         untrusted = [f for f in analysis.hidden_iframes if not f.trusted_host]
         trusted = [f for f in analysis.hidden_iframes if f.trusted_host]
         genuinely_bad = (

@@ -82,7 +82,8 @@ def _run_fig7(study):
 
 
 def _run_fps(study):
-    return identify_false_positives(study.pipeline.dataset, study.outcome)
+    return identify_false_positives(study.pipeline.dataset, study.outcome,
+                                    compile_cache=study.pipeline.compile_cache)
 
 
 EXPERIMENTS: Tuple[Experiment, ...] = (

@@ -7,6 +7,7 @@ table and figure.  Deterministic per :class:`StudyConfig` seed.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Optional
 
 from ..analysis import (
@@ -64,7 +65,10 @@ class MalwareSlumsStudy:
             self.pipeline = CrawlPipeline(
                 web, self.config.pipeline_options(
                     observer=observer, memory_ledger=memory_ledger))
-            self.outcome = self.pipeline.run()
+            # the ledger stops the tracemalloc session it started once the
+            # run is measured; left on, it slows the rest of the process
+            with memory_ledger if memory_ledger is not None else nullcontext():
+                self.outcome = self.pipeline.run()
         return self.outcome
 
     def analyze(self) -> StudyResults:
@@ -91,7 +95,8 @@ class MalwareSlumsStudy:
             figure5=redirect_count_distribution(dataset, outcome),
             figure6=compute_tld_distribution(dataset, outcome),
             figure7=compute_content_categories(dataset, outcome),
-            false_positives=identify_false_positives(dataset, outcome),
+            false_positives=identify_false_positives(
+                dataset, outcome, compile_cache=self.pipeline.compile_cache),
             overall_malicious_fraction=overall_malicious_fraction(table1),
         )
         self.results = results

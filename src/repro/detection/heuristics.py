@@ -202,8 +202,10 @@ def analyze_content(content: bytes, content_type: str = "text/html",
     :mod:`repro.staticjs` pass: scripts get static findings before any
     sandbox run, and pages whose every inline script is provably
     side-effect-free skip dynamic execution entirely.  ``compile_cache``
-    (a :class:`repro.jsengine.CompileCache`, optional) makes the sandbox
-    compile each distinct script source once per run.
+    (a :class:`repro.jsengine.CompileCache`, optional) makes the JS
+    front end lex and parse each distinct script source once per run:
+    the sandbox, the static pass and the feature extractor share its
+    ASTs, and the static pass its reports.
     """
     if content_type.startswith("application/x-shockwave-flash") or SwfFile.sniff(content):
         return analyze_swf(content)
@@ -358,7 +360,7 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         source = script.text_content()
         if not source.strip():
             continue
-        _merge_script_analysis(analysis, source)
+        _merge_script_analysis(analysis, source, compile_cache)
 
     # ---- redirect stub detection ----
     body_text = static_doc.body.text_content().strip() if static_doc.body else ""
@@ -623,7 +625,7 @@ def analyze_pdf(content: bytes, observer: Optional[object] = None,
     for blob in js_blobs:
         source = blob.replace("\\(", "(").replace("\\)", ")").replace("\\\\", "\\")
         analysis.pdf_embedded_js = True
-        _merge_script_analysis(analysis, source)
+        _merge_script_analysis(analysis, source, compile_cache)
         # run the auto-executed script in the sandbox
         page = "<html><body><script>%s</script></body></html>" % source
         with _frame(observer, "sandbox"):
@@ -650,12 +652,13 @@ def _analyze_standalone_js(source: str, url: str,
     return analysis
 
 
-def _merge_script_analysis(analysis: ContentAnalysis, source: str) -> None:
+def _merge_script_analysis(analysis: ContentAnalysis, source: str,
+                           compile_cache: Optional[object]) -> None:
     deob = deobfuscate(source)
     analysis.obfuscation_layers = max(analysis.obfuscation_layers, deob.layers)
     if deob.layers == 0 and looks_obfuscated(source):
         analysis.obfuscation_layers = max(analysis.obfuscation_layers, 1)
-    features = extract_features(deob.source)
+    features = extract_features(deob.source, compile_cache=compile_cache)
     analysis.obfuscation_score = max(analysis.obfuscation_score, features.obfuscation_score)
     analysis.injection_score = max(analysis.injection_score, features.injection_score)
     analysis.eval_count += features.eval_count

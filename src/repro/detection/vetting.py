@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
+from ..jsengine import CompileCache
 from ..malware import (
     build_flash_ad_kit,
     deceptive_download_bar,
@@ -21,6 +22,7 @@ from ..malware import (
     tiny_iframe,
 )
 from .base import ScanReport, Submission
+from .heuristics import analyze_content
 
 __all__ = ["GoldSample", "VettingResult", "build_gold_standard", "vet_tools"]
 
@@ -102,14 +104,25 @@ def build_gold_standard(rng: random.Random, per_family: int = 5) -> List[GoldSam
 
 
 def vet_tools(tools: Sequence, samples: Sequence[GoldSample]) -> VettingResult:
-    """Run every tool over the gold standard; measure detection accuracy."""
+    """Run every tool over the gold standard; measure detection accuracy.
+
+    Every tool judges the same :func:`analyze_content` result, so each
+    sample is analyzed once (its scripts compiled once per distinct
+    source) and the analysis rides on the submission, as in the scan
+    pipeline.
+    """
+    compile_cache = CompileCache()
+    submissions = [
+        Submission(url=sample.url, content=sample.content, content_type=sample.content_type,
+                   analysis=analyze_content(sample.content, sample.content_type, sample.url,
+                                            compile_cache=compile_cache))
+        for sample in samples
+    ]
     result = VettingResult()
     for tool in tools:
         detected: List[str] = []
-        for sample in samples:
-            report: ScanReport = tool.scan(
-                Submission(url=sample.url, content=sample.content, content_type=sample.content_type)
-            )
+        for sample, submission in zip(samples, submissions):
+            report: ScanReport = tool.scan(submission)
             if report.malicious:
                 detected.append(sample.name)
         result.accuracies[tool.name] = len(detected) / len(samples) if samples else 0.0

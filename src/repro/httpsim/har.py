@@ -107,6 +107,11 @@ class HarLog:
 
     creator: str = "repro-netexport/1.0"
     entries: List[HarEntry] = field(default_factory=list)
+    #: first entry per URL over ``entries[:_indexed]``; redirect_chain
+    #: extends it to the entries appended since its last call
+    _first_by_url: Dict[str, HarEntry] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def add(self, entry: HarEntry) -> None:
         self.entries.append(entry)
@@ -133,12 +138,19 @@ class HarLog:
         return last - first
 
     def redirect_chain(self, start_url: str) -> List[HarEntry]:
-        """Follow redirect records from ``start_url`` through the log."""
+        """Follow redirect records from ``start_url`` through the log.
+
+        Each URL resolves to its first entry in the log.  The index
+        behind that lookup is built once and then only extended, so a
+        call costs the chain's length plus the entries appended since
+        the previous call (entries are only ever appended).
+        """
+        by_url = self._first_by_url
+        for entry in self.entries[self._indexed:]:
+            by_url.setdefault(entry.url, entry)
+        self._indexed = len(self.entries)
         chain: List[HarEntry] = []
         current = start_url
-        by_url: Dict[str, HarEntry] = {}
-        for entry in self.entries:
-            by_url.setdefault(entry.url, entry)
         seen = set()
         while current in by_url and current not in seen:
             seen.add(current)

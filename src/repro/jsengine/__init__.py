@@ -9,7 +9,8 @@ Provides everything the paper's behavioural/static JS analysis needs:
   implementation of JS operator semantics (static analysis folds
   through it too),
 * :class:`repro.jsengine.compilecache.CompileCache` — once-per-source
-  parse cache shared by a pipeline run,
+  memo of the AST (and the staticjs report) shared by a pipeline run
+  and every JS consumer in it,
 * :class:`repro.jsengine.hostenv.BrowserHost` /
   :func:`repro.jsengine.hostenv.run_script_in_page` — browser host
   environment with behaviour capture,

@@ -1,25 +1,41 @@
-"""Per-source compiled-program cache for the tree-walking interpreter.
+"""Per-source memo of compiled JavaScript: the AST and its static report.
 
 Exchange pages are template-generated: the same rotator snippets,
 obfuscation stubs, and event-handler bodies recur across thousands of
-pages, and before PR 8 the sandbox re-lexed and re-parsed every copy.
-``parse()`` is a pure function of its source string, so a pipeline-
-scoped :class:`CompileCache` keyed on the source (the dict hashes the
-string; equal sources share one entry, colliding hashes still compare
-full keys) makes compilation once-per-distinct-script:
+pages.  ``parse()`` is a pure function of its source string (the
+parser's nesting bound makes it independent of the caller's stack), so
+a pipeline-scoped :class:`CompileCache` keyed on the source makes the
+JS front end once-per-distinct-script.  It is the one per-source memo
+on the scan path: the sandbox, the staticjs rules pass, the abstract
+interpreter and the feature extractor all read an entry's ``Program``,
+and the staticjs :class:`~repro.staticjs.report.ScriptReport` is stored
+on the entry too (:meth:`CompileCache.static_report`).
+
+Exactly two calls *count* — tick ``hits``/``misses`` and the
+``jsengine.cache.*`` telemetry, and charge ``js.tokens`` — both through
+:meth:`CompileCache.compile`: the sandbox's ``Interpreter._compile`` and
+``staticjs.analyze_script``'s top-level call (which passes
+``charge_tokens=False``; the uncached static pass never charged tokens).
+Everything else goes through :func:`parse_reusing` and
+:meth:`CompileCache.static_report`, which neither count nor insert: a
+source the cache has not compiled is parsed as an uncached caller would
+parse it, so work-ledger totals and the perf budget are invariant under
+caching.
 
 * **results are never changed** — a hit returns the same immutable AST
-  the miss produced; the interpreter never mutates AST nodes (closures
-  capture environments, hoisting writes environments), so sharing one
-  ``Program`` across scripts, pages, and shard threads is safe,
-* **accounting is preserved** — every call (hit or miss) charges the
-  stored token count as ``js.tokens``, exactly what the uncached path
-  charged per parse, so work-ledger totals and the perf budget are
-  invariant under caching,
-* **errors replay** — :class:`~repro.jsengine.parser.ParseError`
-  entries keep their token count (lexing succeeded before the parse
-  failed, and the uncached path charges for it);
-  :class:`~repro.jsengine.lexer.LexError` entries charge nothing,
+  the miss produced; no consumer mutates AST nodes (closures capture
+  environments, hoisting writes environments), so sharing one
+  ``Program`` across scripts, pages, consumers and shard threads is safe,
+* **accounting is preserved** — every counted call (hit or miss)
+  charges the stored token count, exactly what the uncached path
+  charged per parse,
+* **errors replay** — a stored :class:`~repro.jsengine.parser.ParseError`
+  or :class:`~repro.jsengine.lexer.LexError` is raised to every reader
+  as its own parse would have raised it, as a new copy (a raised
+  exception keeps the frames of the reader that caught it, so the
+  stored one is never raised and holds no frames); ParseError entries
+  keep their token count (lexing succeeded before the parse failed, and
+  the uncached path charges for it), LexError entries charge nothing,
 * **concurrency-invariant** — the lock is held across the compile, so
   the miss count equals the number of distinct sources at any worker
   count and the ``jsengine.cache.*`` counters stay bit-identical
@@ -32,26 +48,37 @@ report derives the hit rate from them.
 
 from __future__ import annotations
 
+import copy
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Callable, Dict, Optional, TypeVar
 
 from . import nodes as N
 from .lexer import LexError, tokenize
-from .parser import ParseError, parse_tokens
+from .parser import ParseError, parse, parse_tokens
 
-__all__ = ["CompileCache"]
+__all__ = ["CompileCache", "parse_reusing"]
+
+_T = TypeVar("_T")
 
 
 class _Entry:
-    """One compiled source: the program, its cost, or its failure."""
+    """One compiled source: the program, its cost, or its failure, plus
+    the static report computed from it (once, on first request)."""
 
-    __slots__ = ("program", "token_count", "error")
+    __slots__ = ("program", "token_count", "error", "report")
 
     def __init__(self, program: Optional[N.Program], token_count: int,
                  error: Optional[BaseException]) -> None:
         self.program = program
         self.token_count = token_count
         self.error = error
+        self.report: Any = None
+
+    def result(self) -> N.Program:
+        """The program, or a copy of the stored compile error raised."""
+        if self.error is not None:
+            raise copy.copy(self.error)
+        return self.program  # type: ignore[return-value]
 
 
 class CompileCache:
@@ -91,9 +118,23 @@ class CompileCache:
         with self._lock:
             entry, hit = self._lookup(source)
         self._charge(entry, hit, observer, charge_tokens)
-        if entry.error is not None:
-            raise entry.error
-        return entry.program  # type: ignore[return-value]
+        return entry.result()
+
+    def static_report(self, source: str, analyze: Callable[[], _T]) -> _T:
+        """The static report for ``source``, computed by ``analyze`` once.
+
+        The report is stored on ``source``'s entry.  Like
+        :func:`parse_reusing`, this neither counts nor inserts: a source
+        that was never compiled here gets a fresh, unstored report.
+        Concurrent first requests may both run ``analyze``; the analysis
+        is a pure function of the source, so either result is the report.
+        """
+        entry = self._entries.get(source)
+        if entry is None:
+            return analyze()
+        if entry.report is None:
+            entry.report = analyze()
+        return entry.report
 
     def _lookup(self, source: str) -> "tuple[_Entry, bool]":
         """Find-or-create the entry for ``source``; caller holds the lock."""
@@ -118,12 +159,31 @@ class CompileCache:
 
     @staticmethod
     def _compile(source: str) -> _Entry:
+        # stored errors drop their traceback, which would keep this
+        # frame (and its token list) alive for the whole run
         try:
             tokens = tokenize(source)
         except LexError as error:
-            return _Entry(None, 0, error)
+            return _Entry(None, 0, error.with_traceback(None))
         try:
             return _Entry(parse_tokens(tokens), len(tokens), None)
         except ParseError as error:
             # lexing succeeded: the uncached path charges these tokens
-            return _Entry(None, len(tokens), error)
+            return _Entry(None, len(tokens), error.with_traceback(None))
+
+
+def parse_reusing(source: str,
+                  compile_cache: Optional[CompileCache] = None) -> N.Program:
+    """``parse(source)``, reusing ``compile_cache``'s AST for ``source``.
+
+    The lookup neither counts, charges nor inserts, so it never moves
+    the ``jsengine.cache.*`` counters or ``js.tokens``, and a later
+    counted :meth:`CompileCache.compile` of the same source is still the
+    miss it would have been.  A stored compile error is raised as
+    ``parse`` raised it; a source the cache has not compiled (or no
+    cache) is parsed afresh.
+    """
+    entry = compile_cache._entries.get(source) if compile_cache is not None else None
+    if entry is None:
+        return parse(source)
+    return entry.result()

@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from . import nodes as N
-from .parser import ParseError, parse
+from .compilecache import CompileCache, parse_reusing
 from .lexer import LexError
+from .parser import ParseError
 
 __all__ = ["JsFeatures", "extract_features"]
 
@@ -88,18 +89,23 @@ def _entropy(text: str) -> float:
     return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
-def extract_features(source: str) -> JsFeatures:
-    """Compute :class:`JsFeatures` for ``source``."""
+def extract_features(source: str,
+                     compile_cache: Optional[CompileCache] = None) -> JsFeatures:
+    """Compute :class:`JsFeatures` for ``source``.
+
+    With the pipeline's ``compile_cache``, a source it already compiled
+    reuses that AST (the lookup neither counts nor inserts).
+    """
     features = JsFeatures(length=len(source))
 
     strings: List[str] = []
     try:
-        program = parse(source)
+        program = parse_reusing(source, compile_cache)
+    except (ParseError, LexError):
+        _scan_text(source, features, strings)
+    else:
         features.parse_ok = True
         _walk_ast(program, features, strings)
-    except (ParseError, LexError, RecursionError):
-        features.parse_ok = False
-        _scan_text(source, features, strings)
 
     features.string_count = len(strings)
     if strings:
@@ -149,12 +155,15 @@ def _walk_ast(program: N.Program, features: JsFeatures, strings: List[str]) -> N
 
 
 def _callee_name(callee: N.Node) -> str:
-    if isinstance(callee, N.Identifier):
-        return callee.name
-    if isinstance(callee, N.Member) and isinstance(callee.prop, N.StringLiteral):
-        base = _callee_name(callee.obj)
-        return (base + "." if base else "") + callee.prop.value
-    return ""
+    # iterative: a member chain (a.b.c...) may be thousands of links long
+    props: List[str] = []
+    while isinstance(callee, N.Member) and isinstance(callee.prop, N.StringLiteral):
+        props.append(callee.prop.value)
+        callee = callee.obj
+    name = callee.name if isinstance(callee, N.Identifier) else ""
+    for prop in reversed(props):
+        name = (name + "." if name else "") + prop
+    return name
 
 
 def _scan_text(source: str, features: JsFeatures, strings: List[str]) -> None:

@@ -25,10 +25,20 @@ __all__ = [
 class Node:
     """Base class for AST nodes."""
 
+    #: the subclass's field names in declaration order.  children() reads
+    #: fields by name: on CPython 3.11+ touching ``self.__dict__`` would
+    #: materialise (and keep) a real dict on every node it walks
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
     def children(self) -> List["Node"]:
         """Child nodes, for generic traversal."""
         out: List[Node] = []
-        for value in self.__dict__.values():
+        for name in self._fields:
+            value = getattr(self, name)
             if isinstance(value, Node):
                 out.append(value)
             elif isinstance(value, (list, tuple)):

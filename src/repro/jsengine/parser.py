@@ -12,7 +12,7 @@ from typing import Any, List, Optional, Tuple
 from . import nodes as N
 from .lexer import Token, tokenize
 
-__all__ = ["parse", "parse_tokens", "ParseError"]
+__all__ = ["parse", "parse_tokens", "ParseError", "MAX_NESTING"]
 
 
 class ParseError(SyntaxError):
@@ -20,7 +20,12 @@ class ParseError(SyntaxError):
 
     def __init__(self, message: str, token: Token) -> None:
         super().__init__("%s (got %s %r at offset %d)" % (message, token.kind, token.value, token.position))
+        self.reason = message
         self.token = token
+
+    def __reduce__(self) -> "tuple[type, tuple[str, Token]]":
+        # copy and pickle rebuild the error from its arguments
+        return type(self), (self.reason, self.token)
 
 
 def parse(source: str, observer: Optional[Any] = None) -> N.Program:
@@ -60,10 +65,21 @@ _BINARY_PRECEDENCE = {
 }
 
 
+#: deepest recursive descent :class:`_Parser` accepts, counted on its
+#: recursive entry points (statement, block, assignment, unary and call
+#: expressions).  A level costs under 3 Python frames (150 nested parens
+#: take about 410), so a parse fits in the interpreter's default
+#: 1000-frame limit even when the caller is already 500 frames deep:
+#: ``parse`` stays a pure function of its source, whatever the stack
+#: above it.  The deepest script of the scale-0.05 corpus reaches 25.
+MAX_NESTING = 150
+
+
 class _Parser:
     def __init__(self, tokens: List[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token helpers ----------------------------------------------------
     @property
@@ -96,6 +112,13 @@ class _Parser:
         # automatic semicolon insertion, permissive form
         self._eat_punct(";")
 
+    def _nest(self) -> None:
+        """Enter one level of recursive descent; the caller leaves it
+        with ``self._depth -= 1`` on its (single) return path."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError("nesting too deep", self._cur)
+
     # -- program / statements ---------------------------------------------
     def parse_program(self) -> N.Program:
         body: List[N.Node] = []
@@ -104,12 +127,9 @@ class _Parser:
         return N.Program(body)
 
     def _statement(self) -> N.Node:
+        self._nest()
         token = self._cur
-        if token.is_punct("{"):
-            return self._block()
-        if token.is_punct(";"):
-            self._advance()
-            return N.EmptyStatement()
+        handler = None
         if token.kind == "keyword":
             handler = {
                 "var": self._var_statement,
@@ -125,13 +145,22 @@ class _Parser:
                 "try": self._try_statement,
                 "switch": self._switch_statement,
             }.get(token.value)
-            if handler is not None:
-                return handler()
-        expr = self._expression()
-        self._eat_semicolon()
-        return N.ExpressionStatement(expr)
+        node: N.Node
+        if handler is not None:
+            node = handler()
+        elif token.is_punct("{"):
+            node = self._block()
+        elif token.is_punct(";"):
+            self._advance()
+            node = N.EmptyStatement()
+        else:
+            node = N.ExpressionStatement(self._expression())
+            self._eat_semicolon()
+        self._depth -= 1
+        return node
 
     def _block(self) -> N.Block:
+        self._nest()
         self._expect_punct("{")
         body: List[N.Node] = []
         while not self._cur.is_punct("}"):
@@ -139,6 +168,7 @@ class _Parser:
                 raise ParseError("unterminated block", self._cur)
             body.append(self._statement())
         self._advance()
+        self._depth -= 1
         return N.Block(body)
 
     def _var_statement(self) -> N.VarDecl:
@@ -327,14 +357,16 @@ class _Parser:
         return expr
 
     def _assignment_expression(self, no_in: bool = False) -> N.Node:
-        left = self._conditional_expression(no_in=no_in)
+        self._nest()
+        node = self._conditional_expression(no_in=no_in)
         if self._cur.kind == "punct" and self._cur.value in _ASSIGN_OPS:
-            if not isinstance(left, (N.Identifier, N.Member)):
+            if not isinstance(node, (N.Identifier, N.Member)):
                 raise ParseError("invalid assignment target", self._cur)
             operator = self._advance().value
             value = self._assignment_expression(no_in=no_in)
-            return N.Assignment(operator, left, value)
-        return left
+            node = N.Assignment(operator, node, value)
+        self._depth -= 1
+        return node
 
     def _conditional_expression(self, no_in: bool = False) -> N.Node:
         test = self._binary_expression(0, no_in=no_in)
@@ -374,17 +406,22 @@ class _Parser:
                 left = N.Binary(operator, left, right)
 
     def _unary_expression(self) -> N.Node:
+        self._nest()
         token = self._cur
+        node: N.Node
         if token.kind == "punct" and token.value in ("!", "~", "+", "-"):
             self._advance()
-            return N.Unary(token.value, self._unary_expression())
-        if token.is_keyword("typeof", "delete", "void"):
+            node = N.Unary(token.value, self._unary_expression())
+        elif token.is_keyword("typeof", "delete", "void"):
             self._advance()
-            return N.Unary(token.value, self._unary_expression())
-        if token.is_punct("++") or token.is_punct("--"):
+            node = N.Unary(token.value, self._unary_expression())
+        elif token.is_punct("++") or token.is_punct("--"):
             self._advance()
-            return N.Update(token.value, self._unary_expression(), prefix=True)
-        return self._postfix_expression()
+            node = N.Update(token.value, self._unary_expression(), prefix=True)
+        else:
+            node = self._postfix_expression()
+        self._depth -= 1
+        return node
 
     def _postfix_expression(self) -> N.Node:
         expr = self._call_expression()
@@ -394,14 +431,18 @@ class _Parser:
         return expr
 
     def _call_expression(self) -> N.Node:
+        self._nest()
         if self._cur.is_keyword("new"):
             self._advance()
             callee = self._member_chain(self._primary_expression(), allow_call=False)
             arguments: List[N.Node] = []
             if self._cur.is_punct("("):
                 arguments = self._arguments()
-            return self._member_chain(N.New(callee, arguments), allow_call=True)
-        return self._member_chain(self._primary_expression(), allow_call=True)
+            node = self._member_chain(N.New(callee, arguments), allow_call=True)
+        else:
+            node = self._member_chain(self._primary_expression(), allow_call=True)
+        self._depth -= 1
+        return node
 
     def _member_chain(self, expr: N.Node, allow_call: bool) -> N.Node:
         while True:

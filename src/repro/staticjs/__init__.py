@@ -45,7 +45,7 @@ from .report import (
     StaticFinding,
     render_report_markdown,
 )
-from .rules import RULESET_VERSION, analyze_script
+from .rules import analyze_script
 from .taint import TaintFlow, find_taint_flows
 
 __all__ = [
@@ -59,6 +59,6 @@ __all__ = [
     "VERDICT_BENIGN", "VERDICT_MALICIOUS", "VERDICT_NEEDS_DYNAMIC",
     "VERDICT_SUSPICIOUS",
     "ScriptReport", "StaticFinding", "render_report_markdown",
-    "RULESET_VERSION", "analyze_script",
+    "analyze_script",
     "TaintFlow", "find_taint_flows",
 ]

@@ -33,9 +33,9 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set,
 from ..htmlparse import Element, parse_fragment, serialize_children
 from ..jsengine import nodes as N
 from ..jsengine.builtins import _int_or, get_member, make_global_builtins
+from ..jsengine.compilecache import CompileCache, parse_reusing
 from ..jsengine.deobfuscate import DECODER_NAMES
 from ..jsengine.interpreter import Interpreter, evaluate_binary, evaluate_unary
-from ..jsengine.parser import parse
 from ..jsengine.values import (
     UNDEFINED,
     JSArray,
@@ -218,7 +218,7 @@ class PhaseEffects:
 
 
 class AbstractEffects:
-    """Frozen whole-script effect summary, safe to share via lru_cache."""
+    """Frozen whole-script effect summary, safe to share between pages."""
 
     __slots__ = ("complete", "reasons", "phases", "global_reads",
                  "global_writes", "doc_handler_events", "doc_handler_reads",
@@ -1210,8 +1210,13 @@ class AbstractMachine:
     MAX_STRING_LENGTH = Interpreter.MAX_STRING_LENGTH
 
     def __init__(self, source: str,
-                 call_graph: Optional[CallGraph] = None) -> None:
+                 call_graph: Optional[CallGraph] = None,
+                 compile_cache: Optional[CompileCache] = None) -> None:
         self.source = source
+        #: the pipeline's AST memo: every source the machine runs (the
+        #: script, written inline scripts, timer strings, eval payloads)
+        #: reuses a cached AST and is parsed afresh only when uncached
+        self.compile_cache = compile_cache
         self.host = AbstractHost()
         self.host.machine = self
         self.rng = random.Random(0)
@@ -1412,7 +1417,7 @@ class AbstractMachine:
 
     def _run(self, source: str) -> Any:
         """Mirror of Interpreter.run/run_program."""
-        program = parse(source)
+        program = parse_reusing(source, self.compile_cache)
         self._check_ast_depth(program.body)
         if self._program is None:
             self._program = program
@@ -1487,7 +1492,7 @@ class AbstractMachine:
         self.eval_sources.append(source)
         if self.eval_depth >= _MAX_EVAL_DEPTH:
             raise _Abort("eval-depth")
-        program = parse(source)
+        program = parse_reusing(source, self.compile_cache)
         self._check_ast_depth(program.body)
         self._hoist(program.body, self.global_env)
         result: Any = UNDEFINED
@@ -2419,13 +2424,17 @@ def _bound_str(value: Any) -> Optional[float]:
 
 
 def interpret_script(source: str,
-                     call_graph: Optional[CallGraph] = None) -> AbstractEffects:
+                     call_graph: Optional[CallGraph] = None,
+                     compile_cache: Optional[CompileCache] = None) -> AbstractEffects:
     """Abstractly execute ``source`` and return its effect summary.
 
     Never raises for script-level problems: parse errors, sandbox-style
     runtime errors, and machine aborts all land in the summary (the
     first two as recorded errors, the last as ``complete=False`` with a
-    reason).
+    reason).  ``compile_cache`` supplies already-compiled ASTs, including
+    a stored compile error, which is recorded exactly as a fresh parse
+    failing would record it.
     """
-    machine = AbstractMachine(source, call_graph=call_graph)
+    machine = AbstractMachine(source, call_graph=call_graph,
+                              compile_cache=compile_cache)
     return machine.simulate()

@@ -1,7 +1,9 @@
 """Rule engine: CFG + dataflow + taint facts → findings and a verdict.
 
-:func:`analyze_script` is the subsystem's entry point.  It parses the
-script with the jsengine parser and runs three fact extractors
+:func:`analyze_script` is the subsystem's entry point.  It takes the
+script's AST from the pipeline's
+:class:`~repro.jsengine.compilecache.CompileCache` (or parses it with the
+jsengine parser when there is none) and runs three fact extractors
 (:mod:`.cfg`, :mod:`.dataflow`, :mod:`.taint`) plus a *capability*
 scan, then applies the rule table to produce typed
 :class:`~repro.staticjs.report.StaticFinding`\\ s and a per-script
@@ -32,11 +34,10 @@ in template boilerplate) does not pin a page to the sandbox.
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..jsengine import nodes as N
-from ..jsengine.parser import parse
+from ..jsengine.compilecache import CompileCache, parse_reusing
 from .absint import AbstractEffects, interpret_script
 from .cfg import build_cfg
 from .dataflow import UNKNOWN, Resolution, callee_path, fold, propagate
@@ -54,13 +55,7 @@ from .report import (
 )
 from .taint import find_taint_flows
 
-__all__ = ["RULESET_VERSION", "analyze_script", "analyze_payload_html"]
-
-#: bumped whenever the rule table, the verdict ladder, or any analysis
-#: feeding them changes shape; part of the memo-cache key so a stale
-#: cached report can never cross a ruleset boundary (e.g. when a
-#: long-lived process reloads this module's constants)
-RULESET_VERSION = 2
+__all__ = ["analyze_script", "analyze_payload_html"]
 
 _MAX_PAYLOAD_DEPTH = 3
 _EVIDENCE_LIMIT = 160
@@ -334,7 +329,8 @@ def _scan_capabilities(roots: Sequence[N.Node],
 # Rules
 # ---------------------------------------------------------------------------
 
-def _payload_findings(payload: str, sink: str, depth: int) -> List[StaticFinding]:
+def _payload_findings(payload: str, sink: str, depth: int,
+                      compile_cache: Optional[CompileCache] = None) -> List[StaticFinding]:
     """Findings derived from one statically resolved payload string."""
     findings: List[StaticFinding] = []
     if _SHELLCODE_RE.search(payload):
@@ -366,7 +362,8 @@ def _payload_findings(payload: str, sink: str, depth: int) -> List[StaticFinding
     if sink in ("eval", "timer") and depth < _MAX_PAYLOAD_DEPTH:
         # the payload is JavaScript: analyze it recursively and lift
         # anything at or above medium severity
-        nested = analyze_script(payload, _depth=depth + 1)
+        nested = analyze_script(payload, _depth=depth + 1,
+                                compile_cache=compile_cache)
         for finding in nested.findings_at_least(SEVERITY_MEDIUM):
             lifted = StaticFinding(
                 rule=finding.rule, severity=finding.severity,
@@ -424,36 +421,35 @@ def _dedupe(findings: List[StaticFinding]) -> List[StaticFinding]:
 
 def analyze_script(source: str, _depth: int = 0,
                    observer: Optional[Any] = None,
-                   compile_cache: Optional[Any] = None) -> ScriptReport:
+                   compile_cache: Optional[CompileCache] = None) -> ScriptReport:
     """Statically analyze one script; never raises.
 
-    Results are memoised per source text (crawled pages repeat a small
-    set of templated scripts, and the analysis is a pure function of
-    the source), so callers must treat the returned report as
-    immutable.
-
-    Work accounting happens here at the API boundary, *outside* the
-    memo cache: ``node_count`` is stored on the report at parse time,
-    so every call — hit or miss, on any thread's shard — charges the
-    same deterministic ``staticjs.ast_nodes`` amount to the profiler.
-
     When the pipeline's :class:`repro.jsengine.CompileCache` is passed,
-    each top-level call routes the script's AST through it: the first
+    each top-level call routes the script through it: the first
     occurrence compiles (and seeds the entry the sandbox will reuse for
     this page), repeats are cache hits.  Tokens are *not* charged here
     — the uncached static pass parsed without an observer — so the
-    ``js.tokens`` ledger is invariant under caching.
+    ``js.tokens`` ledger is invariant under caching.  The analysis
+    (rules and the abstract interpreter) reads that entry's AST, and the
+    report is stored on the entry, so callers must treat it as
+    immutable.  Without a cache, or for nested eval payloads
+    (``_depth > 0``), the report is computed afresh.
+
+    Work accounting happens here at the API boundary, *outside* the
+    memo: ``node_count`` is stored on the report at parse time, so
+    every call — hit or miss, on any thread's shard — charges the same
+    deterministic ``staticjs.ast_nodes`` amount to the profiler.
     """
-    if _depth == 0:
-        if compile_cache is not None:
-            try:
-                compile_cache.compile(source, observer=observer,
-                                      charge_tokens=False)
-            except Exception:  # noqa: BLE001 - the analyzer reports
-                pass           # lexer/parser failures itself, below
-        report = _analyze_script_cached(source, RULESET_VERSION)
+    if _depth == 0 and compile_cache is not None:
+        try:
+            compile_cache.compile(source, observer=observer,
+                                  charge_tokens=False)
+        except Exception:  # noqa: BLE001 - the analyzer reports
+            pass           # lexer/parser failures itself, below
+        report = compile_cache.static_report(
+            source, lambda: _analyze_script_uncached(source, 0, compile_cache))
     else:
-        report = _analyze_script_uncached(source, _depth)
+        report = _analyze_script_uncached(source, _depth, compile_cache)
     if observer is not None:
         observer.work("staticjs.ast_nodes", report.node_count)
         if report.effects is not None:
@@ -461,23 +457,19 @@ def analyze_script(source: str, _depth: int = 0,
     return report
 
 
-@lru_cache(maxsize=2048)
-def _analyze_script_cached(source: str, ruleset_version: int) -> ScriptReport:
-    return _analyze_script_uncached(source, 0)
-
-
-def _analyze_script_uncached(source: str, _depth: int) -> ScriptReport:
+def _analyze_script_uncached(source: str, _depth: int,
+                             compile_cache: Optional[CompileCache]) -> ScriptReport:
     report = ScriptReport()
     if _depth == 0:
         # the abstract machine survives any input by design; the guard
         # is against machine bugs, which must degrade to "no summary"
         # rather than break the scan
         try:
-            report.effects = interpret_script(source)
+            report.effects = interpret_script(source, compile_cache=compile_cache)
         except Exception:  # noqa: BLE001
             report.effects = None
     try:
-        program = parse(source)
+        program = parse_reusing(source, compile_cache)
     except Exception:  # noqa: BLE001 - lexer/parser errors, RecursionError:
         # like the sandbox, the analyzer must survive arbitrary input
         report.parse_failed = True
@@ -488,7 +480,7 @@ def _analyze_script_uncached(source: str, _depth: int) -> ScriptReport:
         return report
     report.node_count = sum(1 for _node in program.walk())
     try:
-        return _analyze_program(program, report, _depth)
+        return _analyze_program(program, report, _depth, compile_cache)
     except (RecursionError, MemoryError):
         report.verdict = VERDICT_NEEDS_DYNAMIC
         report.capabilities.append("analysis-overflow")
@@ -496,7 +488,7 @@ def _analyze_script_uncached(source: str, _depth: int) -> ScriptReport:
 
 
 def _analyze_program(program: N.Program, report: ScriptReport,
-                     depth: int) -> ScriptReport:
+                     depth: int, compile_cache: Optional[CompileCache]) -> ScriptReport:
     resolution: Resolution = propagate(program)
     roots = _executable_roots(program)
     declared = _declared_names(program)
@@ -532,7 +524,8 @@ def _analyze_program(program: N.Program, report: ScriptReport,
     # -- resolved payloads --------------------------------------------------
     for resolved in resolution.resolved:
         report.resolved_payloads.append(resolved.value)
-        findings.extend(_payload_findings(resolved.value, resolved.sink, depth))
+        findings.extend(_payload_findings(resolved.value, resolved.sink, depth,
+                                          compile_cache))
 
     # -- abstract interpretation: deobfuscated payloads and redirects ------
     effects = report.effects
@@ -543,7 +536,8 @@ def _analyze_program(program: N.Program, report: ScriptReport,
                 continue  # constant propagation already analyzed it
             known_eval.add(recovered)
             report.resolved_payloads.append(recovered)
-            findings.extend(_payload_findings(recovered, "eval", depth))
+            findings.extend(_payload_findings(recovered, "eval", depth,
+                                              compile_cache))
     report.redirect_targets = _redirect_targets(effects, resolution)
 
     # -- obfuscation-indicative combinations -------------------------------

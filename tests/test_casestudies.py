@@ -27,6 +27,12 @@ class TestIframeCases:
         cases = iframe_case_studies(small_dataset, small_outcome, limit=200)
         assert any(c.exfiltrates_query for c in cases)
 
+    def test_pipeline_cache_gives_the_same_cases(self, small_study, small_dataset,
+                                                 small_outcome):
+        cached = iframe_case_studies(small_dataset, small_outcome, limit=200,
+                                     compile_cache=small_study.pipeline.compile_cache)
+        assert cached == iframe_case_studies(small_dataset, small_outcome, limit=200)
+
 
 class TestDownloadCase:
     def test_reproduces_attack(self, small_dataset, small_outcome):

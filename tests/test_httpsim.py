@@ -179,6 +179,18 @@ class TestHar:
         assert len(chain) == 2
         assert chain[0].redirect_location.endswith("/deal")
 
+    def test_chain_appended_after_first_lookup_is_found(self):
+        log = HarLog()
+        log.add(HarEntry(url="http://a.com/", redirect_location="http://b.com/"))
+        assert [e.url for e in log.redirect_chain("http://a.com/")] == ["http://a.com/"]
+        log.extend([HarEntry(url="http://b.com/", redirect_location="http://c.com/"),
+                    HarEntry(url="http://c.com/")])
+        log.add(HarEntry(url="http://b.com/", redirect_location="http://elsewhere/"))
+        # each URL still resolves to its first entry in the log
+        assert [e.url for e in log.redirect_chain("http://a.com/")] == [
+            "http://a.com/", "http://b.com/", "http://c.com/"]
+        assert log.redirect_chain("http://missing/") == []
+
     def test_json_round_trip(self, registry, client):
         result = client.fetch("http://landing.example.com/deal", referrer="http://e.com/")
         log = HarLog()

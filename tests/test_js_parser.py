@@ -1,9 +1,11 @@
-"""Tests for repro.jsengine.parser (AST shapes)."""
+"""Tests for repro.jsengine.parser (AST shapes, nesting bound)."""
+
+import sys
 
 import pytest
 
 from repro.jsengine import nodes as N
-from repro.jsengine.parser import ParseError, parse
+from repro.jsengine.parser import MAX_NESTING, ParseError, parse
 
 
 def first(source):
@@ -158,3 +160,109 @@ class TestWalk:
         program = parse("function f() { if (a) { return [1, {x: g()}]; } }")
         names = [n.name for n in program.walk() if isinstance(n, N.Identifier)]
         assert "a" in names and "g" in names
+
+    def test_children_in_field_order(self):
+        node = first("var a = 1, b = f(2);")
+        assert [type(c).__name__ for c in node.children()] == ["NumberLiteral", "Call"]
+        member = parse("o[k];").body[0].expression
+        assert member.children() == [member.obj, member.prop]
+        assert N.Try._fields == ("block", "catch_param", "catch_block", "finally_block")
+
+    def test_walk_retains_no_memory(self):
+        # ASTs live in the pipeline's compile cache for the whole run, and
+        # on CPython 3.11+ reading node.__dict__ would leave a dict behind
+        # on every walked node (64 B/node)
+        import gc
+        import tracemalloc
+
+        program = parse("function f(x) { if (x) { return [x, {k: g(x + 1)}]; } "
+                        "return f(x - 1); } var a = f(3), b = 'b' + a;" * 400)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            nodes = sum(1 for _node in program.walk())
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert nodes > 10_000
+        assert retained / nodes < 1.0
+
+
+DEEP = 10_000
+
+#: one source per recursive path through the parser, each nested DEEP times
+NESTED = {
+    "parens": "(" * DEEP + "1" + ")" * DEEP,
+    "brackets": "[" * DEEP + "]" * DEEP,
+    "objects": "x = " + "{a: " * DEEP + "1" + "}" * DEEP,
+    "calls": "f(" * DEEP + ")" * DEEP,
+    "members": "a" + "[a" * DEEP + "]" * DEEP,
+    "unary": "!" * DEEP + "x",
+    "prefix": "++" * DEEP + "x",
+    "new": "new " * DEEP + "X",
+    "assignments": "a = " * DEEP + "1",
+    "conditionals": "a ? b : " * DEEP + "c",
+    "blocks": "{" * DEEP + "}" * DEEP,
+    "ifs": "if (a) {" * DEEP + "}" * DEEP,
+    "loops": "for (;;) " * DEEP + ";",
+    "functions": "function f() {" * DEEP + "}" * DEEP,
+    "function-exprs": "(function () {" * DEEP + "})" * DEEP,
+    "tries": "try {" * DEEP + "} finally {}" * DEEP,
+    "switches": "switch (a) { case 1: " * DEEP + "}" * DEEP,
+}
+
+
+def _outcome(source):
+    try:
+        parse(source)
+    except ParseError as error:
+        return "ParseError: %s" % error
+    except RecursionError:
+        return "RecursionError"
+    return "parsed"
+
+
+def _at_stack_depth(depth, fn):
+    """Call ``fn()`` with ``depth`` frames already on the stack, under
+    the interpreter's default recursion limit."""
+    frame, current = sys._getframe(), 0
+    while frame is not None:
+        current += 1
+        frame = frame.f_back
+
+    def descend(remaining):
+        return descend(remaining - 1) if remaining else fn()
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        return descend(depth - current - 1)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestNestingBound:
+    """parse() is a pure function of its source: deep nesting is a
+    ParseError at one fixed bound, never a stack-dependent RecursionError."""
+
+    def test_deep_parens_at_top_level(self):
+        with pytest.raises(ParseError, match="nesting too deep"):
+            parse(NESTED["parens"])
+
+    @pytest.mark.parametrize("construct", sorted(NESTED))
+    def test_deep_nesting_from_500_frames_deep(self, construct):
+        outcome = _at_stack_depth(500, lambda: _outcome(NESTED[construct]))
+        assert outcome.startswith("ParseError: nesting too deep")
+
+    def test_bound_does_not_depend_on_the_callers_stack(self):
+        # the deepest paren nesting that parses, and one level more
+        levels = max(n for n in range(1, MAX_NESTING)
+                     if _outcome("(" * n + "1" + ")" * n) == "parsed")
+        for n, expected in ((levels, "parsed"), (levels + 1, "ParseError")):
+            source = "(" * n + "1" + ")" * n
+            for depth in (0, 250, 500):
+                outcome = (_outcome(source) if depth == 0 else
+                           _at_stack_depth(depth, lambda: _outcome(source)))
+                assert outcome.startswith(expected), (n, depth, outcome)

@@ -12,9 +12,10 @@ import threading
 
 import pytest
 
-from repro.jsengine import CompileCache, Interpreter
+from repro.jsengine import CompileCache, Interpreter, compilecache
+from repro.jsengine.compilecache import parse_reusing
 from repro.jsengine.lexer import LexError
-from repro.jsengine.parser import ParseError
+from repro.jsengine.parser import ParseError, parse
 from repro.obs import RunObserver
 
 SCRIPTS = [
@@ -125,3 +126,121 @@ class TestErrorReplay:
         assert "js.tokens" not in totals
         assert totals["jsengine.cache.hits"] == 1
         assert totals["jsengine.cache.misses"] == 1
+
+
+class TestSharedAst:
+    """parse_reusing / static_report: the reuse-only side of the cache."""
+
+    def test_reuse_never_counts_or_inserts(self):
+        cache = CompileCache()
+        fresh = parse_reusing(SCRIPTS[0], cache)
+        assert len(cache) == 0 and cache.hits == cache.misses == 0
+        # so the first counted call is still the miss it would have been
+        program = cache.compile(SCRIPTS[0])
+        assert cache.misses == 1 and cache.hits == 0
+        assert fresh is not program
+        assert parse_reusing(SCRIPTS[0], cache) is program
+        assert cache.hits == 0 and cache.misses == 1
+        assert parse_reusing(SCRIPTS[0]) is not program  # no cache: parse
+
+    def test_reuse_raises_the_stored_error(self):
+        cache = CompileCache()
+        for source, error in (("var x = ;", ParseError), ('"\\xZZ"', LexError)):
+            with pytest.raises(error) as fresh:
+                parse(source)
+            with pytest.raises(error) as compiled:
+                cache.compile(source)
+            stored = cache._entries[source].error
+            for _ in range(3):
+                try:
+                    raise KeyError("the reader's own handled exception")
+                except KeyError:
+                    with pytest.raises(error) as reused:
+                        parse_reusing(source, cache)
+                assert reused.value is not stored
+                assert reused.value is not compiled.value
+                for seen in (compiled.value, reused.value):
+                    assert str(seen) == str(fresh.value)
+                    assert vars(seen) == vars(fresh.value)
+            # every read raised a copy: the stored error holds no reader's
+            # frames and no exception a reader was handling
+            assert stored.__traceback__ is None
+            assert stored.__context__ is None and stored.__cause__ is None
+
+    def test_static_report_memoised_on_the_entry(self):
+        cache = CompileCache()
+        calls = []
+
+        def analyze():
+            calls.append(1)
+            return object()
+
+        # no entry yet: computed afresh, nothing stored or inserted
+        assert cache.static_report(SCRIPTS[0], analyze) is not cache.static_report(
+            SCRIPTS[0], analyze)
+        assert len(calls) == 2 and len(cache) == 0
+        cache.compile(SCRIPTS[0])
+        first = cache.static_report(SCRIPTS[0], analyze)
+        assert cache.static_report(SCRIPTS[0], analyze) is first
+        assert len(calls) == 3
+
+    def test_analyze_script_reads_the_counted_entry(self, monkeypatch):
+        from repro.staticjs import absint, rules
+
+        parses = []
+        monkeypatch.setattr(compilecache, "parse",
+                            lambda source: parses.append(source) or parse(source))
+        cache = CompileCache()
+        observer = RunObserver(profile=True)
+        for _ in range(2):
+            rules.analyze_script(SCRIPTS[1], observer=observer, compile_cache=cache)
+            absint.interpret_script(SCRIPTS[1], compile_cache=cache)
+        # one counted compile per analyze_script call, no other parse
+        assert parses == []
+        assert cache.misses == 1 and cache.hits == 1
+        totals = _ledger_totals(observer)
+        assert totals["jsengine.cache.misses"] == 1
+        assert "js.tokens" not in totals
+
+    def test_stored_errors_reach_rules_and_absint_as_parsed(self):
+        from repro.staticjs import analyze_script, interpret_script
+
+        for source in ("var x = ;", 'var a = "\\xZZ";', "(" * 500 + ")" * 500):
+            cache = CompileCache()
+            shared = analyze_script(source, compile_cache=cache)
+            fresh = analyze_script(source)
+            assert shared.parse_failed and fresh.parse_failed
+            assert shared.capabilities == fresh.capabilities == ["parse-failure"]
+            errors = interpret_script(source, compile_cache=cache).phases[0].errors
+            assert errors == interpret_script(source).phases[0].errors
+            assert len(errors) == 1 and errors[0].startswith(("ParseError: ", "LexError: "))
+
+
+class TestHermeticity:
+    def test_two_pipelines_compute_the_same_static_reports(self, monkeypatch):
+        # a process-global memo made the second pipeline in a process
+        # compute (almost) no reports; the pipeline-scoped cache does not
+        from repro import MalwareSlumsStudy, StudyConfig
+        from repro.crawler import CrawlPipeline, PipelineOptions
+        from repro.staticjs import rules
+
+        computed = []
+        original = rules._analyze_script_uncached
+
+        def counting(source, depth, compile_cache):
+            if depth == 0:
+                computed.append(source)
+            return original(source, depth, compile_cache)
+
+        monkeypatch.setattr(rules, "_analyze_script_uncached", counting)
+        web = MalwareSlumsStudy(StudyConfig(seed=7, scale=0.002)).generate_web()
+        counts = []
+        for _ in range(2):
+            computed.clear()
+            # serial: concurrent shards may both compute a first report
+            pipeline = CrawlPipeline(web, PipelineOptions(seed=3, workers=1))
+            pipeline.run()
+            counts.append(len(computed))
+            # one report per distinct analyzed source
+            assert len(computed) == len(set(computed)) > 20
+        assert counts[0] == counts[1]

@@ -240,10 +240,10 @@ def _profiled_run(workers=1, scale=0.005, seed=5):
     study = MalwareSlumsStudy(StudyConfig(seed=seed, scale=scale))
     web = study.generate_web()
     observer = RunObserver(profile=True)
-    memory = MemoryLedger()
-    pipeline = CrawlPipeline(web, PipelineOptions(
-        seed=66, observer=observer, workers=workers, memory_ledger=memory))
-    outcome = pipeline.run()
+    with MemoryLedger() as memory:  # stops its tracemalloc session after the run
+        pipeline = CrawlPipeline(web, PipelineOptions(
+            seed=66, observer=observer, workers=workers, memory_ledger=memory))
+        outcome = pipeline.run()
     return pipeline, outcome, observer, memory
 
 
@@ -316,6 +316,19 @@ def test_run_report_gains_work_and_memory_sections(profiled_run):
     assert "## Work profile" in markdown
     assert "## Memory ledger" in markdown
     assert "Interpreter steps per script" in markdown
+
+
+def test_profiled_study_stops_the_tracing_it_started():
+    # a tracemalloc session left running slows everything after it
+    import tracemalloc
+
+    assert not tracemalloc.is_tracing()
+    study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.0005, profile=True))
+    study.crawl_and_scan()
+    assert not tracemalloc.is_tracing()
+    memory = study.pipeline.memory_ledger
+    assert set(memory.phases) == {"crawl", "scan"}
+    assert memory.peak_bytes > 0
 
 
 def test_unprofiled_report_has_no_work_section():

@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro.detection import QutteraSim, Submission, VirusTotalSim, analyze_content
 from repro.flashsim import SwfError, SwfFile
 from repro.htmlparse import parse, serialize
-from repro.jsengine import run_script_in_page
+from repro.jsengine import LexError, ParseError, run_script_in_page
+from repro.jsengine.lexer import tokenize
+from repro.jsengine.parser import parse as parse_js
 
 
 class TestHtmlParserFuzz:
@@ -75,6 +77,32 @@ class TestSwfFuzz:
                 pass
 
 
+#: JS-significant characters plus digits and spaces beyond ASCII
+_JS_CHARS = st.sampled_from(list("\"'\\xu0123456789abcdefXZ+-.e/*(){}[];,=!<> \n\t")
+                            + ["\u00b2", "\u0663", "\u00e9", "\xa0", "\u2028"])
+
+
+class TestJsFrontEndFuzz:
+    """The lexer fails only with LexError, the parser only with
+    ParseError or LexError, on any input."""
+
+    @given(st.one_of(st.text(max_size=80), st.lists(_JS_CHARS, max_size=80).map("".join)))
+    @settings(max_examples=400, deadline=None)
+    def test_lexer_raises_only_lex_error(self, text):
+        try:
+            tokenize(text)
+        except LexError:
+            pass
+
+    @given(st.lists(_JS_CHARS, max_size=120).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_parser_raises_only_typed_errors(self, text):
+        try:
+            parse_js(text)
+        except (ParseError, LexError):
+            pass
+
+
 class TestSandboxHostility:
     @pytest.mark.parametrize("hostile", [
         "while(true){}",
@@ -125,6 +153,22 @@ class TestScannerGarbage:
         analysis = analyze_content(b"", "text/html")
         assert analysis.kind == "html"
         assert not analysis.hidden_iframes
+
+    @pytest.mark.parametrize("static_prefilter", [True, False])
+    @pytest.mark.parametrize("script", [
+        r'var a = "\xZZ";',      # int(..., 16) raised ValueError
+        r'var a = "\uZZZZ";',
+        "var a = 1\u00b2;",        # float() raised ValueError
+        "(" * 10_000 + "1" + ")" * 10_000,   # a RecursionError before the nesting bound
+    ], ids=["bad-x-escape", "bad-u-escape", "superscript-digit", "deep-parens"])
+    def test_unlexable_inline_script_still_analyzed(self, script, static_prefilter):
+        page = ('<html><body><iframe src="http://x.example/" width=1 height=1>'
+                "</iframe><script>%s</script></body></html>" % script)
+        analysis = analyze_content(page.encode(), "text/html",
+                                   static_prefilter=static_prefilter)
+        assert analysis.kind == "html"
+        assert analysis.script_count == 1
+        assert [f.hidden_by for f in analysis.hidden_iframes] == ["tiny"]
 
     def test_scan_huge_flat_page(self, scanners):
         vt, _quttera = scanners

@@ -6,6 +6,7 @@ import pytest
 
 from repro.detection import (
     QutteraSim,
+    Submission,
     VirusTotalSim,
     all_rejected_tools,
     build_gold_standard,
@@ -64,3 +65,15 @@ class TestVettingOutcome:
         rows = vetting_result.table_rows()
         values = [value for _name, value in rows]
         assert values == sorted(values, reverse=True)
+
+    def test_shared_analysis_matches_each_tool_analyzing(self):
+        # vet_tools analyzes each sample once for all tools; every tool
+        # must detect exactly what its own analysis of the file finds
+        samples = build_gold_standard(random.Random(3), per_family=3)
+        tools = [VirusTotalSim(), QutteraSim()] + all_rejected_tools()
+        result = vet_tools(tools, samples)
+        for tool in tools:
+            own = [sample.name for sample in samples
+                   if tool.scan(Submission(url=sample.url, content=sample.content,
+                                           content_type=sample.content_type)).malicious]
+            assert result.detections[tool.name] == own

