@@ -38,6 +38,17 @@ from .core.reporting import (
 __all__ = ["main", "build_parser"]
 
 
+def _worker_count(text: str) -> int:
+    """argparse type for ``--workers``: an integer of at least 1."""
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError("must be >= 1 (got %d)" % workers)
+    return workers
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -56,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="print only this figure")
     run.add_argument("--no-file-submission", action="store_true",
                      help="disable the cloaking mitigation (URL-only scanning)")
-    run.add_argument("--workers", type=int, default=None, metavar="N",
+    run.add_argument("--workers", type=_worker_count, default=None, metavar="N",
                      help="worker count for the crawl and scan phases "
                           "(repro.crawlexec + repro.scanexec; default 1 or "
                           "$REPRO_WORKERS; results are identical at any "
@@ -99,9 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument("--scale", type=float, default=0.02)
     obs.add_argument("--seed", type=int, default=2016)
-    obs.add_argument("--workers", type=int, default=None, metavar="N",
-                     help="crawl+scan worker count (adds the executor "
-                          "report sections when > 1)")
+    obs.add_argument("--workers", type=_worker_count, default=None, metavar="N",
+                     help="crawl+scan worker count; above 1 the executor "
+                          "sections count workers, shards and tasks (every "
+                          "other section is identical at any width)")
     obs.add_argument("-o", "--output",
                      help="write the JSON report here (schema: repro.obs.report)")
     obs.add_argument("--markdown", action="store_true",
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument("--scale", type=float, default=0.02)
     profile.add_argument("--seed", type=int, default=2016)
-    profile.add_argument("--workers", type=int, default=None, metavar="N",
+    profile.add_argument("--workers", type=_worker_count, default=None, metavar="N",
                          help="crawl+scan worker count (the work ledger is "
                               "bit-identical at any width)")
     profile.add_argument("--top", type=int, default=10, metavar="N",
@@ -183,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument("url", help="the URL to explain")
     explain.add_argument("--scale", type=float, default=0.02)
     explain.add_argument("--seed", type=int, default=2016)
-    explain.add_argument("--workers", type=int, default=None, metavar="N",
+    explain.add_argument("--workers", type=_worker_count, default=None, metavar="N",
                          help="crawl+scan worker count (the chain is identical "
                               "at any width)")
     explain.add_argument("--from", dest="from_file", metavar="PATH",
@@ -332,20 +344,20 @@ def _cmd_export(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     import json
 
-    from .crawler import CrawlPipeline, PipelineOptions
+    from .crawler import CrawlPipeline
     from .obs import RunObserver, build_run_report, render_run_report_markdown
 
-    study = MalwareSlumsStudy(StudyConfig(seed=args.seed, scale=args.scale))
-    web = study.generate_web()
+    config = StudyConfig(seed=args.seed, scale=args.scale,
+                         workers=args.workers, record_provenance=True)
+    web = MalwareSlumsStudy(config).generate_web()
     observer = RunObserver()
     watchdog = None
     if args.watchdog_baseline:
         from .obs import Watchdog
 
         watchdog = Watchdog.from_baseline_report(args.watchdog_baseline)
-    pipeline = CrawlPipeline(web, PipelineOptions(
-        seed=args.seed + 61, observer=observer,
-        workers=args.workers, record_provenance=True,
+    pipeline = CrawlPipeline(web, dataclasses.replace(
+        config.pipeline_options(observer=observer),
         status_path=args.status_out, watchdog=watchdog))
     outcome = pipeline.run()
     report = build_run_report(pipeline, outcome)
@@ -374,8 +386,7 @@ def _cmd_obs_report(args: argparse.Namespace) -> int:
     if args.trace_out:
         from .obs import write_chrome_trace
 
-        count = write_chrome_trace(args.trace_out, observer,
-                                   execution=pipeline.last_scan_execution)
+        count = write_chrome_trace(args.trace_out, observer)
         print("wrote %d trace events to %s" % (count, args.trace_out))
     if args.provenance and outcome.provenance is not None:
         with open(args.provenance, "w", encoding="utf-8") as handle:
@@ -424,7 +435,7 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     import json
 
-    from .crawler import CrawlPipeline, PipelineOptions
+    from .crawler import CrawlPipeline
     from .obs import (
         MemoryLedger,
         RunObserver,
@@ -434,14 +445,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         render_work_table,
     )
 
-    study = MalwareSlumsStudy(StudyConfig(seed=args.seed, scale=args.scale))
-    web = study.generate_web()
+    config = StudyConfig(seed=args.seed, scale=args.scale, workers=args.workers)
+    web = MalwareSlumsStudy(config).generate_web()
     observer = RunObserver(profile=True)
     memory = MemoryLedger()
     with memory:
-        pipeline = CrawlPipeline(web, PipelineOptions(
-            seed=args.seed + 61, observer=observer,
-            workers=args.workers, memory_ledger=memory))
+        pipeline = CrawlPipeline(web, config.pipeline_options(
+            observer=observer, memory_ledger=memory))
         pipeline.run()
     assert observer.profiler is not None
     ledger = observer.profiler.ledger
@@ -512,12 +522,12 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         with open(args.from_file, "r", encoding="utf-8") as handle:
             store = ProvenanceStore.from_jsonl(handle.read())
     else:
-        from .crawler import CrawlPipeline, PipelineOptions
+        from .crawler import CrawlPipeline
 
-        study = MalwareSlumsStudy(StudyConfig(seed=args.seed, scale=args.scale))
-        pipeline = CrawlPipeline(study.generate_web(), PipelineOptions(
-            seed=args.seed + 61,
-            workers=args.workers, record_provenance=True))
+        config = StudyConfig(seed=args.seed, scale=args.scale,
+                             workers=args.workers, record_provenance=True)
+        pipeline = CrawlPipeline(MalwareSlumsStudy(config).generate_web(),
+                                 config.pipeline_options())
         outcome = pipeline.run()
         store = outcome.provenance
         assert store is not None

@@ -38,12 +38,9 @@ class PipelineOptions:
     #: side-effect-free pages
     static_prefilter: bool = True
     #: worker count for BOTH phases (crawl shards by exchange, scan by
-    #: domain); None reads $REPRO_WORKERS, 1 keeps the serial loops
+    #: domain); None reads $REPRO_WORKERS, 1 keeps the serial loops, and
+    #: below 1 ``CrawlPipeline`` raises ValueError
     workers: Optional[int] = None
-    #: injectable scan-phase executor (defaults from ``workers``)
-    scan_executor: Optional[object] = None
-    #: injectable crawl-phase executor (defaults from ``workers``)
-    crawl_executor: Optional[object] = None
     #: record a per-URL VerdictProvenance decision chain during the scan
     record_provenance: bool = False
     #: JSON-lines sink for the flight recorder (implies record_provenance)

@@ -43,7 +43,7 @@ from ..obs.provenance import (
     ProvenanceStore,
     StageRecord,
 )
-from ..scanexec import ParallelScanExecutor, ScanExecution, build_scan_tasks
+from ..scanexec import ParallelScanExecutor, ScanExecution, build_scan_tasks, scan_task
 from ..simweb import ContentCategory, GroundTruth, MalwareFamily, Page, Site
 from ..simweb.generator import ExchangePool, GeneratedWeb
 from ..simweb.url import Url
@@ -72,8 +72,20 @@ _SCAN_HEARTBEAT_EVERY = 64
 
 
 def workers_from_env() -> int:
-    """Default worker count from ``$REPRO_WORKERS`` (1 when unset)."""
-    return int(os.environ.get(WORKERS_ENV) or 1)
+    """Default worker count from ``$REPRO_WORKERS`` (1 when unset).
+
+    Raises :class:`ValueError` naming the variable when it is set to
+    anything but a positive integer.
+    """
+    raw = os.environ.get(WORKERS_ENV) or "1"
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("$%s must be a positive integer (got %r)"
+                         % (WORKERS_ENV, raw))
+    return workers
 
 
 class ScanOutcome:
@@ -179,25 +191,25 @@ class CrawlPipeline:
         workers = options.workers
         if workers is None:
             workers = workers_from_env()
+        elif workers < 1:
+            raise ValueError("workers must be >= 1 (got %d)" % workers)
         #: worker count for BOTH phases; 1 keeps the serial reference loops
-        self.workers = max(1, workers)
-        #: the scan-phase executor — injectable for tests (e.g. a
-        #: ParallelScanExecutor with an InlineExecutor pool); defaults to
-        #: a ThreadPoolExecutor-backed executor when ``workers > 1`` and
-        #: to the serial loop at ``workers=1``
-        self.scan_executor = options.scan_executor
-        if self.scan_executor is None and self.workers > 1:
-            self.scan_executor = ParallelScanExecutor(workers=self.workers)
+        self.workers = workers
+        #: the scan-phase executor: a ThreadPoolExecutor-backed
+        #: ParallelScanExecutor when ``workers > 1``, None (the serial
+        #: loop) at ``workers=1``; tests may swap in another executor
+        #: before the scan
+        self.scan_executor: Optional[ParallelScanExecutor] = None
         #: the crawl-phase executor — same contract as the scan one but
-        #: sharding by exchange (see repro.crawlexec); defaults parallel
-        #: when ``workers > 1`` and to the serial loop at ``workers=1``
-        self.crawl_executor = options.crawl_executor
-        if self.crawl_executor is None and self.workers > 1:
+        #: sharding by exchange (see repro.crawlexec)
+        self.crawl_executor: Optional[object] = None
+        if workers > 1:
             from ..crawlexec.executor import ParallelCrawlExecutor
 
-            self.crawl_executor = ParallelCrawlExecutor(workers=self.workers)
+            self.scan_executor = ParallelScanExecutor(workers=workers)
+            self.crawl_executor = ParallelCrawlExecutor(workers=workers)
         #: accounting from the last executor-backed scan (None after a
-        #: serial scan) — shard stats, simulated makespan, speedup
+        #: serial scan) — verdicts, shard stats, task counts
         self.last_scan_execution: Optional[ScanExecution] = None
         #: accounting from the last executor-backed crawl (None after a
         #: serial crawl) — see :class:`repro.crawlexec.CrawlExecution`
@@ -707,60 +719,33 @@ class CrawlPipeline:
         store.add(provenance)
 
     def _scan_all(self, service: UrlVerdictService, outcome: ScanOutcome) -> None:
-        if self.scan_executor is not None:
-            self._scan_executor(service, outcome)
-            return
-        observer = self.observer
-        live = self.live
-        done = 0
-        for url in self.dataset.distinct_urls():
-            cached = self.dataset.content.get(url)
-            if cached is None:
-                verdict = service.verdict(url)
-            else:
-                verdict = service.verdict(
-                    url,
-                    content=cached.content,
-                    content_type=cached.content_type,
-                    final_url=cached.final_url,
-                )
-            outcome.verdicts[url] = verdict
-            self._record_verdict_provenance(url, verdict)
-            if observer is not None:
-                observer.count("scan.urls")
-                observer.count("scan.verdict.malicious" if verdict.malicious
-                               else "scan.verdict.benign")
-            done += 1
-            if live is not None and done % _SCAN_HEARTBEAT_EVERY == 0:
-                live.heartbeat("scan", units_done=done)
-        if live is not None and done % _SCAN_HEARTBEAT_EVERY:
-            live.heartbeat("scan", units_done=done)
+        """Scan the workload and fold each verdict into ``outcome``.
 
-    def _scan_executor(self, service: UrlVerdictService, outcome: ScanOutcome) -> None:
-        """Fan the workload out through the configured scan executor.
-
-        The executor's merge is deterministic (original workload order,
-        shard telemetry replayed in index order), so the outcome — and
-        every ``scan.*`` counter — is bit-identical to the serial loop.
+        The serial loop scans lazily inside the fold; an executor's merge
+        is deterministic (original workload order, shard telemetry
+        replayed in index order).  Either way verdicts arrive in
+        workload order with the same counters landing before each
+        heartbeat, so the outcome, every ``scan.*`` counter and the
+        status stream are worker-count-invariant (shard records aside).
         """
         observer = self.observer
         live = self.live
-        execution = self.scan_executor.execute(
-            build_scan_tasks(self.dataset), service, observer=observer,
-        )
-        self.last_scan_execution = execution
+        tasks = build_scan_tasks(self.dataset)
+        if self.scan_executor is not None:
+            execution = self.scan_executor.execute(tasks, service,
+                                                   observer=observer)
+            self.last_scan_execution = execution
+            verdicts = execution.verdicts.items()
+        else:
+            verdicts = ((task.url, scan_task(service, task)) for task in tasks)
         done = 0
-        for url, verdict in execution.verdicts.items():
+        for url, verdict in verdicts:
             outcome.verdicts[url] = verdict
             self._record_verdict_provenance(url, verdict)
             if observer is not None:
                 observer.count("scan.urls")
                 observer.count("scan.verdict.malicious" if verdict.malicious
                                else "scan.verdict.benign")
-            # heartbeat cadence matches the serial loop exactly: this
-            # merge iterates verdicts in original workload order with the
-            # same counters landing before each beat, so the status
-            # stream is worker-count-invariant (shard records aside)
             done += 1
             if live is not None and done % _SCAN_HEARTBEAT_EVERY == 0:
                 live.heartbeat("scan", units_done=done)

@@ -33,18 +33,10 @@ Shared mutable state the merge reconciles:
   ulp.
 """
 
-from .executor import (
-    CrawlExecution,
-    CrawlShardStats,
-    CrawlSpec,
-    ParallelCrawlExecutor,
-    SerialCrawlExecutor,
-)
+from .executor import CrawlExecution, CrawlSpec, ParallelCrawlExecutor
 
 __all__ = [
     "CrawlExecution",
-    "CrawlShardStats",
     "CrawlSpec",
     "ParallelCrawlExecutor",
-    "SerialCrawlExecutor",
 ]

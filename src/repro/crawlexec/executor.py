@@ -21,16 +21,14 @@ from ..httpsim.client import SimHttpClient
 from ..httpsim.message import HttpRequest, HttpResponse
 from ..httpsim.server import SimHttpServer
 from ..obs.clock import SimClock
-from ..phasexec.executor import InlineExecutor, PhaseExecutor
+from ..phasexec.executor import PhaseExecutor
 from ..phasexec.recording import RecordingObserver
 from ..simweb.url import Url
 
 __all__ = [
     "CrawlExecution",
-    "CrawlShardStats",
     "CrawlSpec",
     "ParallelCrawlExecutor",
-    "SerialCrawlExecutor",
 ]
 
 
@@ -52,45 +50,16 @@ class CrawlSpec:
 
 
 @dataclass
-class CrawlShardStats:
-    """Post-run accounting for one exchange shard."""
-
-    index: int
-    exchange: str
-    steps: int
-    #: simulated crawl-seconds (0.05 s per request on the shard clock)
-    busy_seconds: float
-    requests: int = 0
-    #: worker slot and start offset under deterministic list scheduling
-    worker: int = 0
-    start_seconds: float = 0.0
-
-
-@dataclass
 class CrawlExecution:
     """Everything one crawl-executor run produced."""
 
     stats: "Dict[str, CrawlStats]"
     workers: int
-    shard_stats: List[CrawlShardStats] = field(default_factory=list)
-    #: simulated cost of surfing every exchange back to back
-    serial_seconds: float = 0.0
-    #: simulated makespan with exchanges overlapped across ``workers``
-    parallel_seconds: float = 0.0
+    #: the exchange specs that ran as shards, in exchange order (empty
+    #: after the serial fallback)
+    shard_stats: List[CrawlSpec] = field(default_factory=list)
     #: True when a shared-state overlap forced the bit-exact serial re-run
     fallback_serial: bool = False
-
-    @property
-    def speedup(self) -> float:
-        return self.serial_seconds / self.parallel_seconds if self.parallel_seconds else 1.0
-
-    @property
-    def utilisation(self) -> float:
-        """Mean worker busy-fraction over the parallel phase."""
-        if not self.parallel_seconds or not self.workers:
-            return 1.0
-        busy = sum(stats.busy_seconds for stats in self.shard_stats)
-        return min(1.0, busy / (self.workers * self.parallel_seconds))
 
 
 class _ShardHttpServer(SimHttpServer):
@@ -129,7 +98,6 @@ class _ShardJob:
 
     server: _ShardHttpServer
     client: SimHttpClient
-    clock: SimClock
     dataset: CrawlDataset
     buffer: Optional[RecordingObserver]
     registry: object
@@ -142,8 +110,6 @@ class _ShardResult:
     stats: CrawlStats
     dataset: CrawlDataset
     server: _ShardHttpServer
-    #: the shard clock at session end (started at zero)
-    duration: float
 
 
 @dataclass
@@ -165,13 +131,6 @@ class ParallelCrawlExecutor(PhaseExecutor):
     """
 
     phase_name = "crawl"
-
-    def __init__(self, workers: int = 4,
-                 pool_factory: Optional[object] = None) -> None:
-        # one shard per exchange: the exchange is the isolation boundary,
-        # so finer shards are impossible and coarser ones waste overlap
-        super().__init__(workers=workers, shards_per_worker=1,
-                         pool_factory=pool_factory)
 
     # -- PhaseExecutor hooks -------------------------------------------------
     def execute(self, specs: Sequence[CrawlSpec], pipeline: object,
@@ -197,6 +156,7 @@ class ParallelCrawlExecutor(PhaseExecutor):
 
     def shard(self, specs: Sequence[CrawlSpec], pipeline: object,
               state: _CrawlPrep) -> List[CrawlSpec]:
+        # one shard per exchange: the exchange is the isolation boundary
         if state.force_serial:
             return []
         return list(specs)
@@ -204,9 +164,8 @@ class ParallelCrawlExecutor(PhaseExecutor):
     def shard_state(self, spec: CrawlSpec, buffer: Optional[RecordingObserver],
                     pipeline: object, state: _CrawlPrep) -> _ShardJob:
         server = _ShardHttpServer(pipeline.web.registry, observer=buffer)
-        clock = SimClock()
-        client = SimHttpClient(server, clock=clock, observer=buffer)
-        return _ShardJob(server=server, client=client, clock=clock,
+        client = SimHttpClient(server, clock=SimClock(), observer=buffer)
+        return _ShardJob(server=server, client=client,
                          dataset=CrawlDataset(), buffer=buffer,
                          registry=pipeline.web.registry)
 
@@ -227,7 +186,7 @@ class ParallelCrawlExecutor(PhaseExecutor):
         )
         stats = crawler.crawl(spec.steps)
         return _ShardResult(stats=stats, dataset=job.dataset,
-                            server=job.server, duration=job.clock.now())
+                            server=job.server)
 
     def merge(self, specs: Sequence[CrawlSpec], pipeline: object,
               state: _CrawlPrep, shards: List[CrawlSpec],
@@ -235,10 +194,9 @@ class ParallelCrawlExecutor(PhaseExecutor):
               buffers: List[Optional[RecordingObserver]],
               observer: Optional[object]) -> CrawlExecution:
         if state.force_serial or self._rotation_overlap(pipeline, results):
-            return self._serial_fallback(specs, pipeline, state, results, observer)
+            return self._serial_fallback(specs, pipeline, state, observer)
 
         clock = pipeline.client.clock
-        shard_stats: List[CrawlShardStats] = []
         for spec, result, buffer in zip(shards, results, buffers):
             if observer is not None:
                 with observer.span("crawl.exchange", exchange=spec.name,
@@ -248,18 +206,11 @@ class ParallelCrawlExecutor(PhaseExecutor):
                                           observer, clock)
             else:
                 self._merge_shard(pipeline, spec, result, None, None, clock)
-            shard_stats.append(CrawlShardStats(
-                index=spec.index, exchange=spec.name, steps=spec.steps,
-                busy_seconds=result.duration,
-                requests=result.server.requests_served,
-            ))
 
         execution = CrawlExecution(
             stats=dict(pipeline.crawl_stats),
             workers=self.workers,
-            shard_stats=shard_stats,
-            serial_seconds=sum(s.busy_seconds for s in shard_stats),
-            parallel_seconds=self.makespan(shard_stats),
+            shard_stats=shards,
         )
         self._emit_metrics(execution, observer)
         return execution
@@ -325,7 +276,7 @@ class ParallelCrawlExecutor(PhaseExecutor):
         return False
 
     def _serial_fallback(self, specs: Sequence[CrawlSpec], pipeline: object,
-                         state: _CrawlPrep, results: List[_ShardResult],
+                         state: _CrawlPrep,
                          observer: Optional[object]) -> CrawlExecution:
         """Restore pre-crawl state and run the reference serial loop."""
         run_specs = list(specs)
@@ -337,13 +288,9 @@ class ParallelCrawlExecutor(PhaseExecutor):
             for spec in run_specs:
                 pipeline.exchanges[spec.name] = spec.exchange
         pipeline._crawl_serial(run_specs)
-        serial_seconds = sum(result.duration for result in results)
         execution = CrawlExecution(
             stats=dict(pipeline.crawl_stats),
             workers=self.workers,
-            shard_stats=[],
-            serial_seconds=serial_seconds,
-            parallel_seconds=serial_seconds,
             fallback_serial=True,
         )
         self._emit_metrics(execution, observer)
@@ -355,21 +302,8 @@ class ParallelCrawlExecutor(PhaseExecutor):
             return
         observer.count("crawlexec.shards", len(execution.shard_stats))
         observer.gauge_set("crawlexec.workers", execution.workers)
-        observer.gauge_max("crawlexec.queue.depth", len(execution.shard_stats))
-        observer.gauge_set("crawlexec.worker.utilisation", execution.utilisation)
-        observer.gauge_set("crawlexec.serial_seconds", execution.serial_seconds)
-        observer.gauge_set("crawlexec.parallel_seconds", execution.parallel_seconds)
-        observer.gauge_set("crawlexec.speedup", execution.speedup)
         if execution.fallback_serial:
             observer.count("crawlexec.fallback.serial")
-        for stats in execution.shard_stats:
-            observer.observe("crawlexec.shard.busy_seconds", stats.busy_seconds)
-            observer.observe("crawlexec.shard.steps", stats.steps)
+        for spec in execution.shard_stats:
+            observer.observe("crawlexec.shard.steps", spec.steps)
 
-
-class SerialCrawlExecutor(ParallelCrawlExecutor):
-    """One worker, inline execution, no threads — executor accounting
-    (shard stats, simulated makespan) with serial scheduling."""
-
-    def __init__(self) -> None:
-        super().__init__(workers=1, pool_factory=InlineExecutor)

@@ -22,8 +22,8 @@ Three companion layers sit on top of the observer:
 - :mod:`repro.obs.provenance` — the per-URL verdict flight recorder
   (``PipelineOptions(record_provenance=True)``, rendered by
   ``repro explain <url>``);
-- :mod:`repro.obs.export` — Chrome-trace-format span export with
-  per-shard scanexec tracks (``repro obs-report --trace-out``);
+- :mod:`repro.obs.export` — Chrome-trace-format span export
+  (``repro obs-report --trace-out``);
 - :mod:`repro.obs.diff` — structural run-report diffing for regression
   gates (``repro obs-diff baseline.json candidate.json``);
 - :mod:`repro.obs.live` — streaming in-flight telemetry: sliding-window
@@ -38,7 +38,6 @@ from .diff import DiffConfig, DiffEntry, RunDiff, diff_reports
 from .events import EventLog
 from .export import (
     build_chrome_trace,
-    critical_path_summary,
     render_openmetrics,
     write_chrome_trace,
     write_openmetrics,
@@ -122,7 +121,6 @@ __all__ = [
     "build_chrome_trace",
     "build_run_report",
     "check_budget",
-    "critical_path_summary",
     "default_count_buckets",
     "default_latency_buckets",
     "diff_reports",

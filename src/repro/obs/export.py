@@ -1,18 +1,14 @@
-"""Span export: Chrome trace event format + critical-path summary.
+"""Span export: Chrome trace event format + OpenMetrics text.
 
-Turns a run's :class:`~repro.obs.tracing.Tracer` spans — and, when the
-scan phase went through :mod:`repro.scanexec`, the executor's per-shard
-timeline — into a ``chrome://tracing`` / Perfetto-loadable JSON object
-(the `Trace Event Format`_):
+Turns a run's :class:`~repro.obs.tracing.Tracer` spans into a
+``chrome://tracing`` / Perfetto-loadable JSON object (the
+`Trace Event Format`_):
 
 * top-level spans become complete (``ph: "X"``) events with
   microsecond ``ts``/``dur``,
 * nested spans become begin/end (``ph: "B"`` / ``ph: "E"``) pairs so
   the viewer reconstructs the stack exactly as the tracer saw it,
-* each scanexec worker slot gets its own track (``tid``), populated
-  with the shards list-scheduled onto it — the same deterministic
-  schedule the executor's simulated-makespan figure uses,
-* ``ph: "M"`` metadata events name the process and every track.
+* ``ph: "M"`` metadata events name the process and the main track.
 
 All timestamps come off the run's injected clock (simulated seconds),
 so a seeded trace is byte-identical across machines.
@@ -29,10 +25,10 @@ from typing import Any, Dict, List, Optional
 from .observer import RunObserver
 from .tracing import Span
 
-__all__ = ["build_chrome_trace", "critical_path_summary", "render_openmetrics",
-           "write_chrome_trace", "write_openmetrics"]
+__all__ = ["build_chrome_trace", "render_openmetrics", "write_chrome_trace",
+           "write_openmetrics"]
 
-#: the synthetic pid all tracks share; tid 0 is the main pipeline track
+#: the synthetic pid and tid of the one pipeline track
 TRACE_PID = 1
 MAIN_TID = 0
 
@@ -62,52 +58,19 @@ def _span_events(span: Span) -> List[Dict[str, Any]]:
     return [begin, end]
 
 
-def _metadata_event(name: str, tid: int, label: str) -> Dict[str, Any]:
-    return {"name": name, "ph": "M", "pid": TRACE_PID, "tid": tid,
+def _metadata_event(name: str, label: str) -> Dict[str, Any]:
+    return {"name": name, "ph": "M", "pid": TRACE_PID, "tid": MAIN_TID,
             "args": {"name": label}}
 
 
-def build_chrome_trace(observer: RunObserver,
-                       execution: Optional[object] = None) -> Dict[str, Any]:
-    """Assemble the Chrome-trace JSON object for an observed run.
-
-    ``execution`` is the pipeline's
-    :class:`~repro.scanexec.ScanExecution` (or ``None`` after a serial
-    scan); its shards are drawn on per-worker tracks ``tid = 1 + slot``,
-    offset to the start of the ``scan`` span so the shard lanes line up
-    underneath the scan phase on the main track.
-    """
+def build_chrome_trace(observer: RunObserver) -> Dict[str, Any]:
+    """Assemble the Chrome-trace JSON object for an observed run."""
     events: List[Dict[str, Any]] = [
-        _metadata_event("process_name", MAIN_TID, "repro pipeline"),
-        _metadata_event("thread_name", MAIN_TID, "main"),
+        _metadata_event("process_name", "repro pipeline"),
+        _metadata_event("thread_name", "main"),
     ]
     for span in observer.tracer.finished:
         events.extend(_span_events(span))
-
-    if execution is not None and getattr(execution, "shard_stats", None):
-        scan_spans = observer.tracer.spans_named("scan")
-        offset = scan_spans[0].start if scan_spans else 0.0
-        workers = {stats.worker for stats in execution.shard_stats}
-        for worker in sorted(workers):
-            events.append(_metadata_event(
-                "thread_name", 1 + worker, "scan-worker-%d" % worker))
-        for stats in execution.shard_stats:
-            events.append({
-                "name": "scanexec.shard[%d]" % stats.index,
-                "cat": "scanexec",
-                "ph": "X",
-                "ts": _microseconds(offset + stats.start_seconds),
-                "dur": _microseconds(stats.busy_seconds),
-                "pid": TRACE_PID,
-                "tid": 1 + stats.worker,
-                "args": {
-                    "urls": stats.urls,
-                    "domains": stats.domains,
-                    "slowest_url": stats.slowest_url,
-                    "slowest_seconds": stats.slowest_seconds,
-                },
-            })
-
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",
@@ -119,47 +82,9 @@ def build_chrome_trace(observer: RunObserver,
     }
 
 
-def critical_path_summary(execution: object) -> Dict[str, Any]:
-    """Where the parallel scan's makespan comes from.
-
-    Per shard: the simulated busy time and the single slowest task (the
-    stage a regression hunt should look at first).  The *critical
-    worker* is the slot whose last shard finishes the makespan; its
-    shard list is the critical path of the fan-out phase.
-    """
-    shard_stats = list(getattr(execution, "shard_stats", []) or [])
-    shards = [
-        {
-            "index": stats.index,
-            "worker": stats.worker,
-            "urls": stats.urls,
-            "busy_seconds": stats.busy_seconds,
-            "slowest_url": stats.slowest_url,
-            "slowest_seconds": stats.slowest_seconds,
-        }
-        for stats in shard_stats
-    ]
-    if not shards:
-        return {"shards": [], "critical_worker": -1, "critical_seconds": 0.0,
-                "critical_shards": []}
-    ends: Dict[int, float] = {}
-    for stats in shard_stats:
-        ends[stats.worker] = max(ends.get(stats.worker, 0.0),
-                                 stats.start_seconds + stats.busy_seconds)
-    critical_worker = max(sorted(ends), key=lambda w: ends[w])
-    critical = [s["index"] for s in shards if s["worker"] == critical_worker]
-    return {
-        "shards": shards,
-        "critical_worker": critical_worker,
-        "critical_seconds": ends[critical_worker],
-        "critical_shards": critical,
-    }
-
-
-def write_chrome_trace(path: str, observer: RunObserver,
-                       execution: Optional[object] = None) -> int:
+def write_chrome_trace(path: str, observer: RunObserver) -> int:
     """Write the trace JSON to ``path``; returns the event count."""
-    trace = build_chrome_trace(observer, execution)
+    trace = build_chrome_trace(observer)
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(trace, handle, indent=1, sort_keys=True)
     return len(trace["traceEvents"])

@@ -40,7 +40,7 @@ class RunObserver:
     one dict lookup plus a float add), which makes the observer
     **single-threaded by contract**: on the parallel scanexec path,
     worker threads write to a per-shard
-    :class:`~repro.scanexec.recording.RecordingObserver` and the
+    :class:`~repro.phasexec.recording.RecordingObserver` and the
     executor replays the buffers on the main thread.  ``thread_guard``
     (on by default) enforces the contract — the observer binds to the
     first thread that mutates it and raises on any other thread instead

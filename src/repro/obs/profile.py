@@ -1,9 +1,8 @@
 """Deterministic work-accounting profiler and memory ledger.
 
 Wall-clock profiles of this system are useless: almost every cost in
-the reproduction is *simulated* (the HTTP round trip is a constant, the
-scan services are priced by a latency model), so a sampling profiler
-mostly measures the Python interpreter's mood.  What is real — and
+the reproduction is *simulated* (the HTTP round trip is a constant),
+so a sampling profiler mostly measures the Python interpreter's mood.  What is real — and
 deterministic — is the **work** each subsystem performs: interpreter
 steps in the JS sandbox, tokens lexed, DOM nodes built, requests
 served, AST nodes analyzed, engine scans run.  This module counts those
@@ -210,7 +209,7 @@ class WorkProfiler:
     Single-threaded by the same contract as the
     :class:`~repro.obs.observer.RunObserver` that owns it; worker
     threads buffer ``work``/``frame`` calls in a
-    :class:`~repro.scanexec.recording.RecordingObserver` and the
+    :class:`~repro.phasexec.recording.RecordingObserver` and the
     executor replays them on the main thread, which reconstructs the
     same stacks — aggregation is order-independent, so the ledger stays
     bit-identical to a serial run.

@@ -26,14 +26,8 @@ JSON schema (top-level keys)::
                      sandbox_skipped_pages, sandbox_executed_pages,
                      sandbox_skip_rate, skipped_scripts,
                      dynamic_agreement_rate},
-      "scanexec":   {workers, shards, file_tasks, url_tasks,
-                     queue_depth_peak, worker_utilisation,
-                     serial_seconds_est, parallel_seconds_est,
-                     speedup_est, shard_busy: histogram-summary},
-      "crawlexec":  {workers, shards, queue_depth_peak,
-                     worker_utilisation, serial_seconds_est,
-                     parallel_seconds_est, speedup_est, fallback_serial,
-                     shard_busy: histogram-summary},
+      "scanexec":   {workers, shards, file_tasks, url_tasks},
+      "crawlexec":  {workers, shards, fallback_serial},
       "provenance": {records, stage_mix: {stage: n}, mean_stages,
                      recorded_counter},
       "dedup":      {records, new_urls, duplicate_urls, hit_rate},
@@ -185,25 +179,13 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
         "shards": int(metrics.counter_total("scanexec.shards")),
         "file_tasks": int(metrics.counter_total("scanexec.tasks.file")),
         "url_tasks": int(metrics.counter_total("scanexec.tasks.url")),
-        "queue_depth_peak": int(metrics.gauge("scanexec.queue.depth").value),
-        "worker_utilisation": metrics.gauge("scanexec.worker.utilisation").value,
-        "serial_seconds_est": metrics.gauge("scanexec.serial_seconds").value,
-        "parallel_seconds_est": metrics.gauge("scanexec.parallel_seconds").value,
-        "speedup_est": metrics.gauge("scanexec.speedup").value,
-        "shard_busy": metrics.histogram("scanexec.shard.busy_seconds").summary(),
     }
 
     # -- crawl executor (repro.crawlexec; zeros when the run was serial) ----
     crawlexec = {
         "workers": int(metrics.gauge("crawlexec.workers").value),
         "shards": int(metrics.counter_total("crawlexec.shards")),
-        "queue_depth_peak": int(metrics.gauge("crawlexec.queue.depth").value),
-        "worker_utilisation": metrics.gauge("crawlexec.worker.utilisation").value,
-        "serial_seconds_est": metrics.gauge("crawlexec.serial_seconds").value,
-        "parallel_seconds_est": metrics.gauge("crawlexec.parallel_seconds").value,
-        "speedup_est": metrics.gauge("crawlexec.speedup").value,
         "fallback_serial": bool(metrics.counter_total("crawlexec.fallback.serial")),
-        "shard_busy": metrics.histogram("crawlexec.shard.busy_seconds").summary(),
     }
 
     # -- verdict provenance (repro.obs.provenance; zeros when disabled) -----
@@ -412,21 +394,8 @@ def render_run_report_markdown(report: Dict[str, Any],
             [("workers", scanexec["workers"]),
              ("shards", scanexec["shards"]),
              ("file tasks (sharded)", scanexec["file_tasks"]),
-             ("URL tasks (serial lane)", scanexec["url_tasks"]),
-             ("queue depth peak", scanexec["queue_depth_peak"])],
+             ("URL tasks (serial lane)", scanexec["url_tasks"])],
         ))
-        shard_busy = scanexec["shard_busy"]
-        if shard_busy["count"]:
-            sections.append("\nShard busy time (s): p50 %.1f · p95 %.1f · max %.1f "
-                            "over %d shards"
-                            % (shard_busy["p50"], shard_busy["p95"],
-                               shard_busy["max"], int(shard_busy["count"])))
-        sections.append("\nSimulated scan makespan %.0fs parallel vs %.0fs serial "
-                        "— %.1fx speedup at %.0f%% worker utilisation"
-                        % (scanexec["parallel_seconds_est"],
-                           scanexec["serial_seconds_est"],
-                           scanexec["speedup_est"],
-                           100 * scanexec["worker_utilisation"]))
 
     crawlexec = report.get("crawlexec", {})
     if crawlexec.get("workers"):
@@ -434,25 +403,11 @@ def render_run_report_markdown(report: Dict[str, Any],
         sections.append(markdown_table(
             ("Metric", "Value"),
             [("workers", crawlexec["workers"]),
-             ("shards (exchanges)", crawlexec["shards"]),
-             ("queue depth peak", crawlexec["queue_depth_peak"])],
+             ("shards (exchanges)", crawlexec["shards"])],
         ))
-        shard_busy = crawlexec["shard_busy"]
-        if shard_busy["count"]:
-            sections.append("\nShard busy time (s): p50 %.1f · p95 %.1f · max %.1f "
-                            "over %d shards"
-                            % (shard_busy["p50"], shard_busy["p95"],
-                               shard_busy["max"], int(shard_busy["count"])))
         if crawlexec.get("fallback_serial"):
             sections.append("\nShared-state overlap detected — the crawl "
                             "re-ran through the bit-exact serial fallback.")
-        else:
-            sections.append("\nSimulated crawl makespan %.0fs parallel vs %.0fs "
-                            "serial — %.1fx speedup at %.0f%% worker utilisation"
-                            % (crawlexec["parallel_seconds_est"],
-                               crawlexec["serial_seconds_est"],
-                               crawlexec["speedup_est"],
-                               100 * crawlexec["worker_utilisation"]))
 
     provenance = report.get("provenance", {})
     if provenance.get("records"):

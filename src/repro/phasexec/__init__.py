@@ -1,7 +1,7 @@
 """Phase-agnostic deterministic fan-out machinery.
 
-``repro.scanexec`` (PR 3) proved out a recipe for making a pipeline
-phase parallel *without* giving up bit-reproducibility: shard the
+``repro.scanexec`` proved out a recipe for making a pipeline phase
+parallel *without* giving up bit-reproducibility: shard the
 workload along a state-isolation boundary, run each shard on a worker
 with thread-confined telemetry, then merge results and replay telemetry
 in original workload order on the main thread.  This package hoists the
@@ -15,21 +15,14 @@ same :class:`PhaseExecutor` protocol instead of a bespoke code path:
   in shard-index order (op log plus a real metrics registry for
   handle-resolved counters),
 * :class:`InlineExecutor` — the pool-API-compatible inline stand-in for
-  deterministic no-thread testing,
-* :func:`list_schedule_makespan` — the deterministic simulated-makespan
-  model shared by every phase's speedup accounting.
+  deterministic no-thread testing.
 """
 
-from .executor import (
-    InlineExecutor,
-    PhaseExecutor,
-    list_schedule_makespan,
-)
+from .executor import InlineExecutor, PhaseExecutor
 from .recording import RecordingObserver
 
 __all__ = [
     "InlineExecutor",
     "PhaseExecutor",
     "RecordingObserver",
-    "list_schedule_makespan",
 ]

@@ -17,22 +17,20 @@ phase in this repo shares:
    a parallel run is bit-identical to ``workers=1`` for a fixed seed.
 
 Subclasses fill in the hooks; the template owns pool lifecycle, buffer
-allocation, and future collection order.  Speedup is accounted on the
-simulated clock via :func:`list_schedule_makespan` — the GIL keeps
-wall-clock threading gains modest for CPU-bound simulation, but the
-quantity a production deployment cares about is makespan with service
-round-trips (or independent crawler browsers) overlapped across
-workers, and that model is deterministic.
+allocation, and future collection order.  The contract is parity, not
+speed: the default pool is threads, which share the interpreter lock on
+this CPU-bound simulation, so whether a width pays off is a wall-clock
+question for perfbench's ``parallel`` workload.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .recording import RecordingObserver
 
-__all__ = ["InlineExecutor", "PhaseExecutor", "list_schedule_makespan"]
+__all__ = ["InlineExecutor", "PhaseExecutor"]
 
 
 class _ImmediateFuture:
@@ -74,35 +72,13 @@ class InlineExecutor:
         pass
 
 
-def list_schedule_makespan(stats: Sequence[object], workers: int) -> float:
-    """Makespan of shards list-scheduled onto ``workers`` slots.
-
-    Shards are dispatched in index order to the earliest-free worker —
-    exactly what a thread pool does, computed on the simulated clock so
-    the figure is deterministic.  Each item needs ``busy_seconds`` and
-    writable ``worker`` / ``start_seconds`` attributes; as a side effect
-    every shard learns its worker slot and start offset, which the
-    Chrome-trace exporter draws the per-worker tracks from.
-    """
-    free = [0.0] * workers
-    for shard in stats:
-        slot = min(range(workers), key=lambda i: (free[i], i))
-        shard.worker = slot
-        shard.start_seconds = free[slot]
-        free[slot] += shard.busy_seconds
-    return max(free) if stats else 0.0
-
-
 class PhaseExecutor:
     """Template method for a deterministic sharded phase executor.
 
     Parameters
     ----------
     workers:
-        Worker-pool width; also the divisor for the simulated makespan.
-    shards_per_worker:
-        Shard granularity.  More shards than workers lets list
-        scheduling smooth out uneven shards at a small batching cost.
+        Worker-pool width.
     pool_factory:
         ``pool_factory(workers)`` must return a context manager with
         ``submit(fn, *args) -> future``; defaults to
@@ -113,12 +89,11 @@ class PhaseExecutor:
     #: phase label on live-telemetry shard records (subclass override)
     phase_name = "phase"
 
-    def __init__(self, workers: int = 4, shards_per_worker: int = 2,
+    def __init__(self, workers: int = 4,
                  pool_factory: Optional[Callable[[int], object]] = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1 (got %d)" % workers)
         self.workers = workers
-        self.shards_per_worker = max(1, shards_per_worker)
         self.pool_factory = pool_factory
 
     # -- hooks (subclass responsibility) --------------------------------------
@@ -196,7 +171,3 @@ class PhaseExecutor:
             futures = [pool.submit(self.run_shard, shard, shard_state)
                        for shard, shard_state in jobs]
             return [future.result() for future in futures]
-
-    def makespan(self, stats: Sequence[object]) -> float:
-        """Deterministic list-scheduled makespan over this pool width."""
-        return list_schedule_makespan(stats, self.workers)

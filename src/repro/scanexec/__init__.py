@@ -7,28 +7,17 @@ that keeps parallel output bit-identical to the serial path.  See
 :mod:`repro.scanexec.executor` for the phase-by-phase design.
 """
 
-from .executor import (
-    InlineExecutor,
-    ParallelScanExecutor,
-    ScanExecution,
-    ScanLatencyModel,
-    SerialScanExecutor,
-    ShardStats,
-)
-from .recording import RecordingObserver
-from .sharding import ScanShard, ScanTask, build_scan_tasks, shard_tasks, task_domain
+from .executor import ParallelScanExecutor, ScanExecution, ShardStats
+from .sharding import ScanShard, ScanTask, build_scan_tasks, scan_task, shard_tasks, task_domain
 
 __all__ = [
-    "InlineExecutor",
     "ParallelScanExecutor",
-    "RecordingObserver",
     "ScanExecution",
-    "ScanLatencyModel",
     "ScanShard",
     "ScanTask",
-    "SerialScanExecutor",
     "ShardStats",
     "build_scan_tasks",
+    "scan_task",
     "shard_tasks",
     "task_domain",
 ]

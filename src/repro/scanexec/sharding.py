@@ -21,7 +21,8 @@ from typing import Dict, List, Optional, Sequence
 
 from ..simweb.url import Url
 
-__all__ = ["ScanTask", "ScanShard", "build_scan_tasks", "shard_tasks", "task_domain"]
+__all__ = ["ScanTask", "ScanShard", "build_scan_tasks", "scan_task", "shard_tasks",
+           "task_domain"]
 
 
 @dataclass
@@ -78,6 +79,18 @@ def build_scan_tasks(dataset) -> List[ScanTask]:
                 final_url=cached.final_url,
             ))
     return tasks
+
+
+def scan_task(service, task: ScanTask):
+    """One task's :class:`~repro.detection.aggregate.UrlVerdict` from
+    ``service``: a file submission when the crawler saved the page, a
+    URL submission otherwise.  The serial scan loop, the executor's
+    ordered lane and its shards all scan through here."""
+    if task.is_file_scan:
+        return service.verdict(task.url, content=task.content,
+                               content_type=task.content_type,
+                               final_url=task.final_url)
+    return service.verdict(task.url)
 
 
 def shard_tasks(tasks: Sequence[ScanTask], shard_count: int) -> List[ScanShard]:

@@ -73,3 +73,31 @@ class TestWorkersEnv:
         assert pipeline.workers == 4
         assert pipeline.scan_executor is not None
         assert pipeline.crawl_executor is not None
+
+
+class TestWorkerCountValidation:
+    """A worker count below 1 is an error, never silently serial."""
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_pipeline_rejects_workers_below_one(self, web, workers):
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            CrawlPipeline(web, PipelineOptions(workers=workers))
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_env_must_be_a_positive_integer(self, web, monkeypatch, raw):
+        monkeypatch.setenv(WORKERS_ENV, raw)
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            workers_from_env()
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            CrawlPipeline(web, PipelineOptions())
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["obs-report"], ["profile"], ["explain", "http://a.example/"]])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_cli_rejects_workers_below_one(self, command, value, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(command + ["--workers", value])
+        assert exit_info.value.code == 2
+        assert "--workers: must be >= 1" in capsys.readouterr().err

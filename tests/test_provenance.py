@@ -22,7 +22,6 @@ from repro.obs import (
     VerdictProvenance,
     build_chrome_trace,
     build_run_report,
-    critical_path_summary,
     diff_reports,
     render_provenance,
 )
@@ -182,8 +181,7 @@ def test_explain_cli_unknown_url_exits_2(tmp_path, capsys, recorded_run):
 # ----------------------------------------------------------------------
 def test_chrome_trace_structure(recorded_run):
     pipeline, _outcome = recorded_run
-    trace = build_chrome_trace(pipeline.observer,
-                               execution=pipeline.last_scan_execution)
+    trace = build_chrome_trace(pipeline.observer)
     events = trace["traceEvents"]
     assert events and trace["displayTimeUnit"] == "ms"
     for event in events:
@@ -201,40 +199,6 @@ def test_chrome_trace_structure(recorded_run):
     assert labels["thread_name"] == "main"
     # the whole trace is JSON-serializable
     json.dumps(trace)
-
-
-def test_chrome_trace_shard_tracks_and_critical_path():
-    observer = RunObserver()
-    pipeline, _outcome = _recorded_pipeline(workers=4, observer=observer)
-    execution = pipeline.last_scan_execution
-    assert execution is not None
-    trace = build_chrome_trace(observer, execution=execution)
-    shard_events = [e for e in trace["traceEvents"]
-                    if e["ph"] == "X" and e["cat"] == "scanexec"]
-    assert len(shard_events) == len(execution.shard_stats)
-    tids = {e["tid"] for e in shard_events}
-    assert tids == {1 + s.worker for s in execution.shard_stats}
-    assert all(tid >= 1 for tid in tids)
-    worker_labels = {e["tid"] for e in trace["traceEvents"]
-                     if e["ph"] == "M" and e["name"] == "thread_name"
-                     and e["tid"] != 0}
-    assert worker_labels == tids
-    for event in shard_events:
-        assert event["args"]["urls"] > 0
-        assert event["args"]["slowest_url"]
-
-    summary = critical_path_summary(execution)
-    assert len(summary["shards"]) == len(execution.shard_stats)
-    assert summary["critical_worker"] in {s.worker for s in execution.shard_stats}
-    busiest_end = max(s["busy_seconds"] for s in summary["shards"])
-    assert summary["critical_seconds"] >= busiest_end
-    assert summary["critical_shards"]
-
-
-def test_critical_path_summary_empty_execution():
-    summary = critical_path_summary(object())
-    assert summary == {"shards": [], "critical_worker": -1,
-                       "critical_seconds": 0.0, "critical_shards": []}
 
 
 # ----------------------------------------------------------------------

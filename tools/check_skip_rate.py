@@ -26,15 +26,18 @@ DEFAULT_BASELINE = "benchmarks/skip_rate_baseline.json"
 
 
 def run_pipeline(seed: int, scale: float, static_prefilter: bool):
+    from dataclasses import replace
+
     from repro import MalwareSlumsStudy, StudyConfig
-    from repro.crawler import CrawlPipeline, PipelineOptions
+    from repro.crawler import CrawlPipeline
     from repro.obs import RunObserver
 
-    study = MalwareSlumsStudy(StudyConfig(seed=seed, scale=scale))
-    web = study.generate_web()
+    config = StudyConfig(seed=seed, scale=scale)
+    web = MalwareSlumsStudy(config).generate_web()
     observer = RunObserver()
-    pipeline = CrawlPipeline(web, PipelineOptions(
-        seed=seed + 61, observer=observer, static_prefilter=static_prefilter))
+    pipeline = CrawlPipeline(web, replace(
+        config.pipeline_options(observer=observer),
+        static_prefilter=static_prefilter))
     outcome = pipeline.run()
     verdicts = {url: verdict.malicious
                 for url, verdict in outcome.verdicts.items()}
