@@ -4,7 +4,8 @@ Provides everything the paper's behavioural/static JS analysis needs:
 
 * :func:`repro.jsengine.parser.parse` — ES5-subset parser,
 * :class:`repro.jsengine.interpreter.Interpreter` — sandboxed
-  tree-walking execution, the one JS engine; its
+  tree-walking execution, the one JS engine and evaluator (the staticjs
+  abstract machine subclasses it); its
   :func:`~repro.jsengine.interpreter.evaluate_binary` is the one
   implementation of JS operator semantics (static analysis folds
   through it too),

@@ -12,13 +12,20 @@ Safety properties:
 * no host filesystem/network access exists unless a host object grants it,
 * thrown JS values never escape as Python exceptions other than
   :class:`~repro.jsengine.values.JSException`.
+
+This is the repo's one JS evaluator.  The static pre-filter's abstract
+machine (:class:`repro.staticjs.absint.AbstractMachine`) subclasses
+:class:`Interpreter` and overrides only its value hooks — branch and
+loop tests, member keys, reads and writes, operators, ``throw``,
+``for-in``, ``new``, calls, ``eval``, compilation and the step tick —
+plus its global :class:`Environment`, so the two cannot drift apart.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from . import nodes as N
 from .builtins import get_member, make_global_builtins
@@ -84,6 +91,15 @@ class Environment:
             env = env.parent
         return False
 
+    def find(self, name: str) -> Optional["Environment"]:
+        """The scope that binds ``name``, or None."""
+        env: Optional[Environment] = self
+        while env is not None:
+            if name in env.vars:
+                return env
+            env = env.parent
+        return None
+
     def assign(self, name: str, value: Any) -> None:
         env: Optional[Environment] = self
         while env is not None:
@@ -99,6 +115,10 @@ class Environment:
 
     def declare(self, name: str, value: Any = UNDEFINED) -> None:
         self.vars[name] = value
+
+    def child(self) -> "Environment":
+        """A new scope nested in this one, of this scope's class."""
+        return type(self)(self)
 
 
 class Interpreter:
@@ -197,7 +217,7 @@ class Interpreter:
         if callable(fn) and not isinstance(fn, JSFunction):
             return fn(*args)
         if isinstance(fn, JSFunction):
-            env = Environment(fn.env)
+            env = fn.env.child()
             for index, param in enumerate(fn.params):
                 env.declare(param, args[index] if index < len(args) else UNDEFINED)
             env.declare("arguments", JSArray(list(args)))
@@ -209,7 +229,7 @@ class Interpreter:
             except _Return as ret:
                 return ret.value
             return UNDEFINED
-        raise JSException("TypeError: %s is not a function" % to_string(fn))
+        raise JSException("TypeError: %s is not a function" % self._to_string(fn))
 
     # ------------------------------------------------------------------
     # Internals
@@ -218,6 +238,75 @@ class Interpreter:
         self.steps += 1
         if self.steps > self.step_budget:
             raise BudgetExceeded("step budget of %d exceeded" % self.step_budget)
+
+    # -- value hooks --------------------------------------------------------
+    # Every point where the evaluator inspects a value to pick a path or
+    # perform an effect goes through one of these methods, so the
+    # abstract machine in :mod:`repro.staticjs.absint` reuses this
+    # evaluator and overrides only them.
+    #: ToBoolean of an ``if``/``?:``/``&&``/``||`` test or a switch match
+    _truthy = staticmethod(to_boolean)
+    #: ToString of a computed member key
+    _member_key = staticmethod(to_string)
+    #: ToString of a value named in a TypeError message
+    _to_string = staticmethod(to_string)
+
+    def _loop_test(self, node: N.Node, env: Environment, value: Any, iterations: int) -> bool:
+        """ToBoolean of a loop's test (``True`` for a ``for`` without
+        one) after ``iterations`` runs of its body."""
+        return to_boolean(value)
+
+    def _for_in_keys(self, obj: Any) -> List[str]:
+        if isinstance(obj, JSArray):
+            return [str(i) for i in range(len(obj.elements))]
+        if isinstance(obj, JSObject):
+            return obj.keys()
+        if hasattr(obj, "js_keys"):
+            return list(obj.js_keys())
+        return []
+
+    def _thrown(self, value: Any) -> Any:
+        """The value a ``throw`` statement raises."""
+        return value
+
+    def _get_member(self, obj: Any, prop: str) -> Any:
+        return get_member(self, obj, prop)
+
+    def _get_method(self, obj: Any, prop: str) -> Any:
+        """``obj[prop]`` read as the callee of a method call."""
+        return get_member(self, obj, prop)
+
+    def _set_member(self, obj: Any, prop: str, value: Any) -> None:
+        if hasattr(obj, "js_set"):
+            obj.js_set(prop, value)
+
+    def _delete_member(self, obj: Any, prop: str) -> None:
+        if isinstance(obj, JSObject):
+            obj.js_delete(prop)
+
+    def _unary(self, operator: str, value: Any) -> Any:
+        return evaluate_unary(operator, value)
+
+    def _increment(self, operator: str, value: Any) -> Tuple[Any, Any]:
+        """``value`` as a number, and that number after ``++``/``--``."""
+        old = to_number(value)
+        return old, (old + 1 if operator == "++" else old - 1)
+
+    def _eval_binary(self, operator: str, left: Any, right: Any) -> Any:
+        return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
+
+    def _construct(self, callee: Any, args: List[Any]) -> Any:
+        """``new callee(...args)``."""
+        if isinstance(callee, JSFunction):
+            instance = JSObject()
+            return self._constructed(self.call_function(callee, args, this=instance), instance)
+        if callable(callee):
+            return self.call_function(callee, args)
+        raise JSException("TypeError: %s is not a constructor" % self._to_string(callee))
+
+    def _constructed(self, result: Any, instance: JSObject) -> Any:
+        """A constructor's value: its returned object, else ``instance``."""
+        return result if isinstance(result, (JSObject, JSArray)) else instance
 
     def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
         """The ``eval`` global: executes in the global scope and logs the
@@ -283,7 +372,7 @@ class Interpreter:
         if kind is N.VarDecl:
             for name, init in node.declarations:
                 value = self._eval(init, env) if init is not None else UNDEFINED
-                env.declare(name, value) if not env.has(name) else env.assign(name, value)
+                (env.find(name) or env).declare(name, value)
             return UNDEFINED
         if kind is N.FunctionDecl:
             env.declare(node.name, JSFunction(node.name, node.params, node.body, env))
@@ -294,13 +383,15 @@ class Interpreter:
                 result = self._exec(statement, env)
             return result
         if kind is N.If:
-            if to_boolean(self._eval(node.test, env)):
+            if self._truthy(self._eval(node.test, env)):
                 return self._exec(node.consequent, env)
             if node.alternate is not None:
                 return self._exec(node.alternate, env)
             return UNDEFINED
         if kind is N.While:
-            while to_boolean(self._eval(node.test, env)):
+            iterations = 0
+            while self._loop_test(node, env, self._eval(node.test, env), iterations):
+                iterations += 1
                 self._tick()
                 try:
                     self._exec(node.body, env)
@@ -310,7 +401,9 @@ class Interpreter:
                     continue
             return UNDEFINED
         if kind is N.DoWhile:
+            iterations = 0
             while True:
+                iterations += 1
                 self._tick()
                 try:
                     self._exec(node.body, env)
@@ -318,13 +411,15 @@ class Interpreter:
                     break
                 except _Continue:
                     pass
-                if not to_boolean(self._eval(node.test, env)):
+                if not self._loop_test(node, env, self._eval(node.test, env), iterations):
                     break
             return UNDEFINED
         if kind is N.For:
             if node.init is not None:
                 self._exec(node.init, env) if isinstance(node.init, (N.VarDecl, N.ExpressionStatement)) else self._eval(node.init, env)
-            while node.test is None or to_boolean(self._eval(node.test, env)):
+            iterations = 0
+            while self._loop_test(node, env, True if node.test is None else self._eval(node.test, env), iterations):
+                iterations += 1
                 self._tick()
                 try:
                     self._exec(node.body, env)
@@ -334,19 +429,10 @@ class Interpreter:
                     pass
                 if node.update is not None:
                     self._eval(node.update, env)
-            else:
-                return UNDEFINED
             return UNDEFINED
         if kind is N.ForIn:
-            obj = self._eval(node.obj, env)
-            keys: List[str] = []
-            if isinstance(obj, JSArray):
-                keys = [str(i) for i in range(len(obj.elements))]
-            elif isinstance(obj, JSObject):
-                keys = obj.keys()
-            elif hasattr(obj, "js_keys"):
-                keys = list(obj.js_keys())
-            if node.declare and not env.has(node.target):
+            keys = self._for_in_keys(self._eval(node.obj, env))
+            if node.declare and env.find(node.target) is None:
                 env.declare(node.target)
             for key in keys:
                 env.assign(node.target, key)
@@ -366,13 +452,13 @@ class Interpreter:
         if kind is N.Continue:
             raise _Continue()
         if kind is N.Throw:
-            raise JSException(self._eval(node.argument, env))
+            raise JSException(self._thrown(self._eval(node.argument, env)))
         if kind is N.Try:
             try:
                 self._exec(node.block, env)
             except JSException as exc:
                 if node.catch_block is not None:
-                    catch_env = Environment(env)
+                    catch_env = env.child()
                     catch_env.declare(node.catch_param or "e", exc.value)
                     self._exec(node.catch_block, catch_env)
             finally:
@@ -385,7 +471,8 @@ class Interpreter:
             try:
                 for case in node.cases:
                     if not matched and case.test is not None:
-                        if strict_equals(discriminant, self._eval(case.test, env)):
+                        test = self._eval(case.test, env)
+                        if self._truthy(self._eval_binary("===", discriminant, test)):
                             matched = True
                     if matched:
                         for statement in case.body:
@@ -437,7 +524,7 @@ class Interpreter:
         if kind is N.FunctionExpr:
             fn = JSFunction(node.name, node.params, node.body, env)
             if node.name:
-                fn_env = Environment(env)
+                fn_env = env.child()
                 fn_env.declare(node.name, fn)
                 fn.env = fn_env
             return fn
@@ -449,11 +536,12 @@ class Interpreter:
             return self._eval_binary(node.operator, self._eval(node.left, env), self._eval(node.right, env))
         if kind is N.Logical:
             left = self._eval(node.left, env)
+            test = self._truthy(left)
             if node.operator == "&&":
-                return self._eval(node.right, env) if to_boolean(left) else left
-            return left if to_boolean(left) else self._eval(node.right, env)
+                return self._eval(node.right, env) if test else left
+            return left if test else self._eval(node.right, env)
         if kind is N.Conditional:
-            if to_boolean(self._eval(node.test, env)):
+            if self._truthy(self._eval(node.test, env)):
                 return self._eval(node.consequent, env)
             return self._eval(node.alternate, env)
         if kind is N.Assignment:
@@ -464,8 +552,8 @@ class Interpreter:
             return self._eval_new(node, env)
         if kind is N.Member:
             obj = self._eval(node.obj, env)
-            prop = to_string(self._eval(node.prop, env)) if node.computed else node.prop.value  # type: ignore[union-attr]
-            return get_member(self, obj, prop)
+            prop = self._member_key(self._eval(node.prop, env)) if node.computed else node.prop.value  # type: ignore[union-attr]
+            return self._get_member(obj, prop)
         if kind is N.Sequence:
             result: Any = UNDEFINED
             for expression in node.expressions:
@@ -475,27 +563,19 @@ class Interpreter:
 
     def _eval_unary(self, node: N.Unary, env: Environment) -> Any:
         operator = node.operator
-        if operator == "typeof":
-            if isinstance(node.argument, N.Identifier) and not env.has(node.argument.name):
-                return "undefined"
-            return type_of(self._eval(node.argument, env))
+        argument = node.argument
         if operator == "delete":
-            if isinstance(node.argument, N.Member):
-                obj = self._eval(node.argument.obj, env)
-                prop = (
-                    to_string(self._eval(node.argument.prop, env))
-                    if node.argument.computed
-                    else node.argument.prop.value  # type: ignore[union-attr]
-                )
-                if isinstance(obj, JSObject):
-                    obj.js_delete(prop)
-                return True
+            if isinstance(argument, N.Member):
+                obj = self._eval(argument.obj, env)
+                prop = self._member_key(self._eval(argument.prop, env)) if argument.computed else argument.prop.value  # type: ignore[union-attr]
+                self._delete_member(obj, prop)
             return True
-        return evaluate_unary(operator, self._eval(node.argument, env))
+        if operator == "typeof" and isinstance(argument, N.Identifier) and not env.has(argument.name):
+            return "undefined"
+        return self._unary(operator, self._eval(argument, env))
 
     def _eval_update(self, node: N.Update, env: Environment) -> Any:
-        old = to_number(self._read_target(node.argument, env))
-        new = old + 1 if node.operator == "++" else old - 1
+        old, new = self._increment(node.operator, self._read_target(node.argument, env))
         self._write_target(node.argument, new, env)
         return new if node.prefix else old
 
@@ -504,8 +584,8 @@ class Interpreter:
             return env.lookup(target.name) if env.has(target.name) else UNDEFINED
         if isinstance(target, N.Member):
             obj = self._eval(target.obj, env)
-            prop = to_string(self._eval(target.prop, env)) if target.computed else target.prop.value  # type: ignore[union-attr]
-            return get_member(self, obj, prop)
+            prop = self._member_key(self._eval(target.prop, env)) if target.computed else target.prop.value  # type: ignore[union-attr]
+            return self._get_member(obj, prop)
         raise JSException("invalid update target")
 
     def _write_target(self, target: N.Node, value: Any, env: Environment) -> None:
@@ -514,9 +594,8 @@ class Interpreter:
             return
         if isinstance(target, N.Member):
             obj = self._eval(target.obj, env)
-            prop = to_string(self._eval(target.prop, env)) if target.computed else target.prop.value  # type: ignore[union-attr]
-            if hasattr(obj, "js_set"):
-                obj.js_set(prop, value)
+            prop = self._member_key(self._eval(target.prop, env)) if target.computed else target.prop.value  # type: ignore[union-attr]
+            self._set_member(obj, prop, value)
             return
         raise JSException("invalid assignment target")
 
@@ -530,41 +609,29 @@ class Interpreter:
         self._write_target(node.target, value, env)
         return value
 
-    def _eval_binary(self, operator: str, left: Any, right: Any) -> Any:
-        return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
-
     def _eval_call(self, node: N.Call, env: Environment) -> Any:
         args = [self._eval(arg, env) for arg in node.arguments]
-        if isinstance(node.callee, N.Member):
-            obj = self._eval(node.callee.obj, env)
-            prop = (
-                to_string(self._eval(node.callee.prop, env))
-                if node.callee.computed
-                else node.callee.prop.value  # type: ignore[union-attr]
-            )
-            fn = get_member(self, obj, prop)
-            return self.call_function(fn, args, this=obj)
-        fn = self._eval(node.callee, env)
-        return self.call_function(fn, args, this=UNDEFINED)
+        callee = node.callee
+        if isinstance(callee, N.Member):
+            obj = self._eval(callee.obj, env)
+            prop = self._member_key(self._eval(callee.prop, env)) if callee.computed else callee.prop.value  # type: ignore[union-attr]
+            return self.call_function(self._get_method(obj, prop), args, this=obj)
+        return self.call_function(self._eval(callee, env), args, this=UNDEFINED)
 
     def _eval_new(self, node: N.New, env: Environment) -> Any:
         callee = self._eval(node.callee, env)
-        args = [self._eval(arg, env) for arg in node.arguments]
-        if isinstance(callee, NativeFunction) or (callable(callee) and not isinstance(callee, JSFunction)):
-            return callee(*args)
-        if isinstance(callee, JSFunction):
-            instance = JSObject()
-            result = self.call_function(callee, args, this=instance)
-            return result if isinstance(result, (JSObject, JSArray)) else instance
-        raise JSException("TypeError: %s is not a constructor" % to_string(callee))
+        return self._construct(callee, [self._eval(arg, env) for arg in node.arguments])
 
 
 def evaluate_unary(operator: str, value: Any) -> Any:
     """Semantics of the unary operators that act on a value.
 
-    ``typeof`` and ``delete`` inspect their operand's binding, not its
-    value, so each evaluator handles those two itself.
+    ``delete`` acts on a member reference, and ``typeof`` of an
+    undeclared name never reads a value, so the evaluator handles those
+    cases itself.
     """
+    if operator == "typeof":
+        return type_of(value)
     if operator == "!":
         return not to_boolean(value)
     if operator == "-":

@@ -2,12 +2,17 @@
 
 The honeyclient sandbox (:mod:`repro.jsengine`) is the ground truth for
 script behaviour, but running it dominates scan cost.  This module
-re-executes scripts *abstractly*: concrete values flow exactly as they
-do in :class:`repro.jsengine.interpreter.Interpreter` (same coercions,
-same budgets, same error strings), while anything the static analysis
-cannot know — the hosting page's DOM, ``Math.random``, timer ids —
-becomes an element of the abstract domain in
-:mod:`repro.staticjs.domains`.
+re-executes scripts *abstractly* on the sandbox's own evaluator:
+:class:`AbstractMachine` subclasses
+:class:`repro.jsengine.interpreter.Interpreter`, so statements,
+expressions, scopes, calls and ``eval`` run the same code with the
+same coercions, step counts and error strings, and a change to JS
+semantics lands in both at once.  Anything the static analysis cannot
+know — the hosting page's DOM, ``Math.random``, timer ids — becomes an
+element of the abstract domain in :mod:`repro.staticjs.domains`, and
+the machine overrides only the interpreter's value hooks, where such a
+value could change the path.  The host objects below mirror
+:class:`repro.jsengine.hostenv.BrowserHost` over an unknown page.
 
 The machine is *effect-complete or honest*: either it finishes the
 script (and the two lifecycle events the page driver fires) having
@@ -27,15 +32,14 @@ summary incomplete.
 from __future__ import annotations
 
 import math
-import random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..htmlparse import Element, parse_fragment, serialize_children
 from ..jsengine import nodes as N
-from ..jsengine.builtins import _int_or, get_member, make_global_builtins
+from ..jsengine.builtins import _int_or
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from ..jsengine.deobfuscate import DECODER_NAMES
-from ..jsengine.interpreter import Interpreter, evaluate_binary, evaluate_unary
+from ..jsengine.interpreter import _Break, _Continue, Environment, Interpreter
 from ..jsengine.values import (
     UNDEFINED,
     JSArray,
@@ -43,10 +47,8 @@ from ..jsengine.values import (
     JSFunction,
     JSObject,
     NativeFunction,
-    to_boolean,
     to_number,
     to_string,
-    type_of,
 )
 from . import cfg as cfgmod
 from .callgraph import CallGraph, build_call_graph, recursion_limit_for
@@ -85,7 +87,6 @@ PAGE_STEP_BUDGET = 150_000
 EVENT_PHASES = ("load", "click", "mousemove")
 
 _MAX_AST_DEPTH = 120
-_MAX_NODE_NESTING = 300
 _MAX_EVAL_DEPTH = 8
 _CALL_DEPTH_DEFAULT = 48
 _CALL_DEPTH_RECURSIVE = 20
@@ -104,40 +105,49 @@ class _Abort(Exception):
         self.reason = reason
 
 
-class _Break(Exception):
-    pass
+class _Scope(Environment):
+    """An :class:`~repro.jsengine.interpreter.Environment` that records
+    the names a script reads and writes in the global scope.
 
-
-class _Continue(Exception):
-    pass
-
-
-class _Return(Exception):
-    def __init__(self, value: Any) -> None:
-        super().__init__("return")
-        self.value = value
-
-
-class _Env:
-    """Mirror of :class:`repro.jsengine.interpreter.Environment`.
-
-    Resolution order and implicit-global behaviour are identical; the
-    machine layers read/write tracking on top (see
-    :meth:`AbstractMachine._lookup` and friends) rather than here so
-    builtin installation can bypass it.
+    A name is global when no scope below the root binds it.  ``reads``
+    and ``writes`` live on the root scope only; :meth:`find` records
+    nothing, so ``var`` and ``for-in`` declarations probe the chain
+    without counting as reads.
     """
 
-    __slots__ = ("vars", "parent")
+    __slots__ = ("reads", "writes")
 
-    def __init__(self, parent: Optional["_Env"] = None) -> None:
-        self.vars: Dict[str, Any] = {}
-        self.parent = parent
-
-    def root(self) -> "_Env":
-        env: _Env = self
-        while env.parent is not None:
+    def _resolve(self, name: str) -> Any:
+        """The innermost scope binding ``name``, else the root."""
+        env: Any = self
+        while env.parent is not None and name not in env.vars:
             env = env.parent
         return env
+
+    def lookup(self, name: str) -> Any:
+        env = self._resolve(name)
+        if env.parent is None:
+            env.reads.add(name)
+        if name in env.vars:
+            return env.vars[name]
+        return Environment.lookup(env, name)  # the ReferenceError
+
+    def has(self, name: str) -> bool:
+        env = self._resolve(name)
+        if env.parent is None:
+            env.reads.add(name)
+        return name in env.vars
+
+    def assign(self, name: str, value: Any) -> None:
+        env = self._resolve(name)
+        if env.parent is None:
+            env.writes.add(name)
+        env.vars[name] = value
+
+    def declare(self, name: str, value: Any = UNDEFINED) -> None:
+        if self.parent is None:
+            self.writes.add(name)
+        self.vars[name] = value
 
 
 class HostNative(NativeFunction):
@@ -1121,9 +1131,9 @@ _ENCODE_FACTOR = {"escape": 6.0, "encodeURIComponent": 12.0,
 #: round, sqrt and pow raise ValueError/OverflowError on NaN/Infinity)
 _TOTAL_MATH = {"Math.abs", "Math.max", "Math.min", "Math.random"}
 
-#: decoder natives whose concrete execution is recorded as a
-#: deobfuscation step (shared vocabulary with jsengine.deobfuscate)
-_DECODER_NAMES = DECODER_NAMES
+#: :meth:`AbstractMachine._summarise_call`'s answer when a builtin may
+#: run on the sandbox's own path
+_RUN_CONCRETELY = object()
 
 _INT32 = Interval(-2147483648.0, 2147483647.0)
 _UINT32 = Interval(0.0, 4294967295.0)
@@ -1141,6 +1151,12 @@ def _primitive_like(value: Any) -> bool:
 
 def _function_like(value: Any) -> bool:
     return isinstance(value, (JSFunction, NativeFunction)) or callable(value)
+
+
+def _peek(env: Environment, name: str) -> Any:
+    """``name``'s value without recording a read (UNDEFINED if unbound)."""
+    scope = env.find(name)
+    return scope.vars[name] if scope is not None else UNDEFINED
 
 
 def _same_abstract(a: Any, b: Any) -> bool:
@@ -1195,61 +1211,58 @@ def _widen_plan(node: N.Node) -> List[str]:
     return names
 
 
-class AbstractMachine:
-    """Tick-for-tick abstract mirror of the sandbox interpreter.
+class AbstractMachine(Interpreter):
+    """The sandbox interpreter, run over abstract values.
 
-    Concrete values take exactly the sandbox's paths (same coercions
-    from :mod:`repro.jsengine.values`, same operator functions
-    ``evaluate_binary``/``evaluate_unary``, same builtin implementations);
-    abstract values take the domain paths; anything unmirrorable raises
-    :class:`_Abort`.
+    Statements, expressions, scopes, hoisting, calls and ``eval`` are
+    :class:`~repro.jsengine.interpreter.Interpreter`'s own, so concrete
+    values take exactly the sandbox's paths and the step count matches
+    tick for tick.  The machine overrides only the evaluator's value
+    hooks, where an abstract value (:mod:`repro.staticjs.domains`) or an
+    opaque page object could change the path: each takes the domain
+    path, or raises :class:`_Abort` when the sandbox's behaviour cannot
+    be known.
     """
 
-    #: the machine applies the sandbox's allocation guard on concrete
-    #: concatenation
-    MAX_STRING_LENGTH = Interpreter.MAX_STRING_LENGTH
-
     def __init__(self, source: str,
-                 call_graph: Optional[CallGraph] = None,
                  compile_cache: Optional[CompileCache] = None) -> None:
         self.source = source
-        #: the pipeline's AST memo: every source the machine runs (the
-        #: script, written inline scripts, timer strings, eval payloads)
-        #: reuses a cached AST and is parsed afresh only when uncached
-        self.compile_cache = compile_cache
         self.host = AbstractHost()
         self.host.machine = self
-        self.rng = random.Random(0)
-        self.steps = 0
-        self.step_budget = MACHINE_STEP_LIMIT
         self.call_depth = 0
-        self.eval_depth = 0
-        self.max_eval_depth = 0
-        self.eval_sources: List[str] = []
+        self.call_depth_limit = _CALL_DEPTH_DEFAULT
         self.decoders_used: Set[str] = set()
         self.widenings = 0
         self.widened_heads: List[int] = []
         self.incomplete_reasons: List[str] = []
-        self.global_reads: Set[str] = set()
-        self.global_writes: Set[str] = set()
-        self.global_env = _Env()
-        self._call_graph = call_graph
+        self._call_graph: Optional[CallGraph] = None
         self._program: Optional[N.Program] = None
         self._loop_heads: Optional[Dict[int, int]] = None
-        self.call_depth_limit = _CALL_DEPTH_DEFAULT
-        self._install_globals()
-
-    # -- global environment -----------------------------------------------
-    def _install_globals(self) -> None:
-        env = self.global_env
-        host = self.host
-        for name, value in make_global_builtins(self).items():
-            env.vars[name] = value  # untracked: pre-script state
-        math_obj = env.vars.get("Math")
+        # compile_cache is the pipeline's AST memo: every source the
+        # machine runs (the script, written inline scripts, timer
+        # strings, eval payloads) reuses a cached AST and is parsed
+        # afresh only when uncached
+        super().__init__(host_globals=self._host_globals(),
+                         step_budget=MACHINE_STEP_LIMIT,
+                         compile_cache=compile_cache)
+        bindings = self.global_env.vars
+        math_obj = bindings.get("Math")
         if isinstance(math_obj, JSObject):
             math_obj.properties["random"] = _host_fn(
                 "Math.random", lambda: number(Interval(0.0, 1.0)))
-        env.vars["eval"] = HostNative("eval", self._eval_builtin)
+        bindings["eval"] = HostNative("eval", self._eval_builtin)
+        # the bindings installed so far are pre-script state; from here
+        # the global scope records the script's reads and writes
+        self.global_reads: Set[str] = set()
+        self.global_writes: Set[str] = set()
+        scope = _Scope()
+        scope.vars = bindings
+        scope.reads, scope.writes = self.global_reads, self.global_writes
+        self.global_env = scope
+
+    # -- global environment -----------------------------------------------
+    def _host_globals(self) -> Dict[str, Any]:
+        host = self.host
 
         def window_open(url: Any = UNDEFINED, *rest: Any) -> Any:
             host.log.popups.append(host.concrete_text(url, "abstract-url"))
@@ -1278,7 +1291,8 @@ class AbstractMachine:
         })
         screen = JSObject({"width": 1366.0, "height": 768.0,
                            "colorDepth": 24.0})
-        for name, value in {
+        window = _AbstractWindow(host)
+        return {
             "document": host.document,
             "location": host.location,
             "navigator": navigator,
@@ -1297,52 +1311,11 @@ class AbstractMachine:
             "Date": _host_fn("Date", date_ctor),
             "console": JSObject({"log": _host_fn("log",
                                                  lambda *a: UNDEFINED)}),
-        }.items():
-            env.vars[name] = value
-        window = _AbstractWindow(host)
-        for name in ("window", "self", "top", "parent"):
-            env.vars[name] = window
-
-    # -- tracked environment operations ------------------------------------
-    def _lookup(self, name: str, env: _Env) -> Any:
-        scope: Optional[_Env] = env
-        while scope is not None:
-            if name in scope.vars:
-                if scope.parent is None:
-                    self.global_reads.add(name)
-                return scope.vars[name]
-            scope = scope.parent
-        self.global_reads.add(name)
-        raise JSException("ReferenceError: %s is not defined" % name)
-
-    def _has(self, name: str, env: _Env, tracked: bool = True) -> bool:
-        scope: Optional[_Env] = env
-        while scope is not None:
-            if name in scope.vars:
-                if scope.parent is None and tracked:
-                    self.global_reads.add(name)
-                return True
-            scope = scope.parent
-        if tracked:
-            self.global_reads.add(name)
-        return False
-
-    def _assign(self, name: str, value: Any, env: _Env) -> None:
-        scope: Optional[_Env] = env
-        while scope is not None:
-            if name in scope.vars:
-                if scope.parent is None:
-                    self.global_writes.add(name)
-                scope.vars[name] = value
-                return
-            scope = scope.parent
-        self.global_writes.add(name)
-        env.root().vars[name] = value
-
-    def _declare(self, name: str, value: Any, env: _Env) -> None:
-        if env.parent is None:
-            self.global_writes.add(name)
-        env.vars[name] = value
+            "window": window,
+            "self": window,
+            "top": window,
+            "parent": window,
+        }
 
     def window_get(self, name: str) -> Any:
         """Mirror of _WindowObject.js_get over the (root) global scope."""
@@ -1390,7 +1363,7 @@ class AbstractMachine:
             steps=self.steps,
             widenings=self.widenings,
             widened_heads=self.widened_heads,
-            eval_sources=self.eval_sources,
+            eval_sources=self.eval_log,
             max_eval_depth=self.max_eval_depth,
             redirect_targets=self.host.redirect_targets,
             decoders_used=self.decoders_used,
@@ -1407,7 +1380,7 @@ class AbstractMachine:
 
     def _run_recovered(self, source: str) -> None:
         try:
-            self._run(source)
+            self.run(source)
         except _Abort:
             raise
         except RecursionError:
@@ -1415,22 +1388,22 @@ class AbstractMachine:
         except Exception as exc:  # noqa: BLE001 - sandbox records errors
             self.host.log.errors.append("%s: %s" % (type(exc).__name__, exc))
 
-    def _run(self, source: str) -> Any:
-        """Mirror of Interpreter.run/run_program."""
+    def _compile(self, source: str) -> N.Program:
+        """The cached AST, without counting a compile, within the
+        machine's AST depth bound."""
         program = parse_reusing(source, self.compile_cache)
         self._check_ast_depth(program.body)
+        return program
+
+    def run_program(self, program: N.Program) -> Any:
         if self._program is None:
+            # the first program run is the script itself
             self._program = program
-            if self._call_graph is None:
-                self._call_graph = build_call_graph(program)
+            self._call_graph = build_call_graph(program)
             self.call_depth_limit = recursion_limit_for(
                 self._call_graph, default=_CALL_DEPTH_DEFAULT,
                 recursive_cap=_CALL_DEPTH_RECURSIVE)
-        self._hoist(program.body, self.global_env)
-        result: Any = UNDEFINED
-        for statement in program.body:
-            result = self._exec(statement, self.global_env)
-        return result
+        return super().run_program(program)
 
     def _fire_event(self, event: str) -> None:
         """Mirror of BrowserHost.fire_event over the machine's handlers."""
@@ -1461,7 +1434,7 @@ class AbstractMachine:
         self.host.log.timeouts_scheduled += 1
         if isinstance(handler, str):
             try:
-                self._run(handler)
+                self.run(handler)
             except _Abort:
                 raise
             except RecursionError:
@@ -1484,27 +1457,12 @@ class AbstractMachine:
         return NUM_TOP
 
     def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
-        """Mirror of Interpreter._eval_builtin (the ``eval`` global)."""
         if is_abstract(source):
             raise _Abort("abstract-eval")
-        if not isinstance(source, str):
-            return source
-        self.eval_sources.append(source)
-        if self.eval_depth >= _MAX_EVAL_DEPTH:
+        if isinstance(source, str) and self.eval_depth >= _MAX_EVAL_DEPTH:
+            self.eval_log.append(source)
             raise _Abort("eval-depth")
-        program = parse_reusing(source, self.compile_cache)
-        self._check_ast_depth(program.body)
-        self._hoist(program.body, self.global_env)
-        result: Any = UNDEFINED
-        self.eval_depth += 1
-        if self.eval_depth > self.max_eval_depth:
-            self.max_eval_depth = self.eval_depth
-        try:
-            for statement in program.body:
-                result = self._exec(statement, self.global_env)
-        finally:
-            self.eval_depth -= 1
-        return result
+        return super()._eval_builtin(source)
 
     # -- guards ------------------------------------------------------------
     def _tick(self) -> None:
@@ -1541,76 +1499,57 @@ class AbstractMachine:
                       this: Any = UNDEFINED) -> Any:
         if is_abstract(fn) or _is_opaque(fn):
             raise _Abort("abstract-callee")
-        if isinstance(fn, NativeFunction):
-            return self._call_native(fn, args, this)
-        if callable(fn) and not isinstance(fn, JSFunction):
-            return self._call_host_callable(fn, args)
         if isinstance(fn, JSFunction):
             if self.call_depth >= self.call_depth_limit:
                 raise _Abort("call-depth")
-            env = _Env(fn.env)
-            for index, param in enumerate(fn.params):
-                env.vars[param] = args[index] if index < len(args) else UNDEFINED
-            env.vars["arguments"] = JSArray(list(args))
-            env.vars["this"] = this
-            self._hoist(fn.body, env)
             self.call_depth += 1
             try:
-                for statement in fn.body:
-                    self._exec(statement, env)
-            except _Return as ret:
-                return ret.value
+                return super().call_function(fn, args, this)
             finally:
                 self.call_depth -= 1
-            return UNDEFINED
-        raise JSException(
-            "TypeError: %s is not a function" % self._to_str_guard(fn))
+        if callable(fn) and not getattr(fn, "_host_native", False):
+            summary = self._summarise_call(fn, args, this)
+            if summary is not _RUN_CONCRETELY:
+                return summary
+        return super().call_function(fn, args, this)
 
-    def _call_host_callable(self, fn: Any, args: List[Any]) -> Any:
-        """The interpreter's ``callable and not JSFunction`` branch —
-        host constructors and _CallableWithProps."""
-        if getattr(fn, "_host_native", False):
-            return fn(*args)
-        if any(_nodelist_tainted(arg) for arg in args):
-            raise _Abort("opaque-nodelist")
-        if not any(contains_abstract(arg) for arg in args):
-            return fn(*args)
-        name = getattr(fn, "name", "")
-        if name == "String":
-            # total: refine the length bound when the input is a string
-            first = args[0] if args else UNDEFINED
-            if is_abstract(first) and first.kind == "string":
-                return string(first.max_len)
-            return STR_TOP
-        kind = _PURE_GLOBAL_KIND.get(name)
-        if kind is not None:
-            return kind
-        raise _Abort("abstract-native")
-
-    def _call_native(self, fn: NativeFunction, args: List[Any],
-                     this: Any = UNDEFINED) -> Any:
+    def _summarise_call(self, fn: Any, args: List[Any], this: Any) -> Any:
+        """A builtin's result on abstract arguments or receiver, or
+        :data:`_RUN_CONCRETELY` when the sandbox's call can run as is."""
+        if not isinstance(fn, NativeFunction):
+            # host constructors and _CallableWithProps
+            if any(_nodelist_tainted(arg) for arg in args):
+                raise _Abort("opaque-nodelist")
+            if not any(contains_abstract(arg) for arg in args):
+                return _RUN_CONCRETELY
+            name = getattr(fn, "name", "")
+            if name == "String":
+                # total: refine the length bound when the input is a string
+                first = args[0] if args else UNDEFINED
+                if is_abstract(first) and first.kind == "string":
+                    return string(first.max_len)
+                return STR_TOP
+            kind = _PURE_GLOBAL_KIND.get(name)
+            if kind is not None:
+                return kind
+            raise _Abort("abstract-native")
         name = fn.name
-        if getattr(fn, "_host_native", False):
-            return fn.fn(*args)
         if name in ("Function.call", "Function.apply"):
             # pass-through: the wrapped JSFunction executes on this machine
-            return fn.fn(*args)
+            return _RUN_CONCRETELY
+        receiver = isinstance(this, (JSArray, JSObject))
         if any(_nodelist_tainted(arg) for arg in args) or (
-                isinstance(this, (JSArray, JSObject))
-                and _nodelist_tainted(this)):
+                receiver and _nodelist_tainted(this)):
             raise _Abort("opaque-nodelist")
-        receiver_abstract = contains_abstract(this) if isinstance(
-            this, (JSArray, JSObject)) else False
         args_abstract = any(contains_abstract(arg) for arg in args)
-        if not args_abstract and not receiver_abstract:
-            if name in _DECODER_NAMES:
+        if not args_abstract and not (receiver and contains_abstract(this)):
+            if name in DECODER_NAMES:
+                # a decoder run concretely is a deobfuscation step
                 self.decoders_used.add(name)
-            return fn.fn(*args)
-        return self._summarise_native(fn, name, args, this,
-                                      args_abstract)
+            return _RUN_CONCRETELY
+        return self._summarise_native(name, args, this, args_abstract)
 
-    def _summarise_native(self, fn: NativeFunction, name: str,
-                          args: List[Any], this: Any,
+    def _summarise_native(self, name: str, args: List[Any], this: Any,
                           args_abstract: bool) -> Any:
         if isinstance(this, JSArray):
             # structural array ops never coerce the (abstract) elements,
@@ -1619,10 +1558,10 @@ class AbstractMachine:
             if name in ("Array.push", "Array.unshift", "Array.pop",
                         "Array.shift", "Array.reverse", "Array.forEach",
                         "Array.map"):
-                return fn.fn(*args)
+                return _RUN_CONCRETELY
             if name in ("Array.slice", "Array.concat"):
                 if not args_abstract:
-                    return fn.fn(*args)
+                    return _RUN_CONCRETELY
                 return TOP
             if name in ("Array.join", "Array.toString"):
                 return STR_TOP
@@ -1675,263 +1614,56 @@ class AbstractMachine:
             return NUM_TOP
         raise _Abort("abstract-native")
 
-    # -- hoisting ----------------------------------------------------------
-    def _hoist(self, body: Sequence[N.Node], env: _Env) -> None:
-        for statement in body:
-            if isinstance(statement, N.FunctionDecl):
-                self._declare(statement.name,
-                              JSFunction(statement.name, statement.params,
-                                         statement.body, env), env)
-            elif isinstance(statement, N.VarDecl):
-                for name, _init in statement.declarations:
-                    if name not in env.vars:
-                        self._declare(name, UNDEFINED, env)
-            elif isinstance(statement, (N.If, N.While, N.DoWhile, N.For,
-                                        N.ForIn, N.Block, N.Try)):
-                self._hoist(self._nested_bodies(statement), env)
+    def _construct(self, callee: Any, args: List[Any]) -> Any:
+        if is_abstract(callee):
+            raise _Abort("abstract-callee")
+        return super()._construct(callee, args)
 
-    def _nested_bodies(self, statement: N.Node) -> List[N.Node]:
-        out: List[N.Node] = []
-        if isinstance(statement, N.Block):
-            out.extend(statement.body)
-        elif isinstance(statement, N.If):
-            for branch in (statement.consequent, statement.alternate):
-                if isinstance(branch, N.Block):
-                    out.extend(branch.body)
-                elif branch is not None:
-                    out.append(branch)
-        elif isinstance(statement, (N.While, N.DoWhile, N.For, N.ForIn)):
-            body = statement.body
-            if isinstance(body, N.Block):
-                out.extend(body.body)
-            else:
-                out.append(body)
-        elif isinstance(statement, N.Try):
-            for block in (statement.block, statement.catch_block,
-                          statement.finally_block):
-                if isinstance(block, N.Block):
-                    out.extend(block.body)
-        return out
+    def _constructed(self, result: Any, instance: JSObject) -> Any:
+        if is_abstract(result) and result.kind not in (
+                "number", "string", "boolean"):
+            raise _Abort("abstract-new")
+        return super()._constructed(result, instance)
 
-    # -- abstract truth / coercion helpers ---------------------------------
-    def _truth(self, value: Any) -> Optional[bool]:
-        """to_boolean, or None when the value is abstract.
-
-        Every non-abstract value — including opaque page elements, which
-        are objects on both sides — has a concrete truth value.
-        """
+    # -- control flow ------------------------------------------------------
+    def _truthy(self, value: Any) -> bool:
+        """to_boolean of a branch test; every non-abstract value —
+        including opaque page elements, which are objects on both sides —
+        has a concrete truth value."""
         if is_abstract(value):
-            return None
-        return to_boolean(value)
+            raise _Abort("abstract-branch")
+        return super()._truthy(value)
 
-    def _to_str_guard(self, value: Any) -> str:
-        """to_string for values whose string form the machine can know."""
-        if contains_abstract(value):
-            raise _Abort("abstract-string")
-        if _nodelist_tainted(value):
-            # the sandbox would join the (unknown) node list's elements
-            raise _Abort("opaque-nodelist")
-        return to_string(value)
+    def _loop_test(self, node: N.Node, env: Environment, value: Any,
+                   iterations: int) -> bool:
+        """An abstract test, or a test passing after the concrete
+        unrolling budget, widens the loop and leaves it."""
+        if is_abstract(value) or (iterations >= MAX_UNROLL
+                                  and super()._loop_test(node, env, value,
+                                                         iterations)):
+            self._widen_loop(node, env)
+            return False
+        return super()._loop_test(node, env, value, iterations)
 
-    def _num_interval(self, value: Any) -> Interval:
-        """Interval covering to_number(value) (NaN always admitted)."""
-        if isinstance(value, AbstractValue):
-            if value.kind == "number":
-                return value.interval
-            if value.kind == "boolean":
-                return Interval(0.0, 1.0)
-            return Interval.top()
-        return Interval.const(to_number(value))
+    def _for_in_keys(self, obj: Any) -> List[str]:
+        if isinstance(obj, OpaqueNodeList):
+            # the sandbox iterates the (unknown) element indices
+            raise _Abort("opaque-forin")
+        if is_abstract(obj):
+            raise _Abort("abstract-forin")
+        keys = super()._for_in_keys(obj)
+        if len(keys) > MAX_UNROLL:
+            raise _Abort("loop-budget")
+        return keys
 
-    # -- statements --------------------------------------------------------
-    def _exec(self, node: N.Node, env: _Env) -> Any:
-        self._tick()
-        kind = type(node)
-        if kind is N.ExpressionStatement:
-            return self._eval(node.expression, env)
-        if kind is N.VarDecl:
-            for name, init in node.declarations:
-                value = self._eval(init, env) if init is not None else UNDEFINED
-                if not self._has(name, env, tracked=False):
-                    self._declare(name, value, env)
-                else:
-                    self._assign(name, value, env)
-            return UNDEFINED
-        if kind is N.FunctionDecl:
-            self._declare(node.name, JSFunction(node.name, node.params,
-                                                node.body, env), env)
-            return UNDEFINED
-        if kind is N.Block:
-            result: Any = UNDEFINED
-            for statement in node.body:
-                result = self._exec(statement, env)
-            return result
-        if kind is N.If:
-            test = self._truth(self._eval(node.test, env))
-            if test is None:
-                raise _Abort("abstract-branch")
-            if test:
-                return self._exec(node.consequent, env)
-            if node.alternate is not None:
-                return self._exec(node.alternate, env)
-            return UNDEFINED
-        if kind is N.While:
-            iterations = 0
-            while True:
-                test = self._truth(self._eval(node.test, env))
-                if test is None:
-                    self._widen_loop(node, env)
-                    break
-                if not test:
-                    break
-                iterations += 1
-                if iterations > MAX_UNROLL:
-                    self._widen_loop(node, env)
-                    break
-                self._tick()
-                try:
-                    self._exec(node.body, env)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            return UNDEFINED
-        if kind is N.DoWhile:
-            iterations = 0
-            while True:
-                iterations += 1
-                if iterations > MAX_UNROLL:
-                    self._widen_loop(node, env)
-                    break
-                self._tick()
-                try:
-                    self._exec(node.body, env)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                test = self._truth(self._eval(node.test, env))
-                if test is None:
-                    self._widen_loop(node, env)
-                    break
-                if not test:
-                    break
-            return UNDEFINED
-        if kind is N.For:
-            if node.init is not None:
-                if isinstance(node.init, (N.VarDecl, N.ExpressionStatement)):
-                    self._exec(node.init, env)
-                else:
-                    self._eval(node.init, env)
-            iterations = 0
-            while True:
-                if node.test is not None:
-                    test = self._truth(self._eval(node.test, env))
-                    if test is None:
-                        self._widen_loop(node, env)
-                        break
-                    if not test:
-                        break
-                iterations += 1
-                if iterations > MAX_UNROLL:
-                    self._widen_loop(node, env)
-                    break
-                self._tick()
-                try:
-                    self._exec(node.body, env)
-                except _Break:
-                    break
-                except _Continue:
-                    pass
-                if node.update is not None:
-                    self._eval(node.update, env)
-            return UNDEFINED
-        if kind is N.ForIn:
-            obj = self._eval(node.obj, env)
-            if isinstance(obj, OpaqueNodeList):
-                # the sandbox iterates the (unknown) element indices
-                raise _Abort("opaque-forin")
-            if is_abstract(obj):
-                raise _Abort("abstract-forin")
-            keys: List[str] = []
-            if isinstance(obj, JSArray):
-                keys = [str(i) for i in range(len(obj.elements))]
-            elif isinstance(obj, JSObject):
-                keys = obj.keys()
-            elif hasattr(obj, "js_keys"):
-                keys = list(obj.js_keys())
-            if len(keys) > MAX_UNROLL:
-                raise _Abort("loop-budget")
-            if node.declare and not self._has(node.target, env, tracked=False):
-                self._declare(node.target, UNDEFINED, env)
-            for key in keys:
-                self._assign(node.target, key, env)
-                self._tick()
-                try:
-                    self._exec(node.body, env)
-                except _Break:
-                    break
-                except _Continue:
-                    continue
-            return UNDEFINED
-        if kind is N.Return:
-            value = (self._eval(node.argument, env)
-                     if node.argument is not None else UNDEFINED)
-            raise _Return(value)
-        if kind is N.Break:
-            raise _Break()
-        if kind is N.Continue:
-            raise _Continue()
-        if kind is N.Throw:
-            value = self._eval(node.argument, env)
-            if contains_abstract(value) or _nodelist_tainted(value):
-                # JSException stringifies its value eagerly
-                raise _Abort("abstract-throw")
-            raise JSException(value)
-        if kind is N.Try:
-            try:
-                self._exec(node.block, env)
-            except JSException as exc:
-                if node.catch_block is not None:
-                    catch_env = _Env(env)
-                    catch_env.vars[node.catch_param or "e"] = exc.value
-                    self._exec(node.catch_block, catch_env)
-            finally:
-                if node.finally_block is not None:
-                    self._exec(node.finally_block, env)
-            return UNDEFINED
-        if kind is N.Switch:
-            discriminant = self._eval(node.discriminant, env)
-            matched = False
-            try:
-                for case in node.cases:
-                    if not matched and case.test is not None:
-                        test_value = self._eval(case.test, env)
-                        outcome = self._binary("===", discriminant, test_value)
-                        if is_abstract(outcome):
-                            raise _Abort("abstract-branch")
-                        if outcome:
-                            matched = True
-                    if matched:
-                        for statement in case.body:
-                            self._exec(statement, env)
-                if not matched:
-                    default_seen = False
-                    for case in node.cases:
-                        if case.test is None:
-                            default_seen = True
-                        if default_seen:
-                            for statement in case.body:
-                                self._exec(statement, env)
-            except _Break:
-                pass
-            return UNDEFINED
-        if kind is N.EmptyStatement:
-            return UNDEFINED
-        return self._eval(node, env)
+    def _thrown(self, value: Any) -> Any:
+        if contains_abstract(value) or _nodelist_tainted(value):
+            # JSException stringifies its value eagerly
+            raise _Abort("abstract-throw")
+        return super()._thrown(value)
 
     # -- widening ----------------------------------------------------------
-    def _widen_loop(self, node: N.Node, env: _Env) -> None:
+    def _widen_loop(self, node: N.Node, env: Environment) -> None:
         """Abstract fixpoint for a loop the concrete unrolling gave up on.
 
         Joins/widens every name the (effect-free) body assigns until the
@@ -1946,7 +1678,7 @@ class AbstractMachine:
         names = _widen_plan(node)
         update = node.update if isinstance(node, N.For) else None
         for _pass in range(MAX_WIDEN_PASSES):
-            before = {name: self._peek(name, env) for name in names}
+            before = {name: _peek(env, name) for name in names}
             self._tick()
             broke = False
             try:
@@ -1962,225 +1694,68 @@ class AbstractMachine:
             stable = True
             for name in names:
                 previous = before[name]
-                current = self._peek(name, env)
+                current = _peek(env, name)
                 if (not _primitive_like(previous)
                         or not _primitive_like(current)):
                     raise _Abort("widen-object")
                 widened = widen_values(previous, current)
                 if not _same_abstract(widened, previous):
                     stable = False
-                self._assign(name, widened, env)
+                env.assign(name, widened)
             if stable or broke:
                 break
 
-    def _peek(self, name: str, env: _Env) -> Any:
-        scope: Optional[_Env] = env
-        while scope is not None:
-            if name in scope.vars:
-                return scope.vars[name]
-            scope = scope.parent
-        return UNDEFINED
-
-    # -- expressions --------------------------------------------------------
-    def _eval(self, node: N.Node, env: _Env) -> Any:
-        self._tick()
-        kind = type(node)
-        if kind is N.NumberLiteral:
-            return node.value
-        if kind is N.StringLiteral:
-            return node.value
-        if kind is N.BooleanLiteral:
-            return node.value
-        if kind is N.NullLiteral:
-            return None
-        if kind is N.UndefinedLiteral:
-            return UNDEFINED
-        if kind is N.Identifier:
-            return self._lookup(node.name, env)
-        if kind is N.ThisExpr:
-            if self._has("this", env):
-                return self._lookup("this", env)
-            return UNDEFINED
-        if kind is N.ArrayLiteral:
-            return JSArray([self._eval(el, env) for el in node.elements])
-        if kind is N.ObjectLiteral:
-            obj = JSObject()
-            for key, value_node in node.properties:
-                obj.js_set(to_string(key), self._eval(value_node, env))
-            return obj
-        if kind is N.FunctionExpr:
-            fn = JSFunction(node.name, node.params, node.body, env)
-            if node.name:
-                fn_env = _Env(env)
-                fn_env.vars[node.name] = fn
-                fn.env = fn_env
-            return fn
-        if kind is N.Unary:
-            return self._eval_unary(node, env)
-        if kind is N.Update:
-            return self._eval_update(node, env)
-        if kind is N.Binary:
-            return self._binary(node.operator, self._eval(node.left, env),
-                                self._eval(node.right, env))
-        if kind is N.Logical:
-            left = self._eval(node.left, env)
-            test = self._truth(left)
-            if test is None:
-                raise _Abort("abstract-branch")
-            if node.operator == "&&":
-                return self._eval(node.right, env) if test else left
-            return left if test else self._eval(node.right, env)
-        if kind is N.Conditional:
-            test = self._truth(self._eval(node.test, env))
-            if test is None:
-                raise _Abort("abstract-branch")
-            if test:
-                return self._eval(node.consequent, env)
-            return self._eval(node.alternate, env)
-        if kind is N.Assignment:
-            return self._eval_assignment(node, env)
-        if kind is N.Call:
-            return self._eval_call(node, env)
-        if kind is N.New:
-            return self._eval_new(node, env)
-        if kind is N.Member:
-            obj = self._eval(node.obj, env)
-            if node.computed:
-                raw = self._eval(node.prop, env)
-                if contains_abstract(raw):
-                    return self._abstract_key_read(obj)
-                prop = self._to_str_guard(raw)
-            else:
-                prop = node.prop.value  # type: ignore[union-attr]
-            return self._member_read(obj, prop)
-        if kind is N.Sequence:
-            result: Any = UNDEFINED
-            for expression in node.expressions:
-                result = self._eval(expression, env)
-            return result
-        raise JSException("unsupported node %s" % kind.__name__)
-
-    def _eval_unary(self, node: N.Unary, env: _Env) -> Any:
-        operator = node.operator
-        if operator == "typeof":
-            if (isinstance(node.argument, N.Identifier)
-                    and not self._has(node.argument.name, env)):
-                return "undefined"
-            value = self._eval(node.argument, env)
-            if is_abstract(value):
-                if value.kind in ("number", "string", "boolean"):
-                    return value.kind
-                return string(9.0)  # longest possible: "undefined"
-            return type_of(value)
-        if operator == "delete":
-            if isinstance(node.argument, N.Member):
-                obj = self._eval(node.argument.obj, env)
-                if node.argument.computed:
-                    raw = self._eval(node.argument.prop, env)
-                    if contains_abstract(raw):
-                        raise _Abort("abstract-key")
-                    prop = self._to_str_guard(raw)
-                else:
-                    prop = node.argument.prop.value  # type: ignore[union-attr]
-                if is_abstract(obj):
-                    if obj.kind in ("number", "string", "boolean"):
-                        return True  # primitives: delete is a no-op
-                    raise _Abort("abstract-receiver")
-                if isinstance(obj, JSObject):
-                    obj.js_delete(prop)
-                return True
-            return True
-        value = self._eval(node.argument, env)
-        if _nodelist_tainted(value):
-            raise _Abort("opaque-nodelist")
-        if is_abstract(value):
-            if operator == "!":
-                return BOOL_TOP
-            if operator == "-":
-                return number(self._num_interval(value).neg())
-            if operator == "+":
-                return number(self._num_interval(value))
-            if operator == "~":
-                return number(_INT32)
-            if operator == "void":
-                return UNDEFINED
-            raise JSException("unsupported unary %s" % operator)
-        return evaluate_unary(operator, value)
-
-    def _eval_update(self, node: N.Update, env: _Env) -> Any:
-        raw = self._read_target(node.argument, env)
-        if _nodelist_tainted(raw):
-            raise _Abort("opaque-nodelist")
-        if is_abstract(raw):
-            old: Any = number(self._num_interval(raw))
-            delta = Interval.const(1.0 if node.operator == "++" else -1.0)
-            new: Any = number(old.interval.add(delta))
-        else:
-            old = to_number(raw)
-            new = old + 1 if node.operator == "++" else old - 1
-        self._write_target(node.argument, new, env)
-        return new if node.prefix else old
-
-    def _read_target(self, target: N.Node, env: _Env) -> Any:
-        if isinstance(target, N.Identifier):
-            if self._has(target.name, env):
-                return self._lookup(target.name, env)
-            return UNDEFINED
-        if isinstance(target, N.Member):
-            obj = self._eval(target.obj, env)
-            if target.computed:
-                raw = self._eval(target.prop, env)
-                if contains_abstract(raw):
-                    return self._abstract_key_read(obj)
-                prop = self._to_str_guard(raw)
-            else:
-                prop = target.prop.value  # type: ignore[union-attr]
-            return self._member_read(obj, prop)
-        raise JSException("invalid update target")
-
-    def _write_target(self, target: N.Node, value: Any, env: _Env) -> None:
-        if isinstance(target, N.Identifier):
-            self._assign(target.name, value, env)
-            return
-        if isinstance(target, N.Member):
-            obj = self._eval(target.obj, env)
-            if target.computed:
-                raw = self._eval(target.prop, env)
-                if contains_abstract(raw):
-                    # an unknown key may hit any property (incl. on*)
-                    raise _Abort("abstract-key")
-                prop = self._to_str_guard(raw)
-            else:
-                prop = target.prop.value  # type: ignore[union-attr]
-            if is_abstract(obj):
-                if obj.kind in ("number", "string", "boolean"):
-                    return  # primitives have no js_set: silent no-op
-                # TOP may alias a machine-created object (e.g. arr[i]
-                # with abstract i) — the write would be lost
-                raise _Abort("abstract-receiver")
-            if (isinstance(obj, JSArray) and prop == "length"
-                    and contains_abstract(value)):
-                raise _Abort("abstract-length")
-            if hasattr(obj, "js_set"):
-                obj.js_set(prop, value)
-            return
-        raise JSException("invalid assignment target")
-
-    def _eval_assignment(self, node: N.Assignment, env: _Env) -> Any:
-        if node.operator == "=":
-            value = self._eval(node.value, env)
-        else:
-            current = self._read_target(node.target, env)
-            operand = self._eval(node.value, env)
-            value = self._binary(node.operator[:-1], current, operand)
-        self._write_target(node.target, value, env)
-        return value
-
     # -- member access ------------------------------------------------------
-    def _member_read(self, obj: Any, prop: str) -> Any:
+    def _member_key(self, raw: Any) -> Any:
+        """A computed key; TOP stands for one the machine cannot know."""
+        if contains_abstract(raw):
+            return TOP
+        return self._to_string(raw)
+
+    def _to_string(self, value: Any) -> str:
+        """to_string for values whose string form the machine can know."""
+        if contains_abstract(value):
+            raise _Abort("abstract-string")
+        if _nodelist_tainted(value):
+            # the sandbox would join the (unknown) node list's elements
+            raise _Abort("opaque-nodelist")
+        return super()._to_string(value)
+
+    def _get_member(self, obj: Any, prop: Any) -> Any:
+        if is_abstract(prop):
+            return self._abstract_key_read(obj)
         if is_abstract(obj):
             return self._abstract_member_read(obj, prop)
-        return get_member(self, obj, prop)
+        return super()._get_member(obj, prop)
+
+    def _get_method(self, obj: Any, prop: Any) -> Any:
+        if is_abstract(prop):
+            raise _Abort("abstract-callee")
+        return self._get_member(obj, prop)
+
+    def _set_member(self, obj: Any, prop: Any, value: Any) -> None:
+        if is_abstract(prop):
+            # an unknown key may hit any property (incl. on*)
+            raise _Abort("abstract-key")
+        if is_abstract(obj):
+            if obj.kind in ("number", "string", "boolean"):
+                return  # primitives have no js_set: silent no-op
+            # TOP may alias a machine-created object (e.g. arr[i]
+            # with abstract i) — the write would be lost
+            raise _Abort("abstract-receiver")
+        if (isinstance(obj, JSArray) and prop == "length"
+                and contains_abstract(value)):
+            raise _Abort("abstract-length")
+        super()._set_member(obj, prop, value)
+
+    def _delete_member(self, obj: Any, prop: Any) -> None:
+        if is_abstract(prop):
+            raise _Abort("abstract-key")
+        if is_abstract(obj):
+            if obj.kind in ("number", "string", "boolean"):
+                return  # primitives: delete is a no-op
+            raise _Abort("abstract-receiver")
+        super()._delete_member(obj, prop)
 
     def _abstract_key_read(self, obj: Any) -> Any:
         """obj[key] with an abstract key: the result is unknown but the
@@ -2263,23 +1838,67 @@ class AbstractMachine:
             return STR_TOP
         raise _Abort("abstract-native")
 
+
     # -- operators ----------------------------------------------------------
-    def _binary(self, operator: str, left: Any, right: Any) -> Any:
+    def _num_interval(self, value: Any) -> Interval:
+        """Interval covering to_number(value) (NaN always admitted)."""
+        if isinstance(value, AbstractValue):
+            if value.kind == "number":
+                return value.interval
+            if value.kind == "boolean":
+                return Interval(0.0, 1.0)
+            return Interval.top()
+        return Interval.const(to_number(value))
+
+    def _unary(self, operator: str, value: Any) -> Any:
+        if operator == "typeof":
+            if is_abstract(value):
+                if value.kind in ("number", "string", "boolean"):
+                    return value.kind
+                return string(9.0)  # longest possible: "undefined"
+            return super()._unary(operator, value)
+        if _nodelist_tainted(value):
+            raise _Abort("opaque-nodelist")
+        if not is_abstract(value):
+            return super()._unary(operator, value)
+        if operator == "!":
+            return BOOL_TOP
+        if operator == "-":
+            return number(self._num_interval(value).neg())
+        if operator == "+":
+            return number(self._num_interval(value))
+        if operator == "~":
+            return number(_INT32)
+        if operator == "void":
+            return UNDEFINED
+        raise JSException("unsupported unary %s" % operator)
+
+    def _increment(self, operator: str, value: Any) -> Tuple[Any, Any]:
+        if _nodelist_tainted(value):
+            raise _Abort("opaque-nodelist")
+        if not is_abstract(value):
+            return super()._increment(operator, value)
+        old = number(self._num_interval(value))
+        delta = Interval.const(1.0 if operator == "++" else -1.0)
+        return old, number(old.interval.add(delta))
+
+    def _eval_binary(self, operator: str, left: Any, right: Any) -> Any:
         if operator in ("==", "!=", "===", "!=="):
-            return self._equality(operator, left, right)
-        if _nodelist_tainted(left) or _nodelist_tainted(right):
+            if self._equality_unknown(operator, left, right):
+                return BOOL_TOP
+        elif _nodelist_tainted(left) or _nodelist_tainted(right):
             # to_string/to_number of a node list needs its elements
             raise _Abort("opaque-nodelist")
-        if not contains_abstract(left) and not contains_abstract(right):
-            return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
-        return self._binary_abstract(operator, left, right)
+        elif contains_abstract(left) or contains_abstract(right):
+            return self._binary_abstract(operator, left, right)
+        return super()._eval_binary(operator, left, right)
 
-    def _equality(self, operator: str, left: Any, right: Any) -> Any:
+    def _equality_unknown(self, operator: str, left: Any, right: Any) -> bool:
         if _is_opaque(left) or _is_opaque(right):
             if left is not right:
                 if _is_opaque(left) and _is_opaque(right):
                     # two wrappers may denote the same page element
-                    return BOOL_TOP
+                    return True
                 loose = operator in ("==", "!=")
                 nodelist = (isinstance(left, OpaqueNodeList)
                             or isinstance(right, OpaqueNodeList))
@@ -2287,9 +1906,7 @@ class AbstractMachine:
                 if loose and nodelist and isinstance(other, (str, float,
                                                              int, bool)):
                     raise _Abort("opaque-nodelist")
-        if contains_abstract(left) or contains_abstract(right):
-            return BOOL_TOP
-        return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
+        return contains_abstract(left) or contains_abstract(right)
 
     def _binary_abstract(self, operator: str, left: Any, right: Any) -> Any:
         if operator == "+":
@@ -2346,45 +1963,6 @@ class AbstractMachine:
             return string(total)
         return number(self._num_interval(left).add(self._num_interval(right)))
 
-    # -- calls --------------------------------------------------------------
-    def _eval_call(self, node: N.Call, env: _Env) -> Any:
-        args = [self._eval(arg, env) for arg in node.arguments]
-        if isinstance(node.callee, N.Member):
-            obj = self._eval(node.callee.obj, env)
-            if node.callee.computed:
-                raw = self._eval(node.callee.prop, env)
-                if contains_abstract(raw):
-                    raise _Abort("abstract-callee")
-                prop = self._to_str_guard(raw)
-            else:
-                prop = node.callee.prop.value  # type: ignore[union-attr]
-            fn = self._member_read(obj, prop)
-            return self.call_function(fn, args, this=obj)
-        fn = self._eval(node.callee, env)
-        return self.call_function(fn, args, this=UNDEFINED)
-
-    def _eval_new(self, node: N.New, env: _Env) -> Any:
-        callee = self._eval(node.callee, env)
-        args = [self._eval(arg, env) for arg in node.arguments]
-        if is_abstract(callee):
-            raise _Abort("abstract-callee")
-        if isinstance(callee, NativeFunction):
-            return self._call_native(callee, args)
-        if callable(callee) and not isinstance(callee, JSFunction):
-            return self._call_host_callable(callee, args)
-        if isinstance(callee, JSFunction):
-            instance = JSObject()
-            result = self.call_function(callee, args, this=instance)
-            if is_abstract(result):
-                if result.kind in ("number", "string", "boolean"):
-                    return instance  # primitive return: instance wins
-                raise _Abort("abstract-new")
-            if isinstance(result, (JSObject, JSArray)):
-                return result
-            return instance
-        raise JSException(
-            "TypeError: %s is not a constructor" % self._to_str_guard(callee))
-
 
 def _nodelist_tainted(value: Any, _seen: Optional[Set[int]] = None) -> bool:
     """True when stringifying/numbering ``value`` would need the
@@ -2424,7 +2002,6 @@ def _bound_str(value: Any) -> Optional[float]:
 
 
 def interpret_script(source: str,
-                     call_graph: Optional[CallGraph] = None,
                      compile_cache: Optional[CompileCache] = None) -> AbstractEffects:
     """Abstractly execute ``source`` and return its effect summary.
 
@@ -2435,6 +2012,4 @@ def interpret_script(source: str,
     a stored compile error, which is recorded exactly as a fresh parse
     failing would record it.
     """
-    machine = AbstractMachine(source, call_graph=call_graph,
-                              compile_cache=compile_cache)
-    return machine.simulate()
+    return AbstractMachine(source, compile_cache=compile_cache).simulate()

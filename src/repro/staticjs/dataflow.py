@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..jsengine import nodes as N
 from ..jsengine.deobfuscate import PURE_DECODERS
 from ..jsengine.interpreter import BudgetExceeded, evaluate_binary, evaluate_unary
-from ..jsengine.values import UNDEFINED, JSArray, JSException, to_boolean, to_number, to_string, type_of
+from ..jsengine.values import UNDEFINED, JSArray, JSException, to_boolean, to_number, to_string
 
 __all__ = ["UNKNOWN", "Resolution", "ResolvedString", "fold", "propagate", "callee_path", "to_js"]
 
@@ -70,14 +70,20 @@ class Resolution:
 
 def callee_path(node: N.Node) -> str:
     """Dotted path of a callee/member chain (``''`` when not static)."""
+    # iterative: a member chain (a.b.c...) may be thousands of links long
+    props: List[str] = []
+    while isinstance(node, N.Member) and isinstance(node.prop, N.StringLiteral):
+        props.append(node.prop.value)
+        node = node.obj
     if isinstance(node, N.Identifier):
-        return node.name
-    if isinstance(node, N.Member) and isinstance(node.prop, N.StringLiteral):
-        base = callee_path(node.obj)
-        return (base + "." if base else "") + node.prop.value
-    if isinstance(node, N.ThisExpr):
-        return "this"
-    return ""
+        path = node.name
+    elif isinstance(node, N.ThisExpr):
+        path = "this"
+    else:
+        path = ""
+    for prop in reversed(props):
+        path = (path + "." if path else "") + prop
+    return path
 
 
 def to_js(value: Any) -> Any:
@@ -194,8 +200,6 @@ def _fold_unary(node: N.Unary, env: Dict[str, Any], depth: int) -> Any:
     value = fold(node.argument, env, depth + 1)
     if value is UNKNOWN:
         return UNKNOWN
-    if node.operator == "typeof":
-        return type_of(to_js(value))
     try:
         result = evaluate_unary(node.operator, to_js(value))
     except JSException:  # delete: not a value operator

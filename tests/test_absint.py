@@ -13,6 +13,7 @@ from repro.detection.heuristics import (
     _page_skip_decision,
     analyze_html,
 )
+from repro.jsengine import run_script_in_page
 from repro.staticjs import (
     EVENT_PHASES,
     PAGE_STEP_BUDGET,
@@ -103,6 +104,13 @@ class TestAbstractMachine:
         assert effects.complete
         assert effects.element_handler_events == ("click",)
         assert effects.opaque_element_handler_events == ()
+
+    def test_top_level_control_transfer_errors_match_sandbox(self):
+        # the machine runs the sandbox's evaluator, so a `return` or
+        # `break` outside any function or loop escapes as the same error
+        for source in ("return 5;", "break;"):
+            sandbox = run_script_in_page(_page(source)).log.errors
+            assert list(interpret_script(source).phase("script").errors) == sandbox
 
     def test_written_script_src_is_requested(self):
         effects = interpret_script(

@@ -1,4 +1,4 @@
-"""Differential testing: cached vs uncached runs of the JS consumers.
+"""Differential testing of the JS consumers: cache, absint, replay.
 
 A pipeline-scoped :class:`~repro.jsengine.CompileCache` hands one parsed
 ``Program`` to every script, page, shard thread and consumer (the
@@ -17,21 +17,27 @@ control flow, functions, and the deobfuscation idioms exchange malware
 actually uses (``unescape``, ``String.fromCharCode``, ``eval``
 re-entry, the repo's own :mod:`repro.malware.obfuscation` layers).
 
+Two more differentials pin the static pre-filter's exactness, which
+the sandbox skip rests on: a complete abstract-interpretation summary
+(:func:`repro.staticjs.interpret_script`) of a host-free program must
+report the interpreter's own steps, ``eval`` log and errors, and every
+page of a generated web the pre-filter skips must yield the
+``ContentAnalysis`` the sandbox would have produced.
+
 Any divergence is recorded and the full set is written to
 ``js_divergences.json`` (CI uploads it as an artifact) before the
 assertion fires.  To grow the corpus after a divergence: fix the bug,
 add the shrunk program to ``REGRESSION_PROGRAMS`` below, and leave the
 generator seed pinned so the original random case keeps replaying too.
-
-``REPRO_JS_FUZZ_CASES`` scales the generated-case count (default 500,
-the CI floor).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import random
+from dataclasses import fields
+
+import pytest
 
 from repro.jsengine import (
     BudgetExceeded,
@@ -44,12 +50,12 @@ from repro.jsengine import (
 from repro.jsengine.compilecache import parse_reusing
 from repro.jsengine.values import UNDEFINED, JSArray, JSFunction, JSObject
 from repro.malware.obfuscation import obfuscate, random_layers
-from repro.staticjs import analyze_script
+from repro.staticjs import analyze_script, interpret_script
+from repro.staticjs.absint import MACHINE_STEP_LIMIT
 
 GENERATOR_SEED = 99173  # pinned: the corpus is part of the contract
-CASES = int(os.environ.get("REPRO_JS_FUZZ_CASES", "500"))
-DIVERGENCE_ARTIFACT = os.environ.get("REPRO_JS_DIVERGENCES",
-                                     "js_divergences.json")
+CASES = 500
+DIVERGENCE_ARTIFACT = "js_divergences.json"
 
 BINARY_OPS = ["+", "-", "*", "/", "%", "<", ">", "<=", ">=", "==", "===",
               "!=", "!==", "&", "|", "^", "<<", ">>", ">>>"]
@@ -348,17 +354,20 @@ def test_regression_programs_agree():
     _record_and_assert(divergences)
 
 
+#: host-free payloads for the obfuscation layers
+HOST_FREE_PAYLOADS = [
+    "var x = 1; x = x + 41; x;",
+    'var s = "pay" + "load"; s;',
+    "var total = 0; for (var i = 0; i < 5; i++) { total += i; } total;",
+]
+
+
 def test_obfuscated_payloads_agree():
     """The repo's own obfuscation layers, stacked at random depths."""
     rng = random.Random(GENERATOR_SEED + 1)
-    payloads = [
-        "var x = 1; x = x + 41; x;",
-        'var s = "pay" + "load"; s;',
-        "var total = 0; for (var i = 0; i < 5; i++) { total += i; } total;",
-    ]
     divergences = []
     for index in range(40):
-        payload = payloads[index % len(payloads)]
+        payload = HOST_FREE_PAYLOADS[index % len(HOST_FREE_PAYLOADS)]
         source = obfuscate(payload, random_layers(rng, 1 + rng.randrange(3)),
                            rng)
         divergence = diff_engines(source)
@@ -493,3 +502,101 @@ def test_static_consumers_agree_on_generated_web_scripts():
     assert len(sources) > 50
     divergences = [d for d in map(diff_static, sources) if d is not None]
     _record_and_assert(divergences)
+
+
+# ----------------------------------------------------------------------
+# the abstract machine against the interpreter
+# ----------------------------------------------------------------------
+def host_free_programs(seed: int):
+    """The regressions, ``CASES`` generated programs and 300 layered
+    obfuscations of host-free payloads, drawn from ``seed``."""
+    rng = random.Random(seed)
+    sources = list(REGRESSION_PROGRAMS)
+    sources.extend(ProgramGen(rng).program() for _ in range(CASES))
+    sources.extend(
+        obfuscate(HOST_FREE_PAYLOADS[i % len(HOST_FREE_PAYLOADS)],
+                  random_layers(rng, 1 + rng.randrange(3)), rng)
+        for i in range(300))
+    return sources
+
+
+def script_phase_observation(source: str, step_budget: int = 500_000):
+    """A bare interpreter run, observed as absint's script phase is."""
+    engine = Interpreter(step_budget=step_budget)
+    errors = []
+    try:
+        engine.run(source)
+    except Exception as exc:  # noqa: BLE001 - recorded as the page host does
+        errors.append("%s: %s" % (type(exc).__name__, exc))
+    return {"steps": engine.steps, "eval_log": list(engine.eval_log),
+            "max_eval_depth": engine.max_eval_depth, "errors": errors}
+
+
+@pytest.mark.parametrize("seed", [GENERATOR_SEED, GENERATOR_SEED + 7])
+def test_complete_absint_summaries_match_the_interpreter(seed):
+    """A complete summary's script phase is the interpreter's own run;
+    an incomplete one must be a step-budget abort on a program the
+    interpreter too runs past the machine's step ceiling."""
+    divergences = []
+    for source in host_free_programs(seed):
+        effects = interpret_script(source)
+        if not effects.complete:
+            probe = script_phase_observation(source, MACHINE_STEP_LIMIT)
+            if (effects.reasons != ("step-budget",)
+                    or probe["steps"] <= MACHINE_STEP_LIMIT):
+                divergences.append({"source": source, "interpreter": probe,
+                                    "reasons": list(effects.reasons)})
+            continue
+        expected = script_phase_observation(source)
+        script = effects.phase("script")
+        summary = {"steps": script.steps, "eval_log": list(effects.eval_sources),
+                   "max_eval_depth": effects.max_eval_depth,
+                   "errors": list(script.errors)}
+        if summary != expected:
+            divergences.append({"source": source, "absint": summary,
+                                "interpreter": expected})
+    _record_and_assert(divergences)
+
+
+#: ContentAnalysis fields that only the pre-filter path sets
+_PREFILTER_ONLY = ("sandbox_skipped", "static_findings", "static_redirect_targets")
+
+
+def _analysis_fields(analysis):
+    out = {}
+    for f in fields(analysis):
+        if f.name in _PREFILTER_ONLY:
+            continue
+        value = getattr(analysis, f.name)
+        if f.name == "hidden_iframes":
+            value = [vars(frame) for frame in value]
+        out[f.name] = value
+    return out
+
+
+@pytest.mark.parametrize("seed", [2016, 2018])
+def test_skipped_pages_match_the_sandbox(seed):
+    """Each page the pre-filter skips analyzes as if the sandbox ran."""
+    from repro import MalwareSlumsStudy, StudyConfig
+    from repro.detection.heuristics import analyze_html
+
+    web = MalwareSlumsStudy(StudyConfig(seed=seed, scale=0.005)).generate_web()
+    prefilter_cache, sandbox_cache = CompileCache(), CompileCache()
+    skipped = 0
+    divergences = []
+    for site in web.registry:
+        for page in site.pages.values():
+            on = analyze_html(page.html, compile_cache=prefilter_cache)
+            if not on.sandbox_skipped:
+                continue
+            skipped += 1
+            off = analyze_html(page.html, static_prefilter=False,
+                               compile_cache=sandbox_cache)
+            expected, replayed = _analysis_fields(off), _analysis_fields(on)
+            if replayed != expected:
+                divergences.append({
+                    "seed": seed, "html": page.html,
+                    "fields": sorted(k for k in expected
+                                     if expected[k] != replayed[k])})
+    _record_and_assert(divergences)
+    assert skipped > 1000

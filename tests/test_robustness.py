@@ -20,6 +20,7 @@ from repro.htmlparse import parse, serialize
 from repro.jsengine import LexError, ParseError, run_script_in_page
 from repro.jsengine.lexer import tokenize
 from repro.jsengine.parser import parse as parse_js
+from repro.staticjs import analyze_script
 
 
 class TestHtmlParserFuzz:
@@ -129,6 +130,21 @@ class TestSandboxHostility:
             step_budget=30_000,
         )
         assert any("budget" in e.lower() for e in host.log.errors)
+
+
+class TestStaticAnalyzerDepth:
+    """Member chains thousands of links long are one AST spine; the
+    static analyzer must walk them without recursing per link."""
+
+    def test_long_call_chain_is_an_unknown_call(self):
+        report = analyze_script("a" + ".b" * 3000 + "();")
+        assert "analysis-overflow" not in report.capabilities
+        assert "unknown-call" in report.capabilities
+
+    def test_long_chain_keeps_document_write(self):
+        report = analyze_script("document" + ".b" * 3000 + ".write(1);")
+        assert "analysis-overflow" not in report.capabilities
+        assert "document-write" in report.capabilities
 
 
 class TestScannerGarbage:
