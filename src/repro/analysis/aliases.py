@@ -69,7 +69,8 @@ def compute_alias_distribution(
         verdict = outcome.verdict(record.url)
         if verdict is None or not verdict.malicious:
             continue
-        category = categorize_url(record.url, blacklists, final_url=record.final_url)
+        category = categorize_url(record.url, blacklists, final_url=record.final_url,
+                                  url_table=dataset.url_table)
         counter = result.by_category.get(category)
         if counter is None:
             counter = Counter()

@@ -15,14 +15,14 @@ Section IV-A's rules, applied to every malicious URL instance:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List
+from typing import Collection, Dict, List, Optional
 
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset, RecordKind
 from ..detection.blacklists import BlacklistSet
 from ..malware.taxonomy import MalwareCategory
 from ..simweb.shortener import SHORTENER_HOSTS
-from ..simweb.url import Url
+from ..simweb.url import Url, UrlTable
 
 __all__ = ["CategorizationResult", "categorize_url", "categorize_dataset"]
 
@@ -64,16 +64,22 @@ def categorize_url(
     url: str,
     blacklists: BlacklistSet,
     final_url: str = "",
-    shortener_hosts: Iterable[str] = SHORTENER_HOSTS,
+    shortener_hosts: Collection[str] = SHORTENER_HOSTS,
+    url_table: Optional[UrlTable] = None,
 ) -> MalwareCategory:
-    """Assign a single (already detected) URL to a Table III category."""
-    parsed = Url.try_parse(url)
+    """Assign a single (already detected) URL to a Table III category.
+
+    ``url_table`` (a crawl dataset's) supplies the parsed forms of
+    ``url`` and ``final_url``; without one they are parsed here.
+    """
+    lookup = url_table.lookup if url_table is not None else Url.try_parse
+    parsed = lookup(url)
     if parsed is None:
         return MalwareCategory.MISCELLANEOUS
-    if parsed.host in set(shortener_hosts):
+    if parsed.host in shortener_hosts:
         return MalwareCategory.MALICIOUS_SHORTENED_URL
     if final_url:
-        final = Url.try_parse(final_url)
+        final = lookup(final_url)
         if final is not None and not parsed.same_site(final):
             return MalwareCategory.SUSPICIOUS_REDIRECTION
     extension = parsed.extension
@@ -99,7 +105,8 @@ def categorize_dataset(
         if not outcome.is_malicious(record.url):
             continue
         category = categorize_url(
-            record.url, blacklists, final_url=record.final_url
+            record.url, blacklists, final_url=record.final_url,
+            url_table=dataset.url_table,
         )
         result.counts[category] = result.counts.get(category, 0) + 1
         result.total_malicious += 1

@@ -13,7 +13,6 @@ from typing import Dict, List, Set
 
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset, RecordKind
-from ..simweb.url import Url
 
 __all__ = ["ExchangeDomainStats", "compute_domain_stats", "domains_on_multiple_exchanges"]
 
@@ -36,10 +35,11 @@ class ExchangeDomainStats:
 def compute_domain_stats(dataset: CrawlDataset, outcome: ScanOutcome) -> List[ExchangeDomainStats]:
     """Build Table II rows."""
     rows: Dict[str, ExchangeDomainStats] = {}
+    lookup = dataset.url_table.lookup
     for record in dataset.records:
         if record.kind != RecordKind.REGULAR:
             continue
-        parsed = Url.try_parse(record.url)
+        parsed = lookup(record.url)
         if parsed is None:
             continue
         row = rows.get(record.exchange)

@@ -14,7 +14,6 @@ from typing import List, Set
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset, RecordKind
 from ..simweb.registry import WebRegistry
-from ..simweb.url import Url
 
 __all__ = ["ShortUrlRow", "compute_shortener_stats"]
 
@@ -40,12 +39,13 @@ def compute_shortener_stats(
     rows: List[ShortUrlRow] = []
     seen: Set[str] = set()
     directory = registry.shorteners
+    lookup = dataset.url_table.lookup
     for record in dataset.records:
         if record.kind != RecordKind.REGULAR:
             continue
         if record.url in seen:
             continue
-        parsed = Url.try_parse(record.url)
+        parsed = lookup(record.url)
         if parsed is None or not directory.is_short_host(parsed.host):
             continue
         seen.add(record.url)

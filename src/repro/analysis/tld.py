@@ -8,7 +8,6 @@ from typing import List, Tuple
 
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset, RecordKind
-from ..simweb.url import Url
 
 __all__ = ["TldDistribution", "compute_tld_distribution"]
 
@@ -39,6 +38,7 @@ def compute_tld_distribution(dataset: CrawlDataset, outcome: ScanOutcome,
     """Histogram malicious URLs by TLD (instances by default)."""
     result = TldDistribution()
     seen = set()
+    lookup = dataset.url_table.lookup
     for record in dataset.records:
         if record.kind != RecordKind.REGULAR or not outcome.is_malicious(record.url):
             continue
@@ -46,7 +46,7 @@ def compute_tld_distribution(dataset: CrawlDataset, outcome: ScanOutcome,
             if record.url in seen:
                 continue
             seen.add(record.url)
-        parsed = Url.try_parse(record.url)
+        parsed = lookup(record.url)
         if parsed is None:
             continue
         result.counts[parsed.tld] += 1

@@ -46,7 +46,7 @@ from ..obs.provenance import (
 from ..scanexec import ParallelScanExecutor, ScanExecution, build_scan_tasks, scan_task
 from ..simweb import ContentCategory, GroundTruth, MalwareFamily, Page, Site
 from ..simweb.generator import ExchangePool, GeneratedWeb
-from ..simweb.url import Url
+from ..simweb.url import Url, UrlTable
 from .crawlers import CrawlStats, ExchangeCrawler
 from .options import PipelineOptions
 from .session import BrowserSession
@@ -244,6 +244,11 @@ class CrawlPipeline:
         #: run (and every scan-shard clone): each distinct script source
         #: is tokenized/parsed once, then re-run from the cached AST
         self.compile_cache = CompileCache()
+        #: pipeline-scoped ``str → Url`` memo shared by every HTTP client
+        #: (crawl shards and scanners too), the browser sessions, the
+        #: calibration and the dataset's analysis passes: each distinct
+        #: URL string is parsed once per run
+        self.url_table = UrlTable()
         self.server = SimHttpServer(web.registry, observer=observer)
         # the client's HAR capture shares the observer's clock so span
         # and HAR timestamps never drift apart
@@ -251,8 +256,9 @@ class CrawlPipeline:
             self.server,
             clock=observer.clock if observer is not None else None,
             observer=observer,
+            url_table=self.url_table,
         )
-        self.dataset = CrawlDataset()
+        self.dataset = CrawlDataset(url_table=self.url_table)
         self.exchanges: Dict[str, TrafficExchange] = {}
         self.crawl_stats: Dict[str, CrawlStats] = {}
         self.submit_files = options.submit_files
@@ -333,7 +339,7 @@ class CrawlPipeline:
         if page is None:
             return total, malicious
         for sub in page.subresource_urls:
-            parsed = Url.try_parse(sub)
+            parsed = self.url_table.lookup(sub)
             if parsed is None:
                 continue
             truth = self.web.registry.truth_for_url(parsed)
@@ -606,11 +612,13 @@ class CrawlPipeline:
             ],
         )
         self.verdict_service = UrlVerdictService(
-            virustotal=VirusTotalSim(client=SimHttpClient(self.server),
+            virustotal=VirusTotalSim(client=SimHttpClient(self.server,
+                                                          url_table=self.url_table),
                                      observer=self.observer,
                                      static_prefilter=self.static_prefilter,
                                      compile_cache=self.compile_cache),
-            quttera=QutteraSim(client=SimHttpClient(self.server),
+            quttera=QutteraSim(client=SimHttpClient(self.server,
+                                                    url_table=self.url_table),
                                observer=self.observer,
                                static_prefilter=self.static_prefilter,
                                compile_cache=self.compile_cache),

@@ -14,7 +14,6 @@ from typing import Optional
 
 from ..httpsim import FetchResult, SimHttpClient
 from ..simweb.registry import WebRegistry
-from ..simweb.url import Url
 from .storage import CachedContent, CrawlDataset, RecordKind, UrlRecord
 
 __all__ = ["BrowserSession"]
@@ -101,7 +100,7 @@ class BrowserSession:
 
     def _fetch_subresources(self, page_result: FetchResult, kind: str,
                             step_index: int, timestamp: float, page_ref: str) -> None:
-        final = Url.try_parse(page_result.final_url)
+        final = self.client.url_table.lookup(page_result.final_url)
         if final is None:
             return
         site = self.registry.site(final.host)

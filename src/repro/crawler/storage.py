@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 from typing import Dict, Iterator, List, Optional, Set
 
 from ..httpsim import HarLog
-from ..simweb.url import Url
+from ..simweb.url import UrlTable
 
 __all__ = ["RecordKind", "UrlRecord", "CachedContent", "CrawlDataset"]
 
@@ -55,12 +55,19 @@ class CachedContent:
 
 
 class CrawlDataset:
-    """All crawl output, with the access paths analysis needs."""
+    """All crawl output, with the access paths analysis needs.
 
-    def __init__(self) -> None:
+    Records keep their URLs as strings; analysis reads the parsed form
+    through :attr:`url_table` — the crawling pipeline's table, which
+    already holds every URL the crawl fetched — so no pass re-parses a
+    record string.
+    """
+
+    def __init__(self, url_table: Optional[UrlTable] = None) -> None:
         self.records: List[UrlRecord] = []
         self.content: Dict[str, CachedContent] = {}
         self.har_logs: Dict[str, HarLog] = {}
+        self.url_table = url_table if url_table is not None else UrlTable()
 
     # -- writing -----------------------------------------------------------
     # deliberately uninstrumented: these run once per logged URL instance,
@@ -121,7 +128,7 @@ class CrawlDataset:
                 continue
             if kind is not None and record.kind != kind:
                 continue
-            parsed = Url.try_parse(record.url)
+            parsed = self.url_table.lookup(record.url)
             if parsed is None:
                 continue
             domain = parsed.registrable_domain

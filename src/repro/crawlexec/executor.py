@@ -164,10 +164,13 @@ class ParallelCrawlExecutor(PhaseExecutor):
     def shard_state(self, spec: CrawlSpec, buffer: Optional[RecordingObserver],
                     pipeline: object, state: _CrawlPrep) -> _ShardJob:
         server = _ShardHttpServer(pipeline.web.registry, observer=buffer)
-        client = SimHttpClient(server, clock=SimClock(), observer=buffer)
+        # every shard shares the pipeline's URL table (see UrlTable on
+        # why concurrent misses are harmless)
+        client = SimHttpClient(server, clock=SimClock(), observer=buffer,
+                               url_table=pipeline.url_table)
         return _ShardJob(server=server, client=client,
-                         dataset=CrawlDataset(), buffer=buffer,
-                         registry=pipeline.web.registry)
+                         dataset=CrawlDataset(url_table=pipeline.url_table),
+                         buffer=buffer, registry=pipeline.web.registry)
 
     def run_shard(self, spec: CrawlSpec, job: _ShardJob) -> _ShardResult:
         """One worker invocation: surf one exchange end to end."""

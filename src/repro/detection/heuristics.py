@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import ContextManager, List, Optional
+from typing import ContextManager, List, Optional, Tuple
 
 from ..flashsim import SwfError, SwfFile, decompile
-from ..htmlparse import Element, parse, parse_fragment, select
+from ..htmlparse import Document, Element, parse, parse_fragment
 from ..jsengine import (
     BehaviorLog,
     deobfuscate,
@@ -253,10 +253,16 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
     any signal the dynamic heuristics consume — so skipping is
     behaviour-preserving: the resulting :class:`ContentAnalysis` is
     identical to what the dynamic pass would have produced.
+
+    The page is parsed once, and one walk of that DOM collects its
+    scripts, iframes and metas.  The post-execution DOM is walked again
+    for iframes only when it differs from the static one: after a
+    sandbox run, or when a replayed ``document.write`` attached markup.
     """
     analysis = ContentAnalysis(kind="html")
     static_doc = parse(html, observer=observer)
-    static_scripts = select(static_doc, "script")
+    static_scripts, static_frames, metas = _collect_tags(static_doc)
+    sources = [script.text_content() for script in static_scripts]
 
     # ---- static pre-filter: analyze inline scripts without executing ----
     skip_sandbox = False
@@ -264,10 +270,9 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
     reports: List[ScriptReport] = []
     if static_prefilter:
         with _frame(observer, "staticjs"):
-            for script in static_scripts:
+            for script, source in zip(static_scripts, sources):
                 if script.get("src"):
                     continue
-                source = script.text_content()
                 if not source.strip():
                     continue
                 report = analyze_script(source, observer=observer,
@@ -313,7 +318,8 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         # effects instead of executing
         analysis.sandbox_skipped = True
         with _frame(observer, "staticjs.synthesize"):
-            document = _synthesize_dynamic(analysis, html, static_scripts,
+            document = _synthesize_dynamic(analysis, html, static_doc,
+                                           static_scripts, sources,
                                            reports, observer)
         _observe(observer, "staticjs.sandbox.skipped_pages")
     else:
@@ -343,10 +349,11 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
                      else "false")
 
     # which iframes exist only because a script injected them?
-    static_frame_srcs = {frame.get("src") for frame in select(static_doc, "iframe")}
+    static_frame_srcs = {frame.get("src") for frame in static_frames}
 
     # ---- iframe heuristics over the post-execution DOM ----
-    for frame in select(document, "iframe"):
+    frames = static_frames if document is static_doc else document.find_all("iframe")
+    for frame in frames:
         finding = _classify_iframe(frame)
         if finding is None:
             continue
@@ -354,10 +361,8 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         analysis.hidden_iframes.append(finding)
 
     # ---- script heuristics ----
-    scripts = select(static_doc, "script")
-    analysis.script_count = len(scripts)
-    for script in scripts:
-        source = script.text_content()
+    analysis.script_count = len(static_scripts)
+    for source in sources:
         if not source.strip():
             continue
         _merge_script_analysis(analysis, source, compile_cache)
@@ -368,7 +373,7 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         analysis.redirect_stub = True
         analysis.redirect_target = analysis.navigations[0]
     meta_refresh = [
-        m for m in select(static_doc, "meta")
+        m for m in metas
         if m.get("http-equiv", "").lower() == "refresh" and "url=" in m.get("content", "").lower()
     ]
     if meta_refresh:
@@ -386,6 +391,20 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
         analysis.deceptive_download_bar = analysis.deceptive_download_bar or "install" in lowered
 
     return analysis
+
+
+def _collect_tags(document: Document) -> Tuple[List[Element], List[Element], List[Element]]:
+    """The document's scripts, iframes and metas, each in document order,
+    from one walk of the DOM."""
+    scripts: List[Element] = []
+    iframes: List[Element] = []
+    metas: List[Element] = []
+    buckets = {"script": scripts, "iframe": iframes, "meta": metas}
+    for element in document.iter():
+        bucket = buckets.get(element.tag)
+        if bucket is not None:
+            bucket.append(element)
+    return scripts, iframes, metas
 
 
 def _page_skip_decision(reports: List[ScriptReport]) -> "tuple[bool, List[str]]":
@@ -497,21 +516,23 @@ def _page_skip_decision(reports: List[ScriptReport]) -> "tuple[bool, List[str]]"
 
 
 def _synthesize_dynamic(analysis: ContentAnalysis, html: str,
+                        static_doc: Document,
                         static_scripts: List[Element],
+                        sources: List[str],
                         reports: List[ScriptReport],
-                        observer: Optional[object]) -> Element:
+                        observer: Optional[object]) -> Document:
     """Replay complete abstract effect summaries in page order.
 
     Reconstructs exactly what :func:`run_script_in_page` would have
     produced — the behaviour log fields and the post-execution document
     the iframe scan walks — from the per-script
     :class:`~repro.staticjs.absint.AbstractEffects`.  Only callable when
-    :func:`_page_skip_decision` approved the page.
+    :func:`_page_skip_decision` approved the page.  The post-execution
+    document is ``static_doc`` itself unless a replayed
+    ``document.write`` attaches markup; only then is the page parsed
+    again, into a fresh tree that receives the fragments.
     """
     log = BehaviorLog()
-    document = parse(html, observer=observer)
-    body = document.body
-    write_target = body if body is not None else document
 
     # phase replay order mirrors the sandbox: each script's script phase
     # in document order, then each simulated event across all scripts
@@ -525,6 +546,12 @@ def _synthesize_dynamic(analysis: ContentAnalysis, html: str,
             entry = report.effects.phase(event)
             if entry is not None:
                 phase_order.append(entry)
+
+    document = static_doc
+    if any(attached for entry in phase_order for _markup, attached in entry.document_writes):
+        document = parse(html, observer=observer)
+    body = document.body
+    write_target = body if body is not None else document
 
     for entry in phase_order:
         log.navigations.extend(entry.navigations)
@@ -549,11 +576,11 @@ def _synthesize_dynamic(analysis: ContentAnalysis, html: str,
     # event-phase requests in firing order
     remote: List[str] = []
     inline_reports = iter(reports)
-    for script in static_scripts:
+    for script, source in zip(static_scripts, sources):
         if script.get("src"):
             remote.append(script.get("src"))
             continue
-        if not script.text_content().strip():
+        if not source.strip():
             continue
         entry = next(inline_reports).effects.phase("script")
         if entry is not None:

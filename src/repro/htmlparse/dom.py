@@ -135,32 +135,49 @@ class Element(Node):
         return self.append(text)  # type: ignore[return-value]
 
     # -- traversal --------------------------------------------------------
+    # The walks keep an explicit stack of child iterators, so a hostile
+    # page nested thousands of levels deep costs no recursion, and each
+    # yield is O(1) instead of passing through one generator per level.
+    # An element's children are snapshotted when the walk resumes after
+    # yielding it, so a consumer may detach or append nodes as it goes.
     def iter(self) -> Iterator["Element"]:
-        """Depth-first iteration over this element and all descendants."""
+        """Depth-first (pre-order) iteration over this element and all
+        descendants."""
         yield self
-        for child in list(self.children):
-            if isinstance(child, Element):
-                yield from child.iter()
+        stack = [iter(list(self.children))]
+        while stack:
+            for child in stack[-1]:
+                if isinstance(child, Element):
+                    yield child
+                    stack.append(iter(list(child.children)))
+                    break
+            else:
+                stack.pop()
 
     def iter_nodes(self) -> Iterator[Node]:
         """Depth-first iteration over all nodes including text/comments."""
         yield self
-        for child in list(self.children):
-            if isinstance(child, Element):
-                yield from child.iter_nodes()
-            else:
+        stack = [iter(list(self.children))]
+        while stack:
+            for child in stack[-1]:
                 yield child
+                if isinstance(child, Element):
+                    stack.append(iter(list(child.children)))
+                    break
+            else:
+                stack.pop()
 
     def find_all(self, tag: str) -> List["Element"]:
         tag = tag.lower()
         return [el for el in self.iter() if el.tag == tag]
 
     def find(self, tag: str) -> Optional["Element"]:
-        matches = self.find_all(tag)
-        return matches[0] if matches else None
+        """The first ``tag`` element in document order (stops there)."""
+        tag = tag.lower()
+        return next((el for el in self.iter() if el.tag == tag), None)
 
     def text_content(self) -> str:
-        return "".join(child.text_content() for child in self.children)
+        return "".join(node.data for node in self.iter_nodes() if isinstance(node, Text))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "Element(%s, %d children)" % (self.tag, len(self.children))

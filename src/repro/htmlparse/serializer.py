@@ -8,7 +8,7 @@ the JS host environment's ``innerHTML`` getter.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Union
 
 from .dom import Comment, Document, Element, Node, Text
 from .parser import VOID_ELEMENTS
@@ -48,31 +48,33 @@ def serialize_children(element: Element) -> str:
 
 
 def _serialize_into(node: Node, parts: List[str]) -> None:
-    if isinstance(node, Document):
-        parts.append("<!DOCTYPE html>")
-        for child in node.children:
-            _serialize_into(child, parts)
-        return
-    if isinstance(node, Text):
-        parent = node.parent
-        if parent is not None and parent.tag in RAW_TEXT_ELEMENTS:
-            parts.append(node.data)
-        else:
-            parts.append(escape_text(node.data))
-        return
-    if isinstance(node, Comment):
-        parts.append("<!--%s-->" % node.data)
-        return
-    if isinstance(node, Element):
-        parts.append("<" + node.tag)
-        for name, value in node.attrs.items():
-            if value == "":
-                parts.append(" " + name)
+    # an explicit stack of nodes still to write and of the end tags of
+    # open elements (as strings): nesting depth costs no recursion
+    stack: List[Union[Node, str]] = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Document):
+            parts.append("<!DOCTYPE html>")
+            stack.extend(reversed(item.children))
+        elif isinstance(item, Text):
+            parent = item.parent
+            if parent is not None and parent.tag in RAW_TEXT_ELEMENTS:
+                parts.append(item.data)
             else:
-                parts.append(' %s="%s"' % (name, escape_attr(value)))
-        parts.append(">")
-        if node.tag in VOID_ELEMENTS:
-            return
-        for child in node.children:
-            _serialize_into(child, parts)
-        parts.append("</%s>" % node.tag)
+                parts.append(escape_text(item.data))
+        elif isinstance(item, Comment):
+            parts.append("<!--%s-->" % item.data)
+        elif isinstance(item, Element):
+            parts.append("<" + item.tag)
+            for name, value in item.attrs.items():
+                if value == "":
+                    parts.append(" " + name)
+                else:
+                    parts.append(' %s="%s"' % (name, escape_attr(value)))
+            parts.append(">")
+            if item.tag in VOID_ELEMENTS:
+                continue
+            stack.append("</%s>" % item.tag)
+            stack.extend(reversed(item.children))

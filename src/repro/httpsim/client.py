@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..obs.clock import Clock, SimClock
-from ..simweb.url import Url
+from ..simweb.url import Url, UrlTable
 from .cookies import CookieJar
 from .har import HarEntry
 from .message import HttpRequest, HttpResponse
@@ -63,7 +63,8 @@ class SimHttpClient:
                  follow_js_redirects: bool = True,
                  cookie_jar: Optional["CookieJar"] = None,
                  clock: Optional[Clock] = None,
-                 observer: Optional[object] = None) -> None:
+                 observer: Optional[object] = None,
+                 url_table: Optional[UrlTable] = None) -> None:
         self.server = server
         self.max_redirects = max_redirects
         self.follow_js_redirects = follow_js_redirects
@@ -74,6 +75,10 @@ class SimHttpClient:
         self.clock: Clock = clock if clock is not None else SimClock()
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks)
         self.observer = observer
+        #: the ``str → Url`` memo every hop is looked up in: the
+        #: pipeline's, shared with its sessions, scanners and dataset, or
+        #: one of this client's own
+        self.url_table = url_table if url_table is not None else UrlTable()
         # metric handles resolved once — fetch() is the pipeline's hottest
         # loop and must not pay a registry lookup per request
         if observer is not None:
@@ -112,13 +117,14 @@ class SimHttpClient:
         observer = self.observer
         fetch_started = self.clock.now()
         body_bytes = 0
+        lookup = self.url_table.lookup
 
         for _ in range(self.max_redirects + 1):
-            parsed = Url.try_parse(current)
+            parsed = lookup(current)
             if parsed is None:
                 response = HttpResponse.not_found()
                 break
-            request = HttpRequest.get(current, referrer=current_referrer, country=country)
+            request = HttpRequest.get(parsed, referrer=current_referrer, country=country)
             if self.cookie_jar is not None:
                 header = self.cookie_jar.cookie_header(parsed)
                 if header:

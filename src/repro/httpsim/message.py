@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from ..simweb.url import Url
 
@@ -36,12 +36,16 @@ class HttpRequest:
     country: str = "US"
 
     @classmethod
-    def get(cls, url: str, referrer: str = "", user_agent: str = _DEFAULT_UA,
+    def get(cls, url: Union[str, Url], referrer: str = "", user_agent: str = _DEFAULT_UA,
             country: str = "US") -> "HttpRequest":
+        """A GET of ``url``: a string is parsed, a parsed :class:`Url` is
+        used as it is (the client hands over the one it looked up)."""
         headers = {"User-Agent": user_agent}
         if referrer:
             headers["Referer"] = referrer
-        return cls(url=Url.parse(url), headers=headers, country=country)
+        if not isinstance(url, Url):
+            url = Url.parse(url)
+        return cls(url=url, headers=headers, country=country)
 
     @property
     def referrer(self) -> str:

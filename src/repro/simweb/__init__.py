@@ -28,7 +28,7 @@ from .site import (
     Site,
 )
 from .tlds import BENIGN_TLD_WEIGHTS, MALICIOUS_TLD_WEIGHTS, WeightedChoice
-from .url import Url, UrlError, encode_query, parse_query
+from .url import Url, UrlError, UrlTable, encode_query, parse_query
 
 __all__ = [
     "BENIGN_CATEGORY_WEIGHTS",
@@ -53,6 +53,7 @@ __all__ = [
     "Site",
     "Url",
     "UrlError",
+    "UrlTable",
     "WebRegistry",
     "WeightedChoice",
     "encode_query",

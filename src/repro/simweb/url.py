@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["Url", "UrlError", "parse_query", "encode_query"]
+__all__ = ["Url", "UrlError", "UrlTable", "parse_query", "encode_query"]
 
 _DEFAULT_PORTS = {"http": 80, "https": 443, "ftp": 21}
 
@@ -295,6 +295,43 @@ class Url:
     def same_site(self, other: "Url") -> bool:
         """True when both URLs share a registrable domain."""
         return self.registrable_domain == other.registrable_domain
+
+
+class UrlTable:
+    """A run's ``str → Url | None`` memo: each distinct string parses once.
+
+    The crawl logs every URL instance, and the HTTP client, the browser
+    session, the scanners and the analysis passes all need the parsed
+    form of the same few thousand strings — about a hundred times each
+    on the standard web.  One table per pipeline (created beside its
+    ``CompileCache``) makes :meth:`lookup` a dict hit after the first
+    parse.
+
+    * **results are never changed** — a miss stores exactly what
+      :meth:`Url.try_parse` returns (``None`` for an invalid string, so
+      a bad URL is also tried once), and :class:`Url` is frozen, so
+      every reader may share the stored value,
+    * **hermetic** — the table lives on the pipeline, never at module
+      level: a second pipeline in the same process parses its URLs
+      again and computes exactly what the first did,
+    * **thread-tolerant without a lock** — crawl shards share their
+      pipeline's table; two threads missing on one string at once both
+      parse it and store equal frozen values, so the race costs one
+      extra parse and changes no result.
+    """
+
+    __slots__ = ("_parsed",)
+
+    def __init__(self) -> None:
+        self._parsed: Dict[str, Optional[Url]] = {}
+
+    def lookup(self, raw: str) -> Optional[Url]:
+        """The parsed form of ``raw``, or ``None`` when it is no URL."""
+        try:
+            return self._parsed[raw]
+        except KeyError:
+            parsed = self._parsed[raw] = Url.try_parse(raw)
+            return parsed
 
 
 def _remove_dot_segments(path: str) -> str:

@@ -170,7 +170,42 @@ class TestPageSkipDecision:
         assert EVENT_PHASES == ("load", "click", "mousemove")
 
 
+def _count_html_parses(monkeypatch, html: str):
+    """analyze_html with an observer, counting the page parses it makes."""
+    from repro.detection import heuristics
+    from repro.obs.observer import RunObserver
+
+    parses = []
+    original = heuristics.parse
+
+    def counting(markup, observer=None):
+        parses.append(markup)
+        return original(markup, observer=observer)
+
+    monkeypatch.setattr(heuristics, "parse", counting)
+    observer = RunObserver()
+    analysis = analyze_html(html, observer=observer)
+    absint_skips = observer.metrics.counter_total("staticjs.absint.skipped_pages")
+    return analysis, len(parses), absint_skips
+
+
 class TestEffectReplayEquivalence:
+    def test_replay_without_attached_writes_parses_once(self, monkeypatch):
+        html = _page("window.location = 'http://tds.example/door';")
+        analysis, parses, absint_skips = _count_html_parses(monkeypatch, html)
+        assert absint_skips == 1
+        assert analysis.navigations == ["http://tds.example/door"]
+        assert parses == 1
+
+    def test_replay_with_attached_write_reparses(self, monkeypatch):
+        html = _page(
+            "document.write('<iframe src=\"http://bad/\" width=\"1\" "
+            "height=\"1\"></iframe>');")
+        analysis, parses, absint_skips = _count_html_parses(monkeypatch, html)
+        assert absint_skips == 1
+        assert parses == 2
+        assert [f.injected_by_js for f in analysis.hidden_iframes] == [True]
+
     def test_static_redirect_page(self):
         html = _page("window.location = 'http://tds.example/door';")
         on, _ = _assert_equivalent(html)

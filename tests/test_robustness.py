@@ -14,7 +14,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.detection import QutteraSim, Submission, VirusTotalSim, analyze_content
+from repro.detection import QutteraSim, Submission, VirusTotalSim, analyze_content, analyze_html
 from repro.flashsim import SwfError, SwfFile
 from repro.htmlparse import parse, serialize
 from repro.jsengine import LexError, ParseError, run_script_in_page
@@ -185,6 +185,19 @@ class TestScannerGarbage:
         assert analysis.kind == "html"
         assert analysis.script_count == 1
         assert [f.hidden_by for f in analysis.hidden_iframes] == ["tiny"]
+
+    @pytest.mark.parametrize("static_prefilter", [True, False])
+    def test_deeply_nested_page(self, static_prefilter):
+        # no DOM walk (iter, iter_nodes, text_content, serialize) may
+        # recurse once per nesting level
+        page = ("<html><body>" + "<div>" * 5000
+                + '<iframe src="http://x.com/" width=1 height=1></iframe>'
+                + "</div>" * 5000 + "</body></html>")
+        analysis = analyze_html(page, static_prefilter=static_prefilter)
+        assert [f.hidden_by for f in analysis.hidden_iframes] == ["tiny"]
+        document = parse(page)
+        assert serialize(document).count("<div>") == 5000
+        assert sum(1 for _node in document.iter_nodes()) == 5005
 
     def test_scan_huge_flat_page(self, scanners):
         vt, _quttera = scanners

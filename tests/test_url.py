@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.simweb.url import Url, UrlError, encode_query, parse_query
+from repro.simweb.url import Url, UrlError, UrlTable, encode_query, parse_query
 
 
 class TestParse:
@@ -158,3 +158,71 @@ class TestUrlProperties:
         normalized = url.normalized()
         assert normalized == normalized.normalized()
         assert normalized.fragment == ""
+
+
+class TestUrlTable:
+    def test_repeated_string_returns_same_object(self):
+        table = UrlTable()
+        first = table.lookup("http://Example.com/a?b=1")
+        assert first == Url.parse("http://Example.com/a?b=1")
+        assert table.lookup("http://Example.com/a?b=1") is first
+
+    def test_invalid_string_memoised_as_none(self, monkeypatch):
+        table = UrlTable()
+        assert table.lookup("not a url") is None
+        calls = []
+        original = Url.parse.__func__
+
+        def counting(cls, raw):
+            calls.append(raw)
+            return original(cls, raw)
+
+        monkeypatch.setattr(Url, "parse", classmethod(counting))
+        assert table.lookup("not a url") is None
+        assert calls == []
+
+
+class TestPipelineUrlTable:
+    """One table per pipeline: hermetic runs, shared within a run."""
+
+    @pytest.fixture(scope="class")
+    def web(self):
+        from repro.simweb.generator import WebGenerationConfig, WebGenerator
+
+        return WebGenerator(WebGenerationConfig(seed=11, scale=0.002)).build()
+
+    def test_pipelines_hold_distinct_tables_and_agree(self, web):
+        from repro.crawler import CrawlPipeline, PipelineOptions
+
+        first = CrawlPipeline(web, PipelineOptions(seed=7))
+        first_verdicts = {url: repr(v) for url, v in first.run().verdicts.items()}
+        second = CrawlPipeline(web, PipelineOptions(seed=7))
+        assert second.url_table is not first.url_table
+        second_verdicts = {url: repr(v) for url, v in second.run().verdicts.items()}
+        assert second_verdicts == first_verdicts
+        for pipeline in (first, second):
+            service = pipeline.verdict_service
+            assert pipeline.client.url_table is pipeline.url_table
+            assert pipeline.dataset.url_table is pipeline.url_table
+            assert service.virustotal.client.url_table is pipeline.url_table
+            assert service.quttera.client.url_table is pipeline.url_table
+
+
+def test_study_parses_each_url_string_a_few_times(monkeypatch):
+    """Every layer reads parsed URLs through the pipeline's table, so a
+    whole study parses each distinct string only a handful of times (the
+    redirect joins and per-verdict blacklist lookups remain)."""
+    from repro import MalwareSlumsStudy, StudyConfig
+
+    study = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.005))
+    study.generate_web()
+    parsed = []
+    original = Url.parse.__func__
+
+    def counting(cls, raw):
+        parsed.append(raw)
+        return original(cls, raw)
+
+    monkeypatch.setattr(Url, "parse", classmethod(counting))
+    study.run()
+    assert len(parsed) <= 5 * len(set(parsed))
