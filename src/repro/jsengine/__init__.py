@@ -14,7 +14,8 @@ Provides everything the paper's behavioural/static JS analysis needs:
   and every JS consumer in it,
 * :class:`repro.jsengine.hostenv.BrowserHost` /
   :func:`repro.jsengine.hostenv.run_script_in_page` — browser host
-  environment with behaviour capture,
+  environment with behaviour capture, the one browser host (the
+  staticjs abstract host subclasses it),
 * :func:`repro.jsengine.deobfuscate.deobfuscate` — static layer peeling,
 * :func:`repro.jsengine.features.extract_features` — Zozzle-style
   syntax-tree features.

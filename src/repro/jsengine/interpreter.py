@@ -66,6 +66,10 @@ class _Return(Exception):
         self.value = value
 
 
+#: expression nodes :meth:`Interpreter._eval_chain` walks as one left spine
+_CHAIN_LINKS = frozenset({N.Binary, N.Logical, N.Member, N.Call})
+
+
 class Environment:
     """A lexical scope."""
 
@@ -532,28 +536,16 @@ class Interpreter:
             return self._eval_unary(node, env)
         if kind is N.Update:
             return self._eval_update(node, env)
-        if kind is N.Binary:
-            return self._eval_binary(node.operator, self._eval(node.left, env), self._eval(node.right, env))
-        if kind is N.Logical:
-            left = self._eval(node.left, env)
-            test = self._truthy(left)
-            if node.operator == "&&":
-                return self._eval(node.right, env) if test else left
-            return left if test else self._eval(node.right, env)
+        if kind in _CHAIN_LINKS:
+            return self._eval_chain(node, env)
         if kind is N.Conditional:
             if self._truthy(self._eval(node.test, env)):
                 return self._eval(node.consequent, env)
             return self._eval(node.alternate, env)
         if kind is N.Assignment:
             return self._eval_assignment(node, env)
-        if kind is N.Call:
-            return self._eval_call(node, env)
         if kind is N.New:
             return self._eval_new(node, env)
-        if kind is N.Member:
-            obj = self._eval(node.obj, env)
-            prop = self._member_key(self._eval(node.prop, env)) if node.computed else node.prop.value  # type: ignore[union-attr]
-            return self._get_member(obj, prop)
         if kind is N.Sequence:
             result: Any = UNDEFINED
             for expression in node.expressions:
@@ -609,14 +601,56 @@ class Interpreter:
         self._write_target(node.target, value, env)
         return value
 
-    def _eval_call(self, node: N.Call, env: Environment) -> Any:
-        args = [self._eval(arg, env) for arg in node.arguments]
-        callee = node.callee
-        if isinstance(callee, N.Member):
-            obj = self._eval(callee.obj, env)
-            prop = self._member_key(self._eval(callee.prop, env)) if callee.computed else callee.prop.value  # type: ignore[union-attr]
-            return self.call_function(self._get_method(obj, prop), args, this=obj)
-        return self.call_function(self._eval(callee, env), args, this=UNDEFINED)
+    def _eval_chain(self, node: N.Node, env: Environment) -> Any:
+        """A ticked Binary, Logical, Member or Call node.
+
+        A left-deep chain (``1 + 1 + …``, ``a || b || …``, ``a.b.b…``,
+        ``o.f().f()…``, ``g()()…``) is walked in a loop, not one Python
+        frame per link, so a chain the parser accepts cannot exhaust the
+        stack.  Descending the left spine ticks each link and evaluates
+        a call's arguments before its callee; unwinding applies each link
+        to the value below it.  Hooks run in the recursive order.
+        """
+        links: Optional[List[Tuple[N.Node, Optional[List[Any]]]]] = None
+        while True:
+            kind = type(node)
+            if kind is N.Call:
+                args: Optional[List[Any]] = [self._eval(arg, env) for arg in node.arguments]
+                inner = node.callee
+                if isinstance(inner, N.Member):
+                    # a method callee's member node is not itself evaluated
+                    inner = inner.obj
+            else:
+                args = None
+                inner = node.obj if kind is N.Member else node.left
+            if type(inner) not in _CHAIN_LINKS:
+                break
+            if links is None:
+                links = []
+            links.append((node, args))
+            self._tick()
+            node = inner
+        value = self._eval(inner, env)
+        while True:
+            if kind is N.Binary:
+                value = self._eval_binary(node.operator, value, self._eval(node.right, env))
+            elif kind is N.Logical:
+                # && evaluates its right side when the left is truthy, || when falsy
+                if self._truthy(value) == (node.operator == "&&"):
+                    value = self._eval(node.right, env)
+            elif kind is N.Member:
+                prop = self._member_key(self._eval(node.prop, env)) if node.computed else node.prop.value
+                value = self._get_member(value, prop)
+            elif isinstance(node.callee, N.Member):
+                callee = node.callee
+                prop = self._member_key(self._eval(callee.prop, env)) if callee.computed else callee.prop.value
+                value = self.call_function(self._get_method(value, prop), args, this=value)
+            else:
+                value = self.call_function(value, args, this=UNDEFINED)
+            if not links:
+                return value
+            node, args = links.pop()
+            kind = type(node)
 
     def _eval_new(self, node: N.New, env: Environment) -> Any:
         callee = self._eval(node.callee, env)

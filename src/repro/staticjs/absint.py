@@ -2,17 +2,23 @@
 
 The honeyclient sandbox (:mod:`repro.jsengine`) is the ground truth for
 script behaviour, but running it dominates scan cost.  This module
-re-executes scripts *abstractly* on the sandbox's own evaluator:
-:class:`AbstractMachine` subclasses
+re-executes scripts *abstractly* on the sandbox's own evaluator and
+host: :class:`AbstractMachine` subclasses
 :class:`repro.jsengine.interpreter.Interpreter`, so statements,
 expressions, scopes, calls and ``eval`` run the same code with the
-same coercions, step counts and error strings, and a change to JS
-semantics lands in both at once.  Anything the static analysis cannot
-know — the hosting page's DOM, ``Math.random``, timer ids — becomes an
-element of the abstract domain in :mod:`repro.staticjs.domains`, and
-the machine overrides only the interpreter's value hooks, where such a
-value could change the path.  The host objects below mirror
-:class:`repro.jsengine.hostenv.BrowserHost` over an unknown page.
+same coercions, step counts and error strings, and :class:`AbstractHost`
+subclasses :class:`repro.jsengine.hostenv.BrowserHost`, so ``document``,
+``window``, elements, timers and the lifecycle run the same host code.
+A change to JS semantics or to the host lands in both at once.
+Anything the static analysis cannot know — the hosting page's DOM,
+``Math.random``, timer ids — becomes an element of the abstract domain
+in :mod:`repro.staticjs.domains`.  The machine overrides only the
+interpreter's value hooks, and the host only the host's override points
+(see :mod:`repro.jsengine.hostenv`), where such a value or the unknown
+page could change the outcome.  What stays here is the model of the
+unknown page (:class:`OpaqueElement`, :class:`OpaqueNodeList`, the
+abstract ``location`` reads), the phase, attachment and handler
+bookkeeping the page-level skip decision needs, and those overrides.
 
 The machine is *effect-complete or honest*: either it finishes the
 script (and the two lifecycle events the page driver fires) having
@@ -32,13 +38,23 @@ summary incomplete.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..htmlparse import Element, parse_fragment, serialize_children
+from ..htmlparse import Element, Node
 from ..jsengine import nodes as N
 from ..jsengine.builtins import _int_or
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from ..jsengine.deobfuscate import DECODER_NAMES
+from ..jsengine.hostenv import (
+    BehaviorLog,
+    BrowserHost,
+    DocumentObject,
+    DomElement,
+    ImageConstructor,
+    LocationObject,
+    _WindowObject,
+)
 from ..jsengine.interpreter import _Break, _Continue, Environment, Interpreter
 from ..jsengine.values import (
     UNDEFINED,
@@ -91,14 +107,13 @@ _MAX_EVAL_DEPTH = 8
 _CALL_DEPTH_DEFAULT = 48
 _CALL_DEPTH_RECURSIVE = 20
 
-#: the sandbox's fixed wall clock (hostenv.BrowserHost.now_ms)
-_NOW_MS = 1_420_070_400_000.0
-_USER_AGENT = ("Mozilla/5.0 (Windows NT 6.1; rv:38.0) "
-               "Gecko/20100101 Firefox/38.0")
 
+class _Abort(BaseException):
+    """The machine cannot mirror the sandbox beyond this point.
 
-class _Abort(Exception):
-    """The machine cannot mirror the sandbox beyond this point."""
+    Not an :class:`Exception`: the host records a script's exceptions as
+    page errors, and an abort is no script error — it ends the analysis.
+    """
 
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
@@ -154,36 +169,27 @@ class HostNative(NativeFunction):
     """A native that guards its own arguments against abstract values
     (or is insensitive to them) and so may always be invoked."""
 
-    _host_native = True
 
-
-def _host_fn(name: str, fn: Callable[..., Any]) -> HostNative:
-    return HostNative(name, fn)
+#: callables the machine runs as they are, whatever their arguments
+_HOST_CALLABLES = (HostNative, ImageConstructor)
 
 
 # ---------------------------------------------------------------------------
 # effect records
 
 
-class _PhaseLog:
-    """Mutable per-phase effect accumulator (one per lifecycle phase)."""
+@dataclass
+class _PhaseLog(BehaviorLog):
+    """The sandbox's behaviour log for one lifecycle phase."""
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.navigations: List[str] = []
-        self.popups: List[str] = []
-        self.beacons: List[str] = []
-        #: (markup, attached) — detached subtrees are invisible to the
-        #: page's iframe scan, attached ones must be synthesized
-        self.document_writes: List[Tuple[str, bool]] = []
-        self.requested_scripts: List[str] = []
-        self.listeners: List[Tuple[str, str]] = []
-        self.created_elements: List[str] = []
-        self.appended_elements: List[str] = []
-        self.cookies_set: List[str] = []
-        self.errors: List[str] = []
-        self.timeouts_scheduled = 0
-        self.steps = 0
+    #: the host's first log is the script phase's
+    name: str = "script"
+    #: per ``document_writes`` entry: True for ``document.write``, whose
+    #: markup lands in ``<body>`` and must be synthesized; False for
+    #: ``innerHTML``, invisible to the page's iframe scan
+    writes_to_body: List[bool] = field(default_factory=list)
+    requested_scripts: List[str] = field(default_factory=list)
+    steps: int = 0
 
 
 class PhaseEffects:
@@ -199,7 +205,8 @@ class PhaseEffects:
         self.navigations = tuple(log.navigations)
         self.popups = tuple(log.popups)
         self.beacons = tuple(log.beacons)
-        self.document_writes = tuple(log.document_writes)
+        #: (markup, attached) pairs
+        self.document_writes = tuple(zip(log.document_writes, log.writes_to_body))
         self.requested_scripts = tuple(log.requested_scripts)
         self.listeners = tuple(log.listeners)
         self.created_elements = tuple(log.created_elements)
@@ -314,7 +321,7 @@ class AbstractEffects:
 
 
 # ---------------------------------------------------------------------------
-# host mirror objects
+# the unknown page
 
 _INF = float("inf")
 
@@ -327,18 +334,17 @@ _ARRAY_NATIVE_NAMES = {
 }
 
 
-def _element_has_tag(element: Element, tag: str) -> bool:
-    for node in element.iter():
-        if node.tag == tag:
-            return True
-    return False
+def _check_child(child: Any) -> None:
+    """Abort unless the sandbox's outcome of inserting ``child`` is known."""
+    if isinstance(child, OpaqueElement):
+        # moving an unknown page node could move an iframe
+        raise _Abort("opaque-mutation")
+    if is_abstract(child) and child.kind == "top":
+        raise _Abort("abstract-child")
 
 
 class _OpaqueStyle:
     """``style`` of a page element the analysis cannot see."""
-
-    def __init__(self, host: "AbstractHost") -> None:
-        self._host = host
 
     def js_get(self, name: str) -> Any:
         return STR_TOP
@@ -351,54 +357,19 @@ class _OpaqueStyle:
         return "[object StyleObject]"
 
 
-class _GuardedStyle:
-    """Mirror of :class:`repro.jsengine.hostenv.StyleObject` for
-    machine-created elements, with abstract-value guards."""
-
-    def __init__(self, host: "AbstractHost", element: Element) -> None:
-        self._host = host
-        self._element = element
-
-    def js_get(self, name: str) -> Any:
-        css = _camel_to_css(name)
-        value = self._element.style.get(css)
-        return value if value is not None else ""
-
-    def js_set(self, name: str, value: Any) -> None:
-        text = self._host.concrete_text(value, "abstract-style")
-        styles = self._element.style
-        styles[_camel_to_css(name)] = text
-        self._element.set(
-            "style", "; ".join("%s: %s" % kv for kv in styles.items()))
-
-    def js_to_string(self) -> str:
-        return "[object StyleObject]"
-
-
-def _camel_to_css(name: str) -> str:
-    out: List[str] = []
-    for ch in name:
-        if ch.isupper():
-            out.append("-")
-            out.append(ch.lower())
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 class OpaqueElement:
     """A page element whose identity/content the analysis cannot see.
 
     Reads return abstract summaries; any mutation that could move,
     create, hide or reveal page content aborts the analysis.  Event
     handler registration is allowed (it is observable only through the
-    listener log and the machine's own event dispatch).
+    listener log and the host's own event dispatch).
     """
 
     def __init__(self, host: "AbstractHost", tag: Optional[str] = None) -> None:
         self._host = host
         self.tag = tag
-        #: identity token for the handler-dict ordering mirror
+        #: identity token: keys this wrapper's handler slots
         self._token = Element(tag if tag else "div")
         self._parent: Optional["OpaqueElement"] = None
 
@@ -406,13 +377,14 @@ class OpaqueElement:
         return "[object DomElement]"
 
     def _handlers(self) -> Dict[str, Any]:
-        return self._host.element_handlers.setdefault(id(self._token), {})
+        return self._host.handlers.setdefault(id(self._token), {})
 
     def js_get(self, name: str) -> Any:
+        native = self._host.native
         if name == "tagName":
             return self.tag.upper() if self.tag else string(32.0)
         if name == "style":
-            return _OpaqueStyle(self._host)
+            return _OpaqueStyle()
         if name == "parentNode":
             # every element but <html> has a parent, so the wrapper is
             # truthy exactly when the real one is
@@ -424,23 +396,23 @@ class OpaqueElement:
         if name in ("children", "childNodes"):
             return OpaqueNodeList(self._host)
         if name == "appendChild":
-            return _host_fn("appendChild", self._append_child)
+            return native("appendChild", self._append_child)
         if name == "insertBefore":
-            return _host_fn("insertBefore", self._insert_before)
+            return native("insertBefore", self._insert_before)
         if name == "removeChild":
-            return _host_fn("removeChild", self._remove_child)
+            return native("removeChild", self._remove_child)
         if name == "setAttribute":
-            return _host_fn("setAttribute", self._set_attribute)
+            return native("setAttribute", self._set_attribute)
         if name == "getAttribute":
-            return _host_fn("getAttribute", lambda *a: TOP)
+            return native("getAttribute", lambda *a: TOP)
         if name == "getElementsByTagName":
-            return _host_fn("getElementsByTagName", self._get_elements)
+            return native("getElementsByTagName", self._get_elements)
         if name == "addEventListener":
-            return _host_fn("addEventListener", self._add_event_listener)
+            return native("addEventListener", self._add_event_listener)
         if name == "attachEvent":
-            return _host_fn("attachEvent", self._attach_event)
+            return native("attachEvent", self._attach_event)
         if name == "click":
-            return _host_fn("click", self._click)
+            return native("click", self._click)
         if name.startswith("on"):
             # another wrapper of the same real element may have
             # overwritten the slot this wrapper thinks it owns
@@ -453,12 +425,17 @@ class OpaqueElement:
 
     def js_set(self, name: str, value: Any) -> None:
         if name.startswith("on"):
-            self._host.register_opaque_handler(name[2:], id(self._token))
-            self._handlers()[name] = value
-            self._host.add_listener(self.tag if self.tag else "*", name[2:],
-                                    element=True, opaque=True)
+            self._listen(name[2:], value)
             return
         raise _Abort("opaque-mutation")
+
+    def _listen(self, event: str, handler: Any) -> None:
+        host = self._host
+        host.register_opaque_handler(event, id(self._token))
+        host.log.listeners.append((self.tag if self.tag else "*", event))
+        host.element_handler_events.add(event)
+        host.opaque_element_handler_events.add(event)
+        self._handlers()["on" + event] = handler
 
     # -- methods ---------------------------------------------------------
     def _append_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
@@ -469,7 +446,7 @@ class OpaqueElement:
         return self._host.attach_to_opaque(child, self)
 
     def _remove_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
-        if isinstance(child, OpaqueElement) or child is TOP or (
+        if isinstance(child, OpaqueElement) or (
                 is_abstract(child) and child.kind == "top"):
             # detaching an unknown page node could remove an iframe
             raise _Abort("opaque-mutation")
@@ -484,21 +461,13 @@ class OpaqueElement:
 
     def _add_event_listener(self, event: Any = UNDEFINED,
                             handler: Any = UNDEFINED, *rest: Any) -> Any:
-        name = self._host.concrete_text(event, "abstract-event")
-        self._host.register_opaque_handler(name, id(self._token))
-        self._host.add_listener(self.tag if self.tag else "*", name,
-                                element=True, opaque=True)
-        self._handlers()["on" + name] = handler
+        self._listen(self._host.text(event, "abstract-event"), handler)
         return UNDEFINED
 
     def _attach_event(self, event: Any = UNDEFINED,
                       handler: Any = UNDEFINED) -> Any:
-        name = self._host.concrete_text(event, "abstract-event")
-        name = name[2:] if name.startswith("on") else name
-        self._host.register_opaque_handler(name, id(self._token))
-        self._host.add_listener(self.tag if self.tag else "*", name,
-                                element=True, opaque=True)
-        self._handlers()["on" + name] = handler
+        self._listen(self._host.text(event, "abstract-event").removeprefix("on"),
+                    handler)
         return UNDEFINED
 
     def _click(self) -> Any:
@@ -540,556 +509,117 @@ class OpaqueNodeList(JSObject):
         raise _Abort("opaque-nodelist-write")
 
 
-class AbstractElement:
-    """Mirror of :class:`repro.jsengine.hostenv.DomElement` for elements
-    the machine itself created — their subtree is fully concrete."""
-
-    def __init__(self, host: "AbstractHost", element: Element) -> None:
-        self._host = host
-        self._element = element
-        #: set when the element was appended under an unknown page node
-        self.opaque_parent: Optional[OpaqueElement] = None
-
-    @property
-    def element(self) -> Element:
-        return self._element
-
-    def js_to_string(self) -> str:
-        return "[object DomElement]"
-
-    def _handlers(self) -> Dict[str, Any]:
-        return self._host.element_handlers.setdefault(id(self._element), {})
-
-    def js_get(self, name: str) -> Any:
-        el = self._element
-        host = self._host
-        if name == "tagName":
-            return el.tag.upper()
-        if name == "id":
-            return el.id
-        if name == "style":
-            return _GuardedStyle(host, el)
-        if name == "innerHTML":
-            return serialize_children(el)
-        if name == "src":
-            return el.get("src")
-        if name == "href":
-            return el.get("href")
-        if name in ("width", "height"):
-            return el.get(name)
-        if name == "parentNode":
-            if el.parent is not None and isinstance(el.parent, Element):
-                return host.wrap(el.parent)
-            if self.opaque_parent is not None:
-                return self.opaque_parent
-            return None
-        if name == "children" or name == "childNodes":
-            return JSArray([host.wrap(c) for c in el.children
-                            if isinstance(c, Element)])
-        if name == "firstChild":
-            for child in el.children:
-                if isinstance(child, Element):
-                    return host.wrap(child)
-            return None
-        if name == "appendChild":
-            return _host_fn("appendChild", self._append_child)
-        if name == "insertBefore":
-            return _host_fn("insertBefore", self._insert_before)
-        if name == "removeChild":
-            return _host_fn("removeChild", self._remove_child)
-        if name == "setAttribute":
-            return _host_fn("setAttribute", self._set_attribute)
-        if name == "getAttribute":
-            return _host_fn("getAttribute", self._get_attribute)
-        if name == "getElementsByTagName":
-            return _host_fn("getElementsByTagName", self._get_elements)
-        if name == "addEventListener":
-            return _host_fn("addEventListener", self._add_event_listener)
-        if name == "attachEvent":
-            return _host_fn("attachEvent", self._attach_event)
-        if name == "click":
-            return _host_fn("click", self._click)
-        if name.startswith("on"):
-            if host.is_attached(el):
-                # an attached element is reachable through another
-                # script's opaque wrappers, which may overwrite the slot
-                host.element_handler_reads.add(name[2:])
-            return self._handlers().get(name, UNDEFINED)
-        if name == "textContent":
-            return el.text_content()
-        if name == "className":
-            return el.get("class")
-        return el.get(name) or UNDEFINED
-
-    def js_set(self, name: str, value: Any) -> None:
-        el = self._element
-        host = self._host
-        if name == "innerHTML":
-            markup = host.concrete_text(value, "abstract-html")
-            el.children = []
-            fragment = parse_fragment(markup)
-            if host.is_attached(el) and _element_has_tag(fragment, "iframe"):
-                # an iframe would land at an unknown page position
-                raise _Abort("opaque-iframe")
-            for child in list(fragment.children):
-                el.append(child)
-            if host.is_attached(el):
-                host.mark_attached(el)
-            host.log.document_writes.append((markup, False))
-            return
-        if name == "src":
-            text = host.concrete_text(value, "abstract-src")
-            el.set("src", text)
-            if el.tag == "img":
-                host.log.beacons.append(text)
-            if el.tag == "script":
-                host.request_script(text)
-            return
-        if name in ("textContent", "innerText"):
-            text = host.concrete_text(value, "abstract-text")
-            el.children = []
-            el.append_text(text)
-            return
-        if name == "className":
-            el.set("class", host.concrete_text(value, "abstract-attr"))
-            return
-        if name.startswith("on"):
-            self._handlers()[name] = value
-            host.add_listener(el.tag, name[2:], element=True)
-            return
-        el.set(name, host.concrete_text(value, "abstract-attr"))
-
-    # -- methods ---------------------------------------------------------
-    def _append_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
-        host = self._host
-        if isinstance(child, AbstractElement):
-            if host.is_attached(self._element) and _element_has_tag(
-                    child.element, "iframe"):
-                raise _Abort("opaque-iframe")
-            self._element.append(child.element)
-            host.log.appended_elements.append(child.element.tag)
-            if host.is_attached(self._element):
-                host.mark_attached(child.element)
-        elif isinstance(child, OpaqueElement):
-            raise _Abort("opaque-mutation")
-        elif child is TOP or (is_abstract(child) and child.kind == "top"):
-            raise _Abort("abstract-child")
-        return child
-
-    def _insert_before(self, child: Any = UNDEFINED, ref: Any = UNDEFINED,
-                       *rest: Any) -> Any:
-        host = self._host
-        if isinstance(child, AbstractElement):
-            if host.is_attached(self._element) and _element_has_tag(
-                    child.element, "iframe"):
-                raise _Abort("opaque-iframe")
-            index = 0
-            if (isinstance(ref, AbstractElement)
-                    and ref.element in self._element.children):
-                index = self._element.children.index(ref.element)
-            self._element.insert(index, child.element)
-            host.log.appended_elements.append(child.element.tag)
-            if host.is_attached(self._element):
-                host.mark_attached(child.element)
-        elif isinstance(child, OpaqueElement):
-            raise _Abort("opaque-mutation")
-        elif child is TOP or (is_abstract(child) and child.kind == "top"):
-            raise _Abort("abstract-child")
-        return child
-
-    def _remove_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
-        if (isinstance(child, AbstractElement)
-                and child.element in self._element.children):
-            child.element.detach()
-        return child
-
-    def _set_attribute(self, name: Any = UNDEFINED,
-                       value: Any = UNDEFINED) -> Any:
-        host = self._host
-        attr = host.concrete_text(name, "abstract-attr")
-        text = host.concrete_text(value, "abstract-attr")
-        self._element.set(attr, text)
-        if attr == "src" and self._element.tag == "script":
-            host.request_script(text)
-        return UNDEFINED
-
-    def _get_attribute(self, attr: Any = UNDEFINED) -> Any:
-        if contains_abstract(attr):
-            return TOP  # pure read of our own attrs under an unknown key
-        return self._element.get(to_string(attr)) or None
-
-    def _get_elements(self, tag: Any = UNDEFINED) -> Any:
-        if contains_abstract(tag):
-            return TOP  # pure: some subset of our own subtree
-        return JSArray([self._host.wrap(e)
-                        for e in self._element.find_all(to_string(tag))])
-
-    def _add_event_listener(self, event: Any = UNDEFINED,
-                            handler: Any = UNDEFINED, *rest: Any) -> Any:
-        name = self._host.concrete_text(event, "abstract-event")
-        self._host.add_listener(self._element.tag, name, element=True)
-        self._handlers()["on" + name] = handler
-        return UNDEFINED
-
-    def _attach_event(self, event: Any = UNDEFINED,
-                      handler: Any = UNDEFINED) -> Any:
-        name = self._host.concrete_text(event, "abstract-event")
-        name = name[2:] if name.startswith("on") else name
-        self._host.add_listener(self._element.tag, name, element=True)
-        self._handlers()["on" + name] = handler
-        return UNDEFINED
-
-    def _click(self) -> Any:
-        href = self._element.get("href")
-        if href:
-            self._host.navigate(href)
-        handler = self._handlers().get("onclick")
-        if handler is not UNDEFINED and handler is not None:
-            # mirrors DomElement._click: exceptions propagate to the
-            # surrounding run_script/fire_event recovery
-            self._host.machine.call_function(handler, [], this=self)
-        return UNDEFINED
-
-
-class AbstractLocation:
+class AbstractLocation(LocationObject):
     """``window.location`` of an unknown page URL."""
 
     #: generous length bound for URL-derived strings — tight enough to
     #: prove the 2 MB allocation guard cannot fire
     URL_LEN = 65536.0
-
-    def __init__(self, host: "AbstractHost") -> None:
-        self._host = host
+    _URL_PARTS = {"href", "hostname", "host", "protocol", "pathname", "search"}
 
     def js_get(self, name: str) -> Any:
-        if name in ("href", "hostname", "host", "protocol", "pathname",
-                    "search"):
+        if name in self._URL_PARTS:
             return string(self.URL_LEN)
-        if name == "replace" or name == "assign":
-            return _host_fn(name, self._navigate)
-        if name == "reload":
-            return _host_fn("reload", lambda *a: UNDEFINED)
-        if name == "toString":
-            return _host_fn("toString", lambda: string(self.URL_LEN))
-        return UNDEFINED
-
-    def js_set(self, name: str, value: Any) -> None:
-        if name == "href":
-            self._navigate(value)
-
-    def _navigate(self, target: Any = UNDEFINED) -> Any:
-        self._host.navigate(self._host.concrete_text(target, "abstract-url"))
-        return UNDEFINED
+        return super().js_get(name)
 
     def js_to_string(self) -> str:
         # the concrete URL is unknown; it cannot pass through to_string
         raise _Abort("location-string")
 
 
-class AbstractDocument:
-    """Mirror of :class:`repro.jsengine.hostenv.DocumentObject` over an
-    unknown page tree."""
+# ---------------------------------------------------------------------------
+# the script's own elements and the page's document
 
-    def __init__(self, host: "AbstractHost") -> None:
-        self._host = host
-        self._body: Optional[OpaqueElement] = None
-        self._head: Optional[OpaqueElement] = None
-        self._html: Optional[OpaqueElement] = None
 
-    def js_to_string(self) -> str:
-        return "[object DocumentObject]"
+class AbstractElement(DomElement):
+    """:class:`DomElement` of an element the script created: its subtree
+    is concrete, but it may hang under an unknown page node."""
 
-    def _singleton(self, attr: str, tag: str) -> OpaqueElement:
-        value = getattr(self, attr)
-        if value is None:
-            value = OpaqueElement(self._host, tag)
-            setattr(self, attr, value)
-        return value
+    def __init__(self, host: "AbstractHost", element: Element) -> None:
+        super().__init__(host, element)
+        #: set when the element was appended under an unknown page node
+        self.opaque_parent: Optional[OpaqueElement] = None
 
     def js_get(self, name: str) -> Any:
-        host = self._host
-        if name == "write" or name == "writeln":
-            return _host_fn("document.write", self._write)
-        if name == "createElement":
-            return _host_fn("createElement", self._create_element)
-        if name == "getElementById":
-            # resolves against the unknown page; even a miss is
-            # observable (None is falsy)
-            return _host_fn("getElementById", self._get_by_id)
-        if name == "getElementsByTagName":
-            return _host_fn("getElementsByTagName", self._get_elements)
-        if name == "body":
-            # parse() always synthesizes html/head/body, so these are
-            # never None on a real page
-            return self._singleton("_body", "body")
-        if name == "head":
-            return self._singleton("_head", "head")
-        if name == "documentElement":
-            return self._singleton("_html", "html")
-        if name == "location":
-            return host.location
+        if name.startswith("on") and self._host.is_attached(self._element):
+            # an attached element is reachable through another script's
+            # opaque wrappers, which may overwrite the slot
+            self._host.element_handler_reads.add(name[2:])
+        return super().js_get(name)
+
+    def _listen(self, event: str, handler: Any) -> None:
+        super()._listen(event, handler)
+        self._host.element_handler_events.add(event)
+
+    def _parent_node(self) -> Any:
+        if self._element.parent is None:
+            return self.opaque_parent
+        return super()._parent_node()
+
+    def _get_attribute(self, attr: Any) -> Any:
+        if contains_abstract(attr):
+            return TOP  # pure read of our own attrs under an unknown key
+        return super()._get_attribute(attr)
+
+    def _get_elements_by_tag_name(self, tag: Any) -> Any:
+        if contains_abstract(tag):
+            return TOP  # pure: some subset of our own subtree
+        return super()._get_elements_by_tag_name(tag)
+
+
+class AbstractDocument(DocumentObject):
+    """``document`` of an unknown page: its elements are
+    :class:`OpaqueElement`\\ s and written markup is replayed, not
+    inserted."""
+
+    def __init__(self, host: "AbstractHost", document: Any) -> None:
+        super().__init__(host, document)
+        self._roots: Dict[str, OpaqueElement] = {}
+
+    def js_get(self, name: str) -> Any:
         if name == "cookie":
-            host.cookie_read = True
-            return host.cookie
-        if name == "referrer":
-            return host.referrer
-        if name == "title":
-            return STR_TOP
-        if name == "addEventListener":
-            return _host_fn("addEventListener", self._add_event_listener)
-        if name.startswith("on"):
+            self._host.cookie_read = True
+        elif name.startswith("on"):
             # visible to other scripts writing the same document slot
-            host.doc_handler_reads.add(name[2:])
-            return host.document_handlers.get(name, UNDEFINED)
-        return UNDEFINED
+            self._host.doc_handler_reads.add(name[2:])
+        return super().js_get(name)
 
-    def js_set(self, name: str, value: Any) -> None:
-        host = self._host
-        if name == "cookie":
-            text = host.concrete_text(value, "abstract-cookie")
-            host.cookie = (host.cookie + "; " + text).strip("; ")
-            host.log.cookies_set.append(text)
-            host.cookie_written = True
-            return
-        if name == "title":
-            # mutates only the page <title> text — invisible to analysis
-            host.concrete_text(value, "abstract-title")
-            return
-        if name.startswith("on"):
-            host.document_handlers[name] = value
-            host.add_listener("document", name[2:], element=False)
-            return
+    def _listen(self, event: str, handler: Any) -> None:
+        super()._listen(event, handler)
+        self._host.doc_handler_events.add(event)
 
-    def _write(self, *args: Any) -> Any:
-        host = self._host
-        markup = "".join(host.concrete_text(a, "abstract-write")
-                         for a in args)
-        host.log.document_writes.append((markup, True))
-        fragment = parse_fragment(markup)
-        for child in list(fragment.children):
-            if isinstance(child, Element):
-                for el in child.iter():
-                    if el.tag == "script" and el.get("src"):
-                        host.request_script(el.get("src"))
-                    elif el.tag == "script":
-                        host.pending_inline_scripts.append(el.text_content())
-                    elif el.tag == "iframe" and el.get("src"):
-                        host.add_redirect(el.get("src"))
-        return UNDEFINED
+    def _page_element(self, tag: str) -> Any:
+        # parse() always synthesizes html/head/body, so these are never
+        # None on a real page
+        root = self._roots.get(tag)
+        if root is None:
+            root = self._roots[tag] = OpaqueElement(self._host, tag)
+        return root
 
-    def _create_element(self, tag: Any = UNDEFINED) -> Any:
-        host = self._host
-        name = host.concrete_text(tag, "abstract-tag").lower()
-        host.log.created_elements.append(name)
-        return host.wrap(Element(name))
-
-    def _get_by_id(self, element_id: Any = UNDEFINED) -> Any:
+    def _get_element_by_id(self, element_id: Any) -> Any:
+        # resolves against the unknown page; even a miss is observable
+        # (None is falsy)
         raise _Abort("get-by-id")
 
-    def _get_elements(self, tag: Any = UNDEFINED, *rest: Any) -> Any:
+    def _get_elements_by_tag_name(self, tag: Any) -> Any:
         known = tag if isinstance(tag, str) else None
-        first = isinstance(tag, str) and tag.lower() == "script"
+        first = known is not None and known.lower() == "script"
         return OpaqueNodeList(self._host, tag=known, first_known=first)
 
-    def _add_event_listener(self, event: Any = UNDEFINED,
-                            handler: Any = UNDEFINED, *rest: Any) -> Any:
-        host = self._host
-        name = host.concrete_text(event, "abstract-event")
-        host.add_listener("document", name, element=False)
-        host.document_handlers["on" + name] = handler
-        return UNDEFINED
+    def _title(self) -> Any:
+        return STR_TOP
 
+    def _set_title(self, text: str) -> None:
+        pass  # mutates only the page <title> text — invisible to analysis
 
-class AbstractImageConstructor:
-    """``new Image()`` mirror."""
-
-    _host_native = True
-
-    def __init__(self, host: "AbstractHost") -> None:
-        self._host = host
-        self.name = "Image"
-
-    def __call__(self, *args: Any) -> Any:
-        return self._host.wrap(Element("img"))
-
-    def js_get(self, name: str) -> Any:
-        return UNDEFINED
-
-    def js_set(self, name: str, value: Any) -> None:
-        pass
-
-
-class AbstractXhr(JSObject):
-    """XMLHttpRequest mirror recording beacons."""
-
-    def __init__(self, host: "AbstractHost") -> None:
-        super().__init__()
-        self._host = host
-        self.properties["open"] = _host_fn("open", self._open)
-        self.properties["send"] = _host_fn("send", lambda *a: UNDEFINED)
-        self.properties["setRequestHeader"] = _host_fn(
-            "setRequestHeader", lambda *a: UNDEFINED)
-        self.properties["readyState"] = 4.0
-        self.properties["status"] = 200.0
-        self.properties["responseText"] = ""
-
-    def _open(self, method: Any = UNDEFINED, url: Any = UNDEFINED,
-              *rest: Any) -> Any:
-        self._host.log.beacons.append(
-            self._host.concrete_text(url, "abstract-url"))
-        return UNDEFINED
-
-
-class _AbstractWindow:
-    """``window``: a view over the (tracked) global scope."""
-
-    def __init__(self, host: "AbstractHost") -> None:
-        self._host = host
-
-    def js_get(self, name: str) -> Any:
-        if name == "location":
-            return self._host.location
-        if name in ("window", "self", "top", "parent"):
-            return self
-        return self._host.machine.window_get(name)
-
-    def js_set(self, name: str, value: Any) -> None:
-        if name == "location":
-            self._host.navigate(
-                self._host.concrete_text(value, "abstract-url"))
-            return
-        self._host.machine.window_set(name, value)
-
-    def js_to_string(self) -> str:
-        return "[object Window]"
-
-
-# ---------------------------------------------------------------------------
-# abstract host
-
-
-class AbstractHost:
-    """Page-independent stand-in for :class:`BrowserHost`.
-
-    Everything the real host would read from the concrete page is
-    abstract (opaque elements, unknown URL); everything the script
-    itself constructs is concrete and mirrored 1:1.  Effects accumulate
-    into per-phase logs so the page scanner can interleave several
-    scripts' effects in lifecycle order.
-    """
-
-    def __init__(self) -> None:
-        self.machine: "AbstractMachine" = None  # type: ignore[assignment]
-        self.phases: List[_PhaseLog] = []
-        self.element_handlers: Dict[int, Dict[str, Any]] = {}
-        self.document_handlers: Dict[str, Any] = {}
-        self.pending_inline_scripts: List[str] = []
-        self.doc_handler_events: Set[str] = set()
-        self.doc_handler_reads: Set[str] = set()
-        self.element_handler_events: Set[str] = set()
-        self.element_handler_reads: Set[str] = set()
-        self.opaque_element_handler_events: Set[str] = set()
-        #: event -> id(token) of the first opaque wrapper registering it
-        self._opaque_handler_owner: Dict[str, int] = {}
-        self.cookie = ""
-        self.cookie_read = False
-        self.cookie_written = False
-        self.referrer = ""
-        self.now_ms = _NOW_MS
-        self.redirect_targets: List[str] = []
-        self._redirect_seen: Set[str] = set()
-        self._wrappers: Dict[int, AbstractElement] = {}
-        self._attached: Set[int] = set()
-        self.location = AbstractLocation(self)
-        self.document = AbstractDocument(self)
-        self.new_phase("script")
-
-    # -- phases ----------------------------------------------------------
-    @property
-    def log(self) -> _PhaseLog:
-        return self.phases[-1]
-
-    def new_phase(self, name: str) -> _PhaseLog:
-        log = _PhaseLog(name)
-        self.phases.append(log)
-        return log
-
-    # -- effect recording -------------------------------------------------
-    def navigate(self, target: str) -> Any:
-        self.log.navigations.append(target)
-        self.add_redirect(target)
-        return UNDEFINED
-
-    def add_redirect(self, target: str) -> None:
-        if target and target not in self._redirect_seen:
-            self._redirect_seen.add(target)
-            self.redirect_targets.append(target)
-
-    def request_script(self, src: str) -> None:
-        self.log.requested_scripts.append(src)
-
-    def add_listener(self, target: str, event: str, element: bool,
-                     opaque: bool = False) -> None:
-        self.log.listeners.append((target, event))
-        if element:
-            self.element_handler_events.add(event)
-            if opaque:
-                self.opaque_element_handler_events.add(event)
-        else:
-            self.doc_handler_events.add(event)
-
-    def register_opaque_handler(self, event: str, token_id: int) -> None:
-        """Guard against two opaque wrappers aliasing one page element.
-
-        The real host keeps one handler slot per (element, event): a
-        second registration through a different wrapper of the *same*
-        element overwrites the first, while the machine — which cannot
-        prove the wrappers distinct — would fire both.  Only events the
-        lifecycle actually fires can expose the difference (reads of
-        ``on*`` slots on opaque elements abort separately).
-        """
-        owner = self._opaque_handler_owner.setdefault(event, token_id)
-        if owner != token_id and event in EVENT_PHASES:
-            raise _Abort("opaque-alias")
-
-    # -- guards and DOM bookkeeping ---------------------------------------
-    def concrete_text(self, value: Any, reason: str) -> str:
-        if contains_abstract(value):
-            raise _Abort(reason)
-        return to_string(value)
-
-    def wrap(self, element: Optional[Element]) -> Any:
-        if element is None:
-            return None
-        key = id(element)
-        wrapper = self._wrappers.get(key)
-        if wrapper is None:
-            wrapper = AbstractElement(self, element)
-            self._wrappers[key] = wrapper
-        return wrapper
-
-    def mark_attached(self, element: Element) -> None:
-        for node in element.iter():
-            self._attached.add(id(node))
-
-    def is_attached(self, element: Element) -> bool:
-        return id(element) in self._attached
-
-    def attach_to_opaque(self, child: Any, parent: OpaqueElement) -> Any:
-        """``appendChild``/``insertBefore`` under an unknown page node."""
-        if isinstance(child, AbstractElement):
-            if _element_has_tag(child.element, "iframe"):
-                # the iframe's page position (and hence its hidden/visible
-                # classification) would be unknown
-                raise _Abort("opaque-iframe")
-            self.log.appended_elements.append(child.element.tag)
-            self.mark_attached(child.element)
-            child.opaque_parent = parent
-        elif isinstance(child, OpaqueElement):
-            raise _Abort("opaque-mutation")
-        elif child is TOP or (is_abstract(child) and child.kind == "top"):
-            raise _Abort("abstract-child")
-        return child
+    def _write_into_page(self, nodes: List[Node]) -> None:
+        # replay appends the recorded markup to <body>; a written
+        # iframe's src is a redirect target for the static findings
+        for node in nodes:
+            if isinstance(node, Element):
+                for el in node.iter():
+                    if el.tag == "iframe" and el.get("src"):
+                        self._host.add_redirect(el.get("src"))
 
 
 # ---------------------------------------------------------------------------
@@ -1224,169 +754,35 @@ class AbstractMachine(Interpreter):
     be known.
     """
 
-    def __init__(self, source: str,
-                 compile_cache: Optional[CompileCache] = None) -> None:
-        self.source = source
-        self.host = AbstractHost()
-        self.host.machine = self
+    def __init__(self, **options: Any) -> None:
+        """``options`` are :class:`Interpreter`'s; :class:`AbstractHost`
+        builds the machine as the sandbox host builds its interpreter."""
         self.call_depth = 0
         self.call_depth_limit = _CALL_DEPTH_DEFAULT
         self.decoders_used: Set[str] = set()
         self.widenings = 0
         self.widened_heads: List[int] = []
         self.incomplete_reasons: List[str] = []
-        self._call_graph: Optional[CallGraph] = None
+        self.call_graph: Optional[CallGraph] = None
         self._program: Optional[N.Program] = None
         self._loop_heads: Optional[Dict[int, int]] = None
-        # compile_cache is the pipeline's AST memo: every source the
-        # machine runs (the script, written inline scripts, timer
-        # strings, eval payloads) reuses a cached AST and is parsed
-        # afresh only when uncached
-        super().__init__(host_globals=self._host_globals(),
-                         step_budget=MACHINE_STEP_LIMIT,
-                         compile_cache=compile_cache)
+        self.global_reads: Set[str] = set()
+        self.global_writes: Set[str] = set()
+        super().__init__(**options)
         bindings = self.global_env.vars
         math_obj = bindings.get("Math")
         if isinstance(math_obj, JSObject):
-            math_obj.properties["random"] = _host_fn(
+            math_obj.properties["random"] = HostNative(
                 "Math.random", lambda: number(Interval(0.0, 1.0)))
         bindings["eval"] = HostNative("eval", self._eval_builtin)
-        # the bindings installed so far are pre-script state; from here
-        # the global scope records the script's reads and writes
-        self.global_reads: Set[str] = set()
-        self.global_writes: Set[str] = set()
+
+    def track_globals(self) -> None:
+        """From here the global scope records the script's reads and
+        writes; the bindings installed so far are pre-script state."""
         scope = _Scope()
-        scope.vars = bindings
+        scope.vars = self.global_env.vars
         scope.reads, scope.writes = self.global_reads, self.global_writes
         self.global_env = scope
-
-    # -- global environment -----------------------------------------------
-    def _host_globals(self) -> Dict[str, Any]:
-        host = self.host
-
-        def window_open(url: Any = UNDEFINED, *rest: Any) -> Any:
-            host.log.popups.append(host.concrete_text(url, "abstract-url"))
-            return JSObject({"closed": False})
-
-        def date_ctor(*args: Any) -> Any:
-            if not args:
-                value: Any = host.now_ms
-            elif contains_abstract(args[0]):
-                value = NUM_TOP
-            else:
-                value = to_number(args[0])
-            return JSObject({
-                "getTime": _host_fn("getTime", lambda *a: value),
-                "valueOf": _host_fn("valueOf", lambda *a: value),
-                "getFullYear": _host_fn("getFullYear", lambda *a: 2015.0),
-                "toString": _host_fn("toString",
-                                     lambda *a: "Thu Jan 01 2015"),
-            })
-
-        navigator = JSObject({
-            "userAgent": _USER_AGENT,
-            "platform": "Win32",
-            "language": "en-US",
-            "plugins": JSArray([JSObject({"name": "Shockwave Flash"})]),
-        })
-        screen = JSObject({"width": 1366.0, "height": 768.0,
-                           "colorDepth": 24.0})
-        window = _AbstractWindow(host)
-        return {
-            "document": host.document,
-            "location": host.location,
-            "navigator": navigator,
-            "screen": screen,
-            "open": _host_fn("open", window_open),
-            "alert": _host_fn("alert", lambda *a: UNDEFINED),
-            "confirm": _host_fn("confirm", lambda *a: True),
-            "prompt": _host_fn("prompt", lambda *a: ""),
-            "setTimeout": _host_fn("setTimeout", self._set_timeout),
-            "setInterval": _host_fn("setInterval", self._set_timeout),
-            "clearTimeout": _host_fn("clearTimeout", lambda *a: UNDEFINED),
-            "clearInterval": _host_fn("clearInterval", lambda *a: UNDEFINED),
-            "Image": AbstractImageConstructor(host),
-            "XMLHttpRequest": _host_fn("XMLHttpRequest",
-                                       lambda: AbstractXhr(host)),
-            "Date": _host_fn("Date", date_ctor),
-            "console": JSObject({"log": _host_fn("log",
-                                                 lambda *a: UNDEFINED)}),
-            "window": window,
-            "self": window,
-            "top": window,
-            "parent": window,
-        }
-
-    def window_get(self, name: str) -> Any:
-        """Mirror of _WindowObject.js_get over the (root) global scope."""
-        self.global_reads.add(name)
-        return self.global_env.vars.get(name, UNDEFINED)
-
-    def window_set(self, name: str, value: Any) -> None:
-        self.global_writes.add(name)
-        self.global_env.vars[name] = value
-
-    # -- lifecycle ---------------------------------------------------------
-    def simulate(self) -> AbstractEffects:
-        reasons: List[str] = []
-        phase_start = 0
-        try:
-            self._run_script_phase(self.source)
-            self.host.log.steps = self.steps - phase_start
-            for event in EVENT_PHASES:
-                phase_start = self.steps
-                self.host.new_phase(event)
-                self._fire_event(event)
-                self.host.log.steps = self.steps - phase_start
-        except _Abort as abort:
-            reasons.append(abort.reason)
-            self.host.log.steps = self.steps - phase_start
-        except RecursionError:
-            reasons.append("python-depth")
-            self.host.log.steps = self.steps - phase_start
-        reasons.extend(self.incomplete_reasons)
-        graph = self._call_graph
-        return AbstractEffects(
-            complete=not reasons,
-            reasons=reasons,
-            phases=[PhaseEffects(log) for log in self.host.phases],
-            global_reads=self.global_reads,
-            global_writes=self.global_writes,
-            doc_handler_events=self.host.doc_handler_events,
-            doc_handler_reads=self.host.doc_handler_reads,
-            element_handler_events=self.host.element_handler_events,
-            element_handler_reads=self.host.element_handler_reads,
-            opaque_element_handler_events=(
-                self.host.opaque_element_handler_events),
-            cookie_read=self.host.cookie_read,
-            cookie_written=self.host.cookie_written,
-            steps=self.steps,
-            widenings=self.widenings,
-            widened_heads=self.widened_heads,
-            eval_sources=self.eval_log,
-            max_eval_depth=self.max_eval_depth,
-            redirect_targets=self.host.redirect_targets,
-            decoders_used=self.decoders_used,
-            call_edges=graph.edge_count if graph else 0,
-            recursive_functions=len(graph.recursive) if graph else 0,
-        )
-
-    def _run_script_phase(self, source: str) -> None:
-        """Mirror of BrowserHost.run_script (incl. the pending drain)."""
-        self._run_recovered(source)
-        while self.host.pending_inline_scripts:
-            pending = self.host.pending_inline_scripts.pop(0)
-            self._run_recovered(pending)
-
-    def _run_recovered(self, source: str) -> None:
-        try:
-            self.run(source)
-        except _Abort:
-            raise
-        except RecursionError:
-            raise _Abort("python-depth")
-        except Exception as exc:  # noqa: BLE001 - sandbox records errors
-            self.host.log.errors.append("%s: %s" % (type(exc).__name__, exc))
 
     def _compile(self, source: str) -> N.Program:
         """The cached AST, without counting a compile, within the
@@ -1399,62 +795,11 @@ class AbstractMachine(Interpreter):
         if self._program is None:
             # the first program run is the script itself
             self._program = program
-            self._call_graph = build_call_graph(program)
+            self.call_graph = build_call_graph(program)
             self.call_depth_limit = recursion_limit_for(
-                self._call_graph, default=_CALL_DEPTH_DEFAULT,
+                self.call_graph, default=_CALL_DEPTH_DEFAULT,
                 recursive_cap=_CALL_DEPTH_RECURSIVE)
         return super().run_program(program)
-
-    def _fire_event(self, event: str) -> None:
-        """Mirror of BrowserHost.fire_event over the machine's handlers."""
-        handler = self.host.document_handlers.get("on" + event)
-        if handler is not None and handler is not UNDEFINED:
-            self._fire_handler(handler, event)
-        for handlers in list(self.host.element_handlers.values()):
-            fn = handlers.get("on" + event)
-            if fn is not None and fn is not UNDEFINED:
-                self._fire_handler(fn, event)
-
-    def _fire_handler(self, handler: Any, event: str) -> None:
-        if contains_abstract(handler):
-            # the real handler slot might hold anything, incl. UNDEFINED
-            raise _Abort("abstract-handler")
-        try:
-            self.call_function(handler, [JSObject({"type": event})],
-                               this=UNDEFINED)
-        except _Abort:
-            raise
-        except RecursionError:
-            raise _Abort("python-depth")
-        except Exception as exc:  # noqa: BLE001
-            self.host.log.errors.append("%s: %s" % (type(exc).__name__, exc))
-
-    def _set_timeout(self, handler: Any = UNDEFINED, delay: Any = UNDEFINED,
-                     *rest: Any) -> Any:
-        self.host.log.timeouts_scheduled += 1
-        if isinstance(handler, str):
-            try:
-                self.run(handler)
-            except _Abort:
-                raise
-            except RecursionError:
-                raise _Abort("python-depth")
-            except Exception as exc:  # noqa: BLE001
-                self.host.log.errors.append(str(exc))
-        elif is_abstract(handler):
-            raise _Abort("abstract-handler")
-        elif handler is not UNDEFINED:
-            try:
-                self.call_function(handler, [], this=UNDEFINED)
-            except _Abort:
-                raise
-            except RecursionError:
-                raise _Abort("python-depth")
-            except Exception as exc:  # noqa: BLE001
-                self.host.log.errors.append(str(exc))
-        # the real return value is the page-cumulative timer count, which
-        # depends on other scripts — unknowable per-script
-        return NUM_TOP
 
     def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
         if is_abstract(source):
@@ -1485,8 +830,8 @@ class AbstractMachine(Interpreter):
                 if self._program is not None:
                     heads.update(
                         cfgmod.build_cfg(self._program.body).loop_head_of)
-                if self._call_graph is not None:
-                    for fn_node in self._call_graph.functions.values():
+                if self.call_graph is not None:
+                    for fn_node in self.call_graph.functions.values():
                         heads.update(
                             cfgmod.build_cfg(fn_node.body).loop_head_of)
             except Exception:  # noqa: BLE001 - diagnostics only
@@ -1507,7 +852,7 @@ class AbstractMachine(Interpreter):
                 return super().call_function(fn, args, this)
             finally:
                 self.call_depth -= 1
-        if callable(fn) and not getattr(fn, "_host_native", False):
+        if callable(fn) and not isinstance(fn, _HOST_CALLABLES):
             summary = self._summarise_call(fn, args, this)
             if summary is not _RUN_CONCRETELY:
                 return summary
@@ -1768,7 +1113,7 @@ class AbstractMachine(Interpreter):
             # an on* read materialises the element's handler table in
             # the sandbox — an ordering-observable side effect
             raise _Abort("abstract-key")
-        if isinstance(obj, (AbstractDocument, _AbstractWindow)):
+        if isinstance(obj, (AbstractDocument, _WindowObject)):
             raise _Abort("abstract-key")
         if isinstance(obj, AbstractLocation):
             return TOP
@@ -1781,14 +1126,14 @@ class AbstractMachine(Interpreter):
             if prop == "length":
                 return number(Interval(0.0, obj.max_len))
             if prop in _STRING_METHODS:
-                return _host_fn(
+                return HostNative(
                     "String.%s" % prop,
                     lambda *args, _p=prop, _b=obj.max_len:
                         self._abstract_string_method(_p, _b, list(args)))
             return UNDEFINED
         if obj.kind == "number":
             if prop in ("toString", "toFixed"):
-                return _host_fn(
+                return HostNative(
                     "Number.%s" % prop,
                     lambda *args, _p=prop:
                         self._abstract_number_method(_p, list(args)))
@@ -1993,12 +1338,192 @@ def _bound_str(value: Any) -> Optional[float]:
         if contains_abstract(value) or _nodelist_tainted(value):
             return None
         return float(len(to_string(value)))
-    if isinstance(value, OpaqueElement):
-        return float(len("[object DomElement]"))
     try:
         return float(len(to_string(value)))
     except _Abort:
         return None
+
+
+# ---------------------------------------------------------------------------
+# the host
+
+
+class AbstractHost(BrowserHost):
+    """:class:`BrowserHost` over a page the analysis cannot see.
+
+    Everything the real host would read from the concrete page is
+    abstract (opaque elements, unknown URL); everything the script
+    itself constructs is concrete and runs on the sandbox's own host
+    code.  Effects accumulate into one :class:`_PhaseLog` per lifecycle
+    phase, so the page scanner can interleave several scripts' effects
+    in lifecycle order.
+    """
+
+    interpreter_class = AbstractMachine
+    log_class = _PhaseLog
+    native = HostNative
+    element_class = AbstractElement
+    document_class = AbstractDocument
+    location_class = AbstractLocation
+
+    def __init__(self, compile_cache: Optional[CompileCache] = None) -> None:
+        # compile_cache is the pipeline's AST memo: every source the
+        # machine runs (the script, written inline scripts, timer
+        # strings, eval payloads) reuses a cached AST and is parsed
+        # afresh only when uncached
+        super().__init__(step_budget=MACHINE_STEP_LIMIT, compile_cache=compile_cache)
+        self.phases: List[_PhaseLog] = [self.log]
+        self.doc_handler_events: Set[str] = set()
+        self.doc_handler_reads: Set[str] = set()
+        self.element_handler_events: Set[str] = set()
+        self.element_handler_reads: Set[str] = set()
+        self.opaque_element_handler_events: Set[str] = set()
+        #: event -> id(token) of the first opaque wrapper registering it
+        self._opaque_handler_owner: Dict[str, int] = {}
+        self.cookie_read = False
+        #: targets in first-seen order (a dict as an ordered set)
+        self._redirects: Dict[str, None] = {}
+        self._attached: Set[int] = set()
+        self.interpreter.track_globals()
+
+    def new_phase(self, name: str) -> None:
+        self.log = _PhaseLog(name=name)
+        self.phases.append(self.log)
+
+    # -- lifecycle ---------------------------------------------------------
+    def simulate(self, source: str) -> AbstractEffects:
+        """Run ``source`` and fire :data:`EVENT_PHASES`, as
+        :func:`repro.jsengine.hostenv.run_script_in_page` does."""
+        machine = self.interpreter
+        reasons: List[str] = []
+        phase_start = 0
+        try:
+            self.run_script(source)
+            for event in EVENT_PHASES:
+                self.log.steps = machine.steps - phase_start
+                phase_start = machine.steps
+                self.new_phase(event)
+                self.fire_event("document", event)
+        except _Abort as abort:
+            reasons.append(abort.reason)
+        except RecursionError:
+            reasons.append("python-depth")
+        self.log.steps = machine.steps - phase_start
+        reasons.extend(machine.incomplete_reasons)
+        graph = machine.call_graph
+        return AbstractEffects(
+            complete=not reasons,
+            reasons=reasons,
+            phases=[PhaseEffects(log) for log in self.phases],
+            global_reads=machine.global_reads,
+            global_writes=machine.global_writes,
+            doc_handler_events=self.doc_handler_events,
+            doc_handler_reads=self.doc_handler_reads,
+            element_handler_events=self.element_handler_events,
+            element_handler_reads=self.element_handler_reads,
+            opaque_element_handler_events=self.opaque_element_handler_events,
+            cookie_read=self.cookie_read,
+            cookie_written=any(log.cookies_set for log in self.phases),
+            steps=machine.steps,
+            widenings=machine.widenings,
+            widened_heads=machine.widened_heads,
+            eval_sources=machine.eval_log,
+            max_eval_depth=machine.max_eval_depth,
+            redirect_targets=list(self._redirects),
+            decoders_used=machine.decoders_used,
+            call_edges=graph.edge_count if graph else 0,
+            recursive_functions=len(graph.recursive) if graph else 0,
+        )
+
+    # -- BrowserHost override points ----------------------------------------
+    def text(self, value: Any, point: str) -> str:
+        if contains_abstract(value):
+            raise _Abort(point)
+        return to_string(value)
+
+    def number(self, value: Any) -> Any:
+        return NUM_TOP if contains_abstract(value) else to_number(value)
+
+    def navigate(self, target: str) -> Any:
+        self.add_redirect(target)
+        return super().navigate(target)
+
+    def on_script_src(self, src: str) -> None:
+        self.log.requested_scripts.append(src)
+
+    def record_write(self, markup: str, to_body: bool) -> None:
+        super().record_write(markup, to_body)
+        self.log.writes_to_body.append(to_body)
+
+    def record_error(self, exc: Exception, message: str) -> None:
+        if isinstance(exc, RecursionError):
+            # the sandbox's RecursionError depends on its caller's stack
+            raise _Abort("python-depth") from None
+        super().record_error(exc, message)
+
+    def insert_child(self, parent: Element, child: Any,
+                     index: Optional[int] = None) -> None:
+        _check_child(child)
+        super().insert_child(parent, child, index)
+
+    def insert_node(self, parent: Element, node: Node,
+                    index: Optional[int] = None) -> None:
+        attached = isinstance(node, Element) and self.is_attached(parent)
+        if attached and node.find("iframe") is not None:
+            # an iframe would land at an unknown page position
+            raise _Abort("opaque-iframe")
+        super().insert_node(parent, node, index)
+        if attached:
+            self.mark_attached(node)
+
+    def call_handler(self, handler: Any, args: List[Any]) -> Any:
+        if contains_abstract(handler):
+            # the real handler slot might hold anything, incl. UNDEFINED
+            raise _Abort("abstract-handler")
+        return super().call_handler(handler, args)
+
+    def _timer_id(self) -> Any:
+        # the page-cumulative timer count depends on other scripts
+        return NUM_TOP
+
+    # -- bookkeeping ---------------------------------------------------------
+    def add_redirect(self, target: str) -> None:
+        if target:
+            self._redirects.setdefault(target)
+
+    def register_opaque_handler(self, event: str, token_id: int) -> None:
+        """Guard against two opaque wrappers aliasing one page element.
+
+        The real host keeps one handler slot per (element, event): a
+        second registration through a different wrapper of the *same*
+        element overwrites the first, while the machine — which cannot
+        prove the wrappers distinct — would fire both.  Only events the
+        lifecycle actually fires can expose the difference (reads of
+        ``on*`` slots on opaque elements abort separately).
+        """
+        owner = self._opaque_handler_owner.setdefault(event, token_id)
+        if owner != token_id and event in EVENT_PHASES:
+            raise _Abort("opaque-alias")
+
+    def mark_attached(self, element: Element) -> None:
+        for node in element.iter():
+            self._attached.add(id(node))
+
+    def is_attached(self, element: Element) -> bool:
+        return id(element) in self._attached
+
+    def attach_to_opaque(self, child: Any, parent: OpaqueElement) -> Any:
+        """``appendChild``/``insertBefore`` under an unknown page node."""
+        _check_child(child)
+        if isinstance(child, AbstractElement):
+            if child.element.find("iframe") is not None:
+                # the iframe's page position (and hence its hidden/visible
+                # classification) would be unknown
+                raise _Abort("opaque-iframe")
+            self.log.appended_elements.append(child.element.tag)
+            self.mark_attached(child.element)
+            child.opaque_parent = parent
+        return child
 
 
 def interpret_script(source: str,
@@ -2012,4 +1537,4 @@ def interpret_script(source: str,
     a stored compile error, which is recorded exactly as a fresh parse
     failing would record it.
     """
-    return AbstractMachine(source, compile_cache=compile_cache).simulate()
+    return AbstractHost(compile_cache=compile_cache).simulate(source)

@@ -9,6 +9,8 @@ produced, because downstream engines consume those fields directly.
 
 from dataclasses import fields
 
+import pytest
+
 from repro.detection.heuristics import (
     _page_skip_decision,
     analyze_html,
@@ -118,6 +120,23 @@ class TestAbstractMachine:
             "</scr'+'ipt>');")
         assert effects.complete
         assert effects.phase("script").requested_scripts == ("http://r/x.js",)
+
+    @pytest.mark.parametrize("source", [
+        'var d = document.createElement("div"); '
+        'd.appendChild(document.createElement("span"), 1); document.write("after");',
+        'var e = document.createElement("a"); document.write(e.getAttribute("href", 2));',
+        'var d = new Date(); document.write(d.getTime(1));',
+        'var x = new XMLHttpRequest(1); document.write("x");',
+        'document.write("" + Image);',
+    ])
+    def test_host_functions_behave_as_in_the_sandbox(self, source):
+        # the machine runs the sandbox's host objects, so a call with the
+        # wrong arity fails with the sandbox's error (and stops the
+        # script there), and host objects stringify alike
+        host = run_script_in_page(_page(source))
+        script = interpret_script(source).phase("script")
+        assert (list(script.document_writes), list(script.errors)) == (
+            [(markup, True) for markup in host.log.document_writes], host.log.errors)
 
 
 class TestPageSkipDecision:
@@ -273,3 +292,41 @@ class TestEffectReplayEquivalence:
         assert on.static_redirect_targets == ["http://tds.example/door"]
         assert (on.static_evidence()["redirect_targets"]
                 == ["http://tds.example/door"])
+
+
+#: sha256 of the summaries of every distinct non-empty inline script of
+#: the seed-2016 scale-0.005 web (see :func:`corpus_digest`)
+CORPUS_DIGEST = "a1b56aa15c684aabfcee10c37af2d985f574354903a06623b09050c0bc4aa9fe"
+CORPUS_SCRIPTS = 649
+
+
+def corpus_digest():
+    """(script count, sha256 of each summary's sorted-key JSON, in
+    sorted source order)."""
+    import hashlib
+    import json
+
+    from repro import MalwareSlumsStudy, StudyConfig
+    from repro.htmlparse import parse, select
+
+    web = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.005)).generate_web()
+    sources = sorted({
+        script.text_content()
+        for site in web.registry for page in site.pages.values()
+        for script in select(parse(page.html), "script")
+        if not script.get("src") and script.text_content().strip()})
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(json.dumps(interpret_script(source).to_dict(), sort_keys=True).encode())
+    return len(sources), digest.hexdigest()
+
+
+def test_corpus_summaries_are_pinned():
+    """The corpus summaries are the sandbox skip's input: a refactor of
+    the abstract machine or the browser host must leave every one of
+    them unchanged.  A change that moves them on purpose says why and
+    regenerates the digest with::
+
+        PYTHONPATH=src python -c "from tests.test_absint import corpus_digest; print(corpus_digest())"
+    """
+    assert corpus_digest() == (CORPUS_SCRIPTS, CORPUS_DIGEST)

@@ -17,12 +17,14 @@ control flow, functions, and the deobfuscation idioms exchange malware
 actually uses (``unescape``, ``String.fromCharCode``, ``eval``
 re-entry, the repo's own :mod:`repro.malware.obfuscation` layers).
 
-Two more differentials pin the static pre-filter's exactness, which
+Three more differentials pin the static pre-filter's exactness, which
 the sandbox skip rests on: a complete abstract-interpretation summary
 (:func:`repro.staticjs.interpret_script`) of a host-free program must
-report the interpreter's own steps, ``eval`` log and errors, and every
-page of a generated web the pre-filter skips must yield the
-``ContentAnalysis`` the sandbox would have produced.
+report the interpreter's own steps, ``eval`` log and errors; a complete
+summary of a script touching every member of the browser host must
+report the effects of a sandbox run of that script; and every page of a
+generated web the pre-filter skips must yield the ``ContentAnalysis``
+the sandbox would have produced.
 
 Any divergence is recorded and the full set is written to
 ``js_divergences.json`` (CI uploads it as an artifact) before the
@@ -556,6 +558,165 @@ def test_complete_absint_summaries_match_the_interpreter(seed):
             divergences.append({"source": source, "absint": summary,
                                 "interpreter": expected})
     _record_and_assert(divergences)
+
+
+#: host-touching scripts: at least one per member the browser host
+#: installs, on the document and on created elements, with effects in
+#: the script, handler and timer phases
+HOST_CASES = [
+    # location, popups, cookies, beacons
+    'window.location = "http://nav.example/a";',
+    'location.href = "http://nav.example/b.exe";',
+    'location.replace("http://nav.example/c"); location.assign("http://nav.example/d");',
+    "location.reload(); document.write(typeof location.toString);",
+    'self.location = "http://nav.example/self"; top.location.href = "http://nav.example/top";',
+    'var w = open("http://pop.example/1"); document.write(w.closed);',
+    'window.open("http://pop.example/2", "_blank");',
+    'document.cookie = "a=1"; document.cookie = "b=2"; document.write(document.cookie);',
+    'new Image().src = "http://beacon.example/p.gif";',
+    'var img = new Image(1, 1); img.src = "http://beacon.example/q.gif"; '
+    "document.write(img.src + img.tagName);",
+    'var x = new XMLHttpRequest(); x.open("GET", "http://xhr.example/r"); '
+    'x.setRequestHeader("a", "b"); x.send(null); '
+    "document.write(x.readyState + x.status + x.responseText);",
+    # document.write / writeln, with markup and inline and src scripts
+    'document.write("<p>a</p>", "<b>b</b>", 3);',
+    'document.writeln("<i>line</i>");',
+    'document.write("<scr" + "ipt>document.write(\\"inner\\");</scr" + "ipt>");',
+    'document.write("<scr" + "ipt src=\\"http://s.example/w.js\\"></scr" + "ipt><p>after</p>");',
+    'document.write("<iframe src=\\"http://f.example/\\" width=\\"1\\" height=\\"1\\"></iframe>");',
+    # created elements
+    'var s = document.createElement("SCRIPT"); s.src = "http://s.example/c.js"; '
+    "document.write(s.src + s.tagName);",
+    'var s = document.createElement("script"); s.setAttribute("src", "http://s.example/d.js"); '
+    "document.body.appendChild(s);",
+    'var im = document.createElement("img"); im.src = "http://beacon.example/e.gif"; '
+    'document.write(im.getAttribute("src"));',
+    'var f = document.createElement("iframe"); f.setAttribute("src", "http://f.example/x"); '
+    'f.setAttribute("width", 0); document.write(f.getAttribute("width") + f.width + f.src);',
+    'var d = document.createElement("div"); d.innerHTML = "<b>x</b><i>y</i>"; '
+    "document.write(d.innerHTML + d.children.length);",
+    'var d = document.createElement("div"); d.textContent = "hello"; d.innerText = "there"; '
+    "document.write(d.textContent);",
+    'var d = document.createElement("div"); d.className = "c1"; d.id = "i1"; d.title = "t"; '
+    'document.write(d.className + d.id + d.title + d.getAttribute("class"));',
+    'var d = document.createElement("div"); d.style.display = "none"; '
+    'd.style.backgroundColor = "red"; document.write(d.style.display + d.style.backgroundColor '
+    '+ d.getAttribute("style") + d.style.color);',
+    'var d = document.createElement("div"); document.write("" + d + d.style + document + window);',
+    # tree edits
+    'var p = document.createElement("div"); var a = document.createElement("span"); '
+    'var b = document.createElement("em"); p.appendChild(a); p.insertBefore(b, a); '
+    'p.appendChild("text"); document.write(p.innerHTML); p.removeChild(a); '
+    "document.write(p.innerHTML + p.children.length + (b.parentNode === p) + (a.parentNode === null));",
+    'var p = document.createElement("ul"); p.appendChild(document.createElement("li")); '
+    'p.appendChild(document.createElement("li")); '
+    'document.write(p.getElementsByTagName("li").length + p.firstChild.tagName + p.childNodes.length);',
+    'var s = document.createElement("span"); document.body.appendChild(s); '
+    's.innerHTML = "<b>in page</b>"; document.write(s.parentNode === document.body);',
+    # clicks: href and onclick
+    'var a = document.createElement("a"); a.href = "http://click.example/x.exe"; a.click();',
+    'var a = document.createElement("a"); a.onclick = function () { '
+    'window.open("http://pop.example/click"); }; a.click(); document.write(typeof a.onclick);',
+    # listeners on the document and on created elements
+    'document.addEventListener("click", function (e) { document.write("clicked " + e.type); });',
+    'document.onmousemove = function (e) { new Image().src = "http://m.example/?" + e.type; }; '
+    "document.write(typeof document.onmousemove);",
+    'document.onload = function () { location.href = "http://nav.example/onload"; };',
+    'document.addEventListener("load", function () { '
+    'setTimeout("document.cookie = \\"late=1\\"", 5); });',
+    'var e = document.createElement("div"); e.addEventListener("click", function () { '
+    'document.write("el-click"); }); e.attachEvent("onload", function () { '
+    'document.write("el-load"); }); e.onmousemove = function () { new Image().src = "http://m.example/el"; };',
+    'var e = document.createElement("button"); e.addEventListener("keydown", function () {}, false); '
+    "e.onscroll = function () {};",
+    # timers with a function and with a string
+    'setTimeout(function () { document.write("t1"); }, 10); setInterval("document.write(\'t2\')", 5);',
+    'clearTimeout(setTimeout("var late = 1;", 0)); clearInterval(0); setTimeout(); document.write("ok");',
+    # the other globals
+    'var d = new Date(); document.write(d.getTime() + " " + d.getFullYear() + " " + d.toString() '
+    '+ " " + new Date(5).valueOf());',
+    "document.write(navigator.userAgent + navigator.platform + navigator.language "
+    '+ navigator.plugins.length + navigator.plugins[0].name + screen.width + "x" + screen.height '
+    "+ screen.colorDepth);",
+    "window.foo = 5; var bar = 3; document.write(foo + window.foo + window.bar + self.bar "
+    "+ (window.window === window)); document.write(typeof window.nothing + parent.foo);",
+    'document.title = "New title"; document.write(typeof document.title + document.referrer + "|");',
+    'alert("x"); if (confirm("y")) { document.write("yes" + prompt("z")); } console.log("w");',
+    "document.write(typeof document.head + typeof document.documentElement "
+    "+ typeof document.getElementsByTagName);",
+    # errors in the script, handler and timer phases
+    "undefinedFn();",
+    "var o = null; o.x.y = 1;",
+    "document.onclick = function () { missingInHandler(); };",
+    'setTimeout(function () { missingInTimer(); }, 1); setTimeout("missingInString()", 1);',
+    'document.write("<scr" + "ipt>brokenWritten(</scr" + "ipt>");',
+    'document.attachEvent("onclick", function () {});',
+    # page facts no summary can know
+    'var f = document.createElement("iframe"); f.src = "http://f.example/"; document.body.appendChild(f);',
+    'var el = document.getElementById("x"); if (el) { el.innerHTML = "y"; }',
+    'document.write("at " + location.pathname);',
+    'if (location.protocol == "https:") { new Image().src = "http://b.example/s"; }',
+    'var here = "" + location; window.open(here);',
+]
+
+#: reasons a host case may abort with: each names a fact of the unknown
+#: page (or URL) that decides the sandbox's effects
+HOST_ABORTS = {"opaque-iframe", "get-by-id", "location-string", "abstract-branch",
+               "abstract-write"}
+
+#: BehaviorLog lists a summary's phases concatenate to
+_LOG_LISTS = ("navigations", "popups", "beacons", "created_elements",
+              "appended_elements", "cookies_set", "errors")
+
+
+def sandbox_page_observation(source):
+    host = run_script_in_page(
+        "<html><head></head><body><script>%s</script></body></html>" % source)
+    observed = {name: list(getattr(host.log, name)) for name in _LOG_LISTS}
+    observed.update(
+        document_writes=list(host.log.document_writes),
+        listeners=[list(pair) for pair in host.log.listeners],
+        timeouts_scheduled=host.log.timeouts_scheduled,
+        requested_scripts=list(host.requested_scripts),
+        steps=host.interpreter.steps)
+    return observed
+
+
+def summary_page_observation(effects):
+    """The phases of a summary, concatenated in lifecycle order."""
+    observed = {name: [] for name in _LOG_LISTS}
+    observed.update(document_writes=[], listeners=[], timeouts_scheduled=0,
+                    requested_scripts=[], steps=0)
+    for phase in effects.phases:
+        for name in _LOG_LISTS:
+            observed[name].extend(getattr(phase, name))
+        observed["document_writes"].extend(markup for markup, _attached in phase.document_writes)
+        observed["listeners"].extend(list(pair) for pair in phase.listeners)
+        observed["timeouts_scheduled"] += phase.timeouts_scheduled
+        observed["requested_scripts"].extend(phase.requested_scripts)
+        observed["steps"] += phase.steps
+    return observed
+
+
+def test_complete_absint_summaries_match_the_sandbox_host():
+    """A complete summary of a host-touching script has the effects of
+    the sandbox running it on a page; an incomplete one names a page
+    fact it could not know."""
+    divergences = []
+    complete = 0
+    for source in HOST_CASES:
+        effects = interpret_script(source)
+        if not effects.complete:
+            if effects.abort_reason not in HOST_ABORTS:
+                divergences.append({"source": source, "reasons": list(effects.reasons)})
+            continue
+        complete += 1
+        expected, summary = sandbox_page_observation(source), summary_page_observation(effects)
+        if summary != expected:
+            divergences.append({"source": source, "absint": summary, "sandbox": expected})
+    _record_and_assert(divergences)
+    assert complete >= len(HOST_CASES) - 5
 
 
 #: ContentAnalysis fields that only the pre-filter path sets

@@ -20,7 +20,9 @@ from repro.htmlparse import parse, serialize
 from repro.jsengine import LexError, ParseError, run_script_in_page
 from repro.jsengine.lexer import tokenize
 from repro.jsengine.parser import parse as parse_js
-from repro.staticjs import analyze_script
+from repro.staticjs import analyze_script, interpret_script
+
+from .test_js_parser import _at_stack_depth
 
 
 class TestHtmlParserFuzz:
@@ -145,6 +147,84 @@ class TestStaticAnalyzerDepth:
         report = analyze_script("document" + ".b" * 3000 + ".write(1);")
         assert "analysis-overflow" not in report.capabilities
         assert "document-write" in report.capabilities
+
+
+def _chain_forms(links):
+    """A script per left-deep chain form, each writing one value."""
+    return {
+        "binary": "var x = 1" + " + 1" * (links - 1) + "; document.write(x);",
+        "logical": "var x = 0" + " || 0" * (links - 2) + " || 7; document.write(x);",
+        "members": "var a = {}; a.b = a; a.v = 'm'; var x = a" + ".b" * links
+                   + ".v; document.write(x);",
+        "computed": "var a = {}; a.b = a; a.v = 'c'; var x = a" + "['b']" * links
+                    + "['v']; document.write(x);",
+        "methods": "var o = {f: function () { return o; }, v: 'o'}; var x = o" + ".f()" * links
+                   + ".v; document.write(x);",
+        "calls": "function g() { return g; } var x = g" + "()" * links
+                 + "; document.write(typeof x);",
+    }
+
+
+_CHAIN_WRITES = {"binary": "3000", "logical": "7", "members": "m", "computed": "c",
+                 "methods": "o", "calls": "function"}
+
+#: sandbox steps of short chains, as evaluating each link recursively
+#: ticks them: the loop over a chain must tick exactly as often, and the
+#: abstract machine counts the same steps
+SHORT_CHAIN_STEPS = [
+    (_chain_forms(2)["binary"], 8, "2"),
+    (_chain_forms(2)["logical"], 8, "7"),
+    (_chain_forms(2)["members"], 19, "m"),
+    (_chain_forms(2)["computed"], 22, "c"),
+    (_chain_forms(2)["methods"], 17, "o"),
+    (_chain_forms(2)["calls"], 14, "function"),
+    (_chain_forms(10)["binary"], 24, "10"),
+    (_chain_forms(10)["logical"], 24, "7"),
+    (_chain_forms(10)["members"], 27, "m"),
+    (_chain_forms(10)["computed"], 38, "c"),
+    (_chain_forms(10)["methods"], 41, "o"),
+    (_chain_forms(10)["calls"], 38, "function"),
+    ("var o = {a: {b: function (x) { return [x, x + 1]; }}}; "
+     "document.write(o.a.b(2)[1] * 3 - 1 && 'y' || 'n');", 26, "y"),
+    ("var s = 'abc'; document.write(s.toUpperCase().split('').reverse().join('-').length "
+     "+ s.charAt(1));", 17, "5b"),
+    ("function f(a) { return function (b) { return a + b; }; } "
+     "document.write(f(1)(2) + f('x')('y'));", 27, "3xy"),
+    ("var a = [1, 2, 3]; document.write(a.concat([4]).slice(1).map(function (v) "
+     "{ return v * 2; }).join(','));", 30, "4,6,8"),
+    ("var t = 0 && missing() || 5 && (1 + 2 * 3 - 4 / 2) || x; document.write(t);", 20, "5"),
+    ("var q = {}; q['k' + 1] = {z: 9}; document.write(q['k1']['z'] + q.k1.z);", 22, "18"),
+    ("var n = null; try { n.a.b; } catch (e) { document.write(e.message || e); }", 16,
+     "TypeError: cannot read property 'a' of null"),
+    ("document.write(Math.max(1, 2) + String.fromCharCode(72, 105).length "
+     "+ parseInt('12', 10));", 18, "16"),
+]
+
+
+def _page_writes(source):
+    host = run_script_in_page("<html><body><script>%s</script></body></html>" % source)
+    return host.log.document_writes, host.log.errors, host.interpreter.steps
+
+
+class TestSandboxChainDepth:
+    """The parser accepts left-deep chains thousands of links long; the
+    sandbox evaluates them without one Python frame per link, so a chain
+    never costs a script its effects."""
+
+    @pytest.mark.parametrize("depth", [0, 500])
+    @pytest.mark.parametrize("form", sorted(_CHAIN_WRITES))
+    def test_long_chain_writes_at_any_caller_depth(self, form, depth):
+        source = _chain_forms(3000)[form]
+        run = lambda: _page_writes(source)
+        writes, errors, _steps = run() if depth == 0 else _at_stack_depth(depth, run)
+        assert errors == []
+        assert writes == [_CHAIN_WRITES[form]]
+
+    @pytest.mark.parametrize("source,steps,write", SHORT_CHAIN_STEPS)
+    def test_short_chains_keep_their_step_counts(self, source, steps, write):
+        assert _page_writes(source) == ([write], [], steps)
+        effects = interpret_script(source)
+        assert effects.complete and effects.steps == steps
 
 
 class TestScannerGarbage:
