@@ -46,7 +46,7 @@ from ..obs.provenance import (
 from ..scanexec import ParallelScanExecutor, ScanExecution, build_scan_tasks, scan_task
 from ..simweb import ContentCategory, GroundTruth, MalwareFamily, Page, Site
 from ..simweb.generator import ExchangePool, GeneratedWeb
-from ..simweb.url import Url, UrlTable
+from ..simweb.url import UrlError, UrlTable
 from .crawlers import CrawlStats, ExchangeCrawler
 from .options import PipelineOptions
 from .session import BrowserSession
@@ -595,21 +595,11 @@ class CrawlPipeline:
         """Assemble the detection stack (VT, Quttera, blacklists)."""
         if self.verdict_service is not None:
             return self.verdict_service
-        benign_domains = [
-            Url.parse("http://%s/" % host).registrable_domain
-            for host in self.web.benign_domains
-        ]
         self.blacklists = build_blacklists(
-            known_bad_domains=[
-                Url.parse("http://%s/" % d).registrable_domain
-                for d in self.web.known_bad_domains
-            ],
-            benign_domains=benign_domains,
+            known_bad_domains=self._registrable_domains(self.web.known_bad_domains),
+            benign_domains=self._registrable_domains(self.web.benign_domains),
             rng=random.Random(self.rng.randrange(2**32)),
-            guaranteed_multi_listed=[
-                Url.parse("http://%s/" % d).registrable_domain
-                for d in self.web.notorious_domains
-            ],
+            guaranteed_multi_listed=self._registrable_domains(self.web.notorious_domains),
         )
         self.verdict_service = UrlVerdictService(
             virustotal=VirusTotalSim(client=SimHttpClient(self.server,
@@ -628,8 +618,20 @@ class CrawlPipeline:
             static_prefilter=self.static_prefilter,
             record_provenance=self.record_provenance,
             compile_cache=self.compile_cache,
+            url_table=self.url_table,
         )
         return self.verdict_service
+
+    def _registrable_domains(self, hosts: List[str]) -> List[str]:
+        """Each host's registrable domain, read through the URL table
+        (the crawl has parsed most of these site roots already)."""
+        domains = []
+        for host in hosts:
+            parsed = self.url_table.lookup("http://%s/" % host)
+            if parsed is None:
+                raise UrlError("host %r makes no URL" % host)
+            domains.append(parsed.registrable_domain)
+        return domains
 
     def scan(self) -> ScanOutcome:
         """Scan every distinct crawled URL once."""

@@ -23,7 +23,7 @@ from ..obs.provenance import (
     StageRecord,
     VerdictProvenance,
 )
-from ..simweb.url import Url
+from ..simweb.url import UrlTable
 from .base import ScanReport, Submission, stable_unit
 from .blacklists import BlacklistSet
 from .quttera import QutteraSim
@@ -88,6 +88,7 @@ class UrlVerdictService:
         static_prefilter: bool = True,
         record_provenance: bool = False,
         compile_cache: Optional[object] = None,
+        url_table: Optional[UrlTable] = None,
     ) -> None:
         self.virustotal = virustotal
         self.quttera = quttera
@@ -109,6 +110,9 @@ class UrlVerdictService:
         #: cache, so the hit rate (and the compile work saved) does not
         #: depend on the worker count
         self.compile_cache = compile_cache
+        #: the pipeline's :class:`~repro.simweb.url.UrlTable` (shared with
+        #: every shard clone), which already holds each crawled URL parsed
+        self.url_table = url_table if url_table is not None else UrlTable()
 
     def shard_clone(self, observer: Optional[object] = None) -> "UrlVerdictService":
         """A clone safe to run on one executor shard's worker thread.
@@ -134,6 +138,7 @@ class UrlVerdictService:
             static_prefilter=self.static_prefilter,
             record_provenance=self.record_provenance,
             compile_cache=self.compile_cache,
+            url_table=self.url_table,
         )
 
     def verdict(
@@ -167,7 +172,7 @@ class UrlVerdictService:
                 vt = self.virustotal.scan(Submission(url=url))
                 quttera = self.quttera.scan(Submission(url=url))
 
-            parsed = Url.try_parse(url)
+            parsed = self.url_table.lookup(url)
             hits = self.blacklists.hits(parsed) if parsed is not None else []
             blacklisted = len(hits) >= self.min_blacklist_hits
 

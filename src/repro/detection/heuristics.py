@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import ContextManager, List, Optional, Tuple
+from typing import Any, ClassVar, ContextManager, List, Optional, Tuple
 
 from ..flashsim import SwfError, SwfFile, decompile
 from ..htmlparse import Document, Element, parse, parse_fragment
@@ -57,10 +57,16 @@ class IframeFinding:
     injected_by_js: bool = False
     exfiltrates_query: bool = False
 
+    #: ``src``'s host, kept from its first parse; a class variable, not
+    #: a field, so equality and every serialized form are unchanged
+    _frame_host: ClassVar[Optional[str]] = None
+
     @property
     def frame_host(self) -> str:
-        parsed = Url.try_parse(self.src)
-        return parsed.host if parsed is not None else ""
+        if self._frame_host is None:
+            parsed = Url.try_parse(self.src)
+            self._frame_host = parsed.host if parsed is not None else ""
+        return self._frame_host
 
     @property
     def trusted_host(self) -> bool:
@@ -680,15 +686,31 @@ def _analyze_standalone_js(source: str, url: str,
 
 
 def _merge_script_analysis(analysis: ContentAnalysis, source: str,
-                           compile_cache: Optional[object]) -> None:
+                           compile_cache: Optional[Any]) -> None:
+    if compile_cache is None:
+        signals = _script_signals(source, None)
+    else:
+        # a pure function of the source: computed once per distinct
+        # script and stored on its compile-cache entry
+        signals = compile_cache.memo(
+            source, "merge", lambda: _script_signals(source, compile_cache))
+    layers, obfuscation_score, injection_score, eval_count = signals
+    analysis.obfuscation_layers = max(analysis.obfuscation_layers, layers)
+    analysis.obfuscation_score = max(analysis.obfuscation_score, obfuscation_score)
+    analysis.injection_score = max(analysis.injection_score, injection_score)
+    analysis.eval_count += eval_count
+
+
+def _script_signals(source: str, compile_cache: Optional[Any]) -> Tuple[int, float, float, int]:
+    """One script's obfuscation layers (at least 1 when it looks
+    obfuscated), and the obfuscation score, injection score and eval
+    count of its deobfuscated text's features."""
     deob = deobfuscate(source)
-    analysis.obfuscation_layers = max(analysis.obfuscation_layers, deob.layers)
-    if deob.layers == 0 and looks_obfuscated(source):
-        analysis.obfuscation_layers = max(analysis.obfuscation_layers, 1)
+    layers = deob.layers
+    if layers == 0 and looks_obfuscated(source):
+        layers = 1
     features = extract_features(deob.source, compile_cache=compile_cache)
-    analysis.obfuscation_score = max(analysis.obfuscation_score, features.obfuscation_score)
-    analysis.injection_score = max(analysis.injection_score, features.injection_score)
-    analysis.eval_count += features.eval_count
+    return layers, features.obfuscation_score, features.injection_score, features.eval_count
 
 
 def _classify_iframe(frame: Element) -> Optional[IframeFinding]:
@@ -717,9 +739,11 @@ def _classify_iframe(frame: Element) -> Optional[IframeFinding]:
     if parsed is not None:
         params = parsed.query_dict
         exfiltrates = any(len(v) >= 8 for v in params.values()) and len(params) >= 2
-    return IframeFinding(
+    finding = IframeFinding(
         src=src, width=width, height=height, hidden_by=hidden_by, exfiltrates_query=exfiltrates
     )
+    finding._frame_host = parsed.host if parsed is not None else ""
+    return finding
 
 
 def _ancestor_hidden(frame: Element) -> bool:

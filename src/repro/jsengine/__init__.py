@@ -10,8 +10,11 @@ Provides everything the paper's behavioural/static JS analysis needs:
   implementation of JS operator semantics (static analysis folds
   through it too),
 * :class:`repro.jsengine.compilecache.CompileCache` — once-per-source
-  memo of the AST (and the staticjs report) shared by a pipeline run
-  and every JS consumer in it,
+  memo of the AST (and of its index, the staticjs report and the
+  content heuristics' per-script outputs) shared by a pipeline run and
+  every JS consumer in it,
+* :class:`repro.jsengine.astindex.AstIndex` — the preorder index every
+  static consumer iterates: one traversal per distinct script,
 * :class:`repro.jsengine.hostenv.BrowserHost` /
   :func:`repro.jsengine.hostenv.run_script_in_page` — browser host
   environment with behaviour capture, the one browser host (the

@@ -1,4 +1,4 @@
-"""Per-source memo of compiled JavaScript: the AST and its static report.
+"""Per-source memo of compiled JavaScript and what is derived from it.
 
 Exchange pages are template-generated: the same rotator snippets,
 obfuscation stubs, and event-handler bodies recur across thousands of
@@ -7,9 +7,16 @@ parser's nesting bound makes it independent of the caller's stack), so
 a pipeline-scoped :class:`CompileCache` keyed on the source makes the
 JS front end once-per-distinct-script.  It is the one per-source memo
 on the scan path: the sandbox, the staticjs rules pass, the abstract
-interpreter and the feature extractor all read an entry's ``Program``,
-and the staticjs :class:`~repro.staticjs.report.ScriptReport` is stored
-on the entry too (:meth:`CompileCache.static_report`).
+interpreter and the feature extractor all read an entry's ``Program``.
+Three values derived from the source are stored on its entry too, each
+computed on first request through :meth:`CompileCache.memo`:
+
+* ``index`` — the program's :class:`~repro.jsengine.astindex.AstIndex`,
+  the one traversal every static consumer iterates,
+* ``report`` — the staticjs :class:`~repro.staticjs.report.ScriptReport`,
+* ``merge`` — the content heuristics' per-script outputs
+  (``repro.detection.heuristics._merge_script_analysis``: deobfuscation
+  layers, the obfuscation and injection scores, the eval count).
 
 Exactly two calls *count* — tick ``hits``/``misses`` and the
 ``jsengine.cache.*`` telemetry, and charge ``js.tokens`` — both through
@@ -17,9 +24,9 @@ Exactly two calls *count* — tick ``hits``/``misses`` and the
 ``staticjs.analyze_script``'s top-level call (which passes
 ``charge_tokens=False``; the uncached static pass never charged tokens).
 Everything else goes through :func:`parse_reusing` and
-:meth:`CompileCache.static_report`, which neither count nor insert: a
-source the cache has not compiled is parsed as an uncached caller would
-parse it, so work-ledger totals and the perf budget are invariant under
+:meth:`CompileCache.memo`, which neither count nor insert: a source the
+cache has not compiled is parsed (and analyzed) as an uncached caller
+would, so work-ledger totals and the perf budget are invariant under
 caching.
 
 * **results are never changed** — a hit returns the same immutable AST
@@ -63,16 +70,18 @@ _T = TypeVar("_T")
 
 class _Entry:
     """One compiled source: the program, its cost, or its failure, plus
-    the static report computed from it (once, on first request)."""
+    the values derived from it (each once, on first request)."""
 
-    __slots__ = ("program", "token_count", "error", "report")
+    __slots__ = ("program", "token_count", "error", "index", "report", "merge")
 
     def __init__(self, program: Optional[N.Program], token_count: int,
                  error: Optional[BaseException]) -> None:
         self.program = program
         self.token_count = token_count
         self.error = error
+        self.index: Any = None
         self.report: Any = None
+        self.merge: Any = None
 
     def result(self) -> N.Program:
         """The program, or a copy of the stored compile error raised."""
@@ -120,21 +129,28 @@ class CompileCache:
         self._charge(entry, hit, observer, charge_tokens)
         return entry.result()
 
-    def static_report(self, source: str, analyze: Callable[[], _T]) -> _T:
-        """The static report for ``source``, computed by ``analyze`` once.
+    def memo(self, source: str, slot: str, compute: Callable[[], _T],
+             store: bool = True) -> _T:
+        """``source``'s derived value ``slot`` (``"index"``, ``"report"``
+        or ``"merge"``), computed by ``compute`` once.
 
-        The report is stored on ``source``'s entry.  Like
-        :func:`parse_reusing`, this neither counts nor inserts: a source
-        that was never compiled here gets a fresh, unstored report.
-        Concurrent first requests may both run ``analyze``; the analysis
-        is a pure function of the source, so either result is the report.
+        The value is stored on ``source``'s entry, unless ``store`` is
+        off, when a stored value is reused but a new one is not kept.
+        Like :func:`parse_reusing`, this neither counts nor inserts: a
+        source that was never compiled here gets a fresh, unstored
+        value.  Every value is a pure function of the source, and
+        callers treat it as immutable; concurrent first requests may
+        both run ``compute``, and either result is the value.
         """
         entry = self._entries.get(source)
         if entry is None:
-            return analyze()
-        if entry.report is None:
-            entry.report = analyze()
-        return entry.report
+            return compute()
+        value = getattr(entry, slot)
+        if value is None:
+            value = compute()
+            if store:
+                setattr(entry, slot, value)
+        return value
 
     def _lookup(self, source: str) -> "tuple[_Entry, bool]":
         """Find-or-create the entry for ``source``; caller holds the lock."""

@@ -13,9 +13,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from . import nodes as N
+from .astindex import ast_index
 from .compilecache import CompileCache, parse_reusing
 from .lexer import LexError
 from .parser import ParseError
@@ -94,7 +95,10 @@ def extract_features(source: str,
     """Compute :class:`JsFeatures` for ``source``.
 
     With the pipeline's ``compile_cache``, a source it already compiled
-    reuses that AST (the lookup neither counts nor inserts).
+    reuses that AST and the :class:`~repro.jsengine.astindex.AstIndex`
+    the static pass stored (the lookups neither count nor insert).  An
+    index built here is not stored: with the static pre-filter off,
+    nothing else reads it.
     """
     features = JsFeatures(length=len(source))
 
@@ -105,7 +109,8 @@ def extract_features(source: str,
         _scan_text(source, features, strings)
     else:
         features.parse_ok = True
-        _walk_ast(program, features, strings)
+        _scan_nodes(ast_index(source, program, compile_cache, store=False).nodes,
+                    features, strings)
 
     features.string_count = len(strings)
     if strings:
@@ -125,8 +130,8 @@ def extract_features(source: str,
     return features
 
 
-def _walk_ast(program: N.Program, features: JsFeatures, strings: List[str]) -> None:
-    for node in program.walk():
+def _scan_nodes(nodes: Sequence[N.Node], features: JsFeatures, strings: List[str]) -> None:
+    for node in nodes:
         if isinstance(node, N.StringLiteral):
             strings.append(node.value)
         elif isinstance(node, (N.FunctionDecl, N.FunctionExpr)):

@@ -16,7 +16,9 @@ Cooperating layers over the :mod:`repro.jsengine` AST:
   rule engine producing :class:`StaticFinding`\\ s and a per-script
   verdict.
 
-The headline API is :func:`analyze_script`; the detection layer uses
+Every layer reads a program through its
+:class:`~repro.jsengine.astindex.AstIndex`, built once per distinct
+script.  The headline API is :func:`analyze_script`; the detection layer uses
 its verdict and effect summary to decide whether a page may skip
 dynamic execution.
 """

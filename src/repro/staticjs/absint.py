@@ -43,6 +43,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..htmlparse import Element, Node
 from ..jsengine import nodes as N
+from ..jsengine.astindex import AstIndex, ast_index
 from ..jsengine.builtins import _int_or
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from ..jsengine.deobfuscate import DECODER_NAMES
@@ -343,6 +344,12 @@ def _check_child(child: Any) -> None:
         raise _Abort("abstract-child")
 
 
+def _no_extra(rest: Sequence[Any]) -> None:
+    """Abort on arguments past the sandbox method's signature."""
+    if rest:
+        raise _Abort("opaque-arity")
+
+
 class _OpaqueStyle:
     """``style`` of a page element the analysis cannot see."""
 
@@ -404,7 +411,7 @@ class OpaqueElement:
         if name == "setAttribute":
             return native("setAttribute", self._set_attribute)
         if name == "getAttribute":
-            return native("getAttribute", lambda *a: TOP)
+            return native("getAttribute", self._get_attribute)
         if name == "getElementsByTagName":
             return native("getElementsByTagName", self._get_elements)
         if name == "addEventListener":
@@ -438,14 +445,21 @@ class OpaqueElement:
         self._handlers()["on" + event] = handler
 
     # -- methods ---------------------------------------------------------
+    # the sandbox's DomElement methods take no arguments past their
+    # signature: an extra one raises a TypeError naming the method's
+    # class, which ends the script with an error this wrapper cannot
+    # spell, so it aborts (_no_extra) instead of running on
     def _append_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
+        _no_extra(rest)
         return self._host.attach_to_opaque(child, self)
 
     def _insert_before(self, child: Any = UNDEFINED, ref: Any = UNDEFINED,
                        *rest: Any) -> Any:
+        _no_extra(rest)
         return self._host.attach_to_opaque(child, self)
 
     def _remove_child(self, child: Any = UNDEFINED, *rest: Any) -> Any:
+        _no_extra(rest)
         if isinstance(child, OpaqueElement) or (
                 is_abstract(child) and child.kind == "top"):
             # detaching an unknown page node could remove an iframe
@@ -455,7 +469,12 @@ class OpaqueElement:
     def _set_attribute(self, *args: Any) -> Any:
         raise _Abort("opaque-mutation")
 
+    def _get_attribute(self, attr: Any = UNDEFINED, *rest: Any) -> Any:
+        _no_extra(rest)
+        return TOP
+
     def _get_elements(self, tag: Any = UNDEFINED, *rest: Any) -> Any:
+        _no_extra(rest)
         known = tag if isinstance(tag, str) else None
         return OpaqueNodeList(self._host, tag=known)
 
@@ -565,6 +584,13 @@ class AbstractElement(DomElement):
         if contains_abstract(tag):
             return TOP  # pure: some subset of our own subtree
         return super()._get_elements_by_tag_name(tag)
+
+    def _insert_before(self, child: Any = UNDEFINED, ref: Any = UNDEFINED) -> Any:
+        if is_abstract(ref) and ref.kind == "top":
+            # the sandbox inserts before ``ref`` when it is one of our
+            # children, else first: an unknown reference could be either
+            raise _Abort("abstract-ref")
+        return super()._insert_before(child, ref)
 
 
 class AbstractDocument(DocumentObject):
@@ -712,33 +738,31 @@ def _widen_plan(node: N.Node) -> List[str]:
 
     The widening passes re-run the loop body several times, so the body
     must be pure over local primitive state: no calls, no object or
-    member mutation, no control transfers out of the loop.
+    member mutation, no control transfers out of the loop.  The names
+    are listed in the order of a right-to-left stack walk of the loop.
     """
-    names: List[str] = []
-    stack: List[N.Node] = [node]
-    while stack:
-        current = stack.pop()
+    index = AstIndex(node)
+    names_at: Dict[int, List[str]] = {}
+    for position, current in enumerate(index.nodes):
         if isinstance(current, (N.Call, N.New, N.FunctionDecl,
                                 N.FunctionExpr, N.Throw, N.Return, N.Try)):
             raise _Abort("loop-effects")
         if isinstance(current, N.Unary) and current.operator == "delete":
             raise _Abort("loop-effects")
         if isinstance(current, N.Assignment):
-            if isinstance(current.target, N.Identifier):
-                names.append(current.target.name)
-            else:
+            if not isinstance(current.target, N.Identifier):
                 raise _Abort("loop-effects")
-        if isinstance(current, N.Update):
-            if isinstance(current.argument, N.Identifier):
-                names.append(current.argument.name)
-            else:
+            names_at[position] = [current.target.name]
+        elif isinstance(current, N.Update):
+            if not isinstance(current.argument, N.Identifier):
                 raise _Abort("loop-effects")
-        if isinstance(current, N.VarDecl):
-            names.extend(name for name, _init in current.declarations)
-        if isinstance(current, N.ForIn) and isinstance(current.target, str):
-            names.append(current.target)
-        stack.extend(current.children())
-    return names
+            names_at[position] = [current.argument.name]
+        elif isinstance(current, N.VarDecl):
+            names_at[position] = [name for name, _init in current.declarations]
+        elif isinstance(current, N.ForIn) and isinstance(current.target, str):
+            names_at[position] = [current.target]
+    return [name for position in index.stack_order(names_at)
+            for name in names_at[position]]
 
 
 class AbstractMachine(Interpreter):
@@ -786,20 +810,20 @@ class AbstractMachine(Interpreter):
 
     def _compile(self, source: str) -> N.Program:
         """The cached AST, without counting a compile, within the
-        machine's AST depth bound."""
+        machine's AST depth bound.  The first program compiled is the
+        script itself, which the host runs next: its call graph sets the
+        call-depth cap."""
         program = parse_reusing(source, self.compile_cache)
-        self._check_ast_depth(program.body)
-        return program
-
-    def run_program(self, program: N.Program) -> Any:
+        index = ast_index(source, program, self.compile_cache)
+        if index.max_depth > _MAX_AST_DEPTH:
+            raise _Abort("ast-depth")
         if self._program is None:
-            # the first program run is the script itself
             self._program = program
-            self.call_graph = build_call_graph(program)
+            self.call_graph = build_call_graph(program, index=index)
             self.call_depth_limit = recursion_limit_for(
                 self.call_graph, default=_CALL_DEPTH_DEFAULT,
                 recursive_cap=_CALL_DEPTH_RECURSIVE)
-        return super().run_program(program)
+        return program
 
     def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
         if is_abstract(source):
@@ -814,14 +838,6 @@ class AbstractMachine(Interpreter):
         self.steps += 1
         if self.steps > self.step_budget:
             raise _Abort("step-budget")
-
-    def _check_ast_depth(self, body: Sequence[N.Node]) -> None:
-        stack: List[Tuple[N.Node, int]] = [(node, 1) for node in body]
-        while stack:
-            node, depth = stack.pop()
-            if depth > _MAX_AST_DEPTH:
-                raise _Abort("ast-depth")
-            stack.extend((child, depth + 1) for child in node.children())
 
     def _loop_head(self, node: N.Node) -> int:
         if self._loop_heads is None:

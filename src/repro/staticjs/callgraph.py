@@ -20,9 +20,10 @@ and host calls are counted as unresolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..jsengine import nodes as N
+from ..jsengine.astindex import AstIndex
 from .dataflow import callee_path
 
 __all__ = ["CallGraph", "build_call_graph"]
@@ -55,9 +56,9 @@ class CallGraph:
         return self.edges.get(name, [])
 
 
-def _collect_functions(program: N.Program) -> Dict[str, FunctionNode]:
+def _collect_functions(nodes: Sequence[N.Node]) -> Dict[str, FunctionNode]:
     functions: Dict[str, FunctionNode] = {}
-    for node in program.walk():
+    for node in nodes:
         if isinstance(node, N.FunctionDecl):
             functions[node.name] = node
         elif isinstance(node, N.FunctionExpr) and node.name:
@@ -74,34 +75,42 @@ def _collect_functions(program: N.Program) -> Dict[str, FunctionNode]:
     return functions
 
 
-def _enclosing_walk(owner: str, body: List[N.Node],
-                    functions: Dict[str, FunctionNode],
-                    edges: Dict[str, List[str]]) -> int:
-    """Record call edges from ``owner``'s body; returns unresolved count.
+def _record_calls(owner: str, index: AstIndex,
+                  functions: Dict[str, FunctionNode],
+                  edges: Dict[str, List[str]]) -> int:
+    """Record the program's call edges; returns the unresolved count.
 
-    Nested function bodies are attributed to the *nested* function when
-    it has a resolved name, otherwise to the enclosing owner (an
-    anonymous IIFE's calls happen on behalf of its caller).
+    Code in a function body is attributed to that function when it has
+    a resolved name, otherwise to the enclosing owner (an anonymous
+    IIFE's calls happen on behalf of its caller); top-level code to
+    ``owner``.  Each owner's callees are listed in the order of a
+    right-to-left stack walk of the program.
     """
+    nodes, end = index.nodes, index.end
     unresolved = 0
-    stack: List[Tuple[str, N.Node]] = [(owner, statement) for statement in body]
-    while stack:
-        scope, node = stack.pop()
+    # call position -> (calling owner, callee name)
+    calls: Dict[int, Tuple[str, str]] = {}
+    # (subtree end, owner) of the enclosing functions
+    scopes: List[Tuple[int, str]] = [(len(nodes), owner)]
+    for position in range(1, len(nodes)):
+        while position >= scopes[-1][0]:
+            scopes.pop()
+        node = nodes[position]
         if isinstance(node, N.FunctionDecl):
-            stack.extend((node.name, child) for child in node.body)
-            continue
-        if isinstance(node, N.FunctionExpr):
-            inner = node.name if node.name in functions else scope
-            stack.extend((inner, child) for child in node.body)
-            continue
-        if isinstance(node, (N.Call, N.New)):
+            scopes.append((end[position], node.name))
+        elif isinstance(node, N.FunctionExpr):
+            inner = node.name if node.name in functions else scopes[-1][1]
+            scopes.append((end[position], inner))
+        elif isinstance(node, (N.Call, N.New)):
             path = callee_path(node.callee)
             root = path.split(".")[0] if path else ""
             if root in functions and "." not in path:
-                edges.setdefault(scope, []).append(root)
+                calls[position] = (scopes[-1][1], root)
             elif path == "" or root not in functions:
                 unresolved += 1
-        stack.extend((scope, child) for child in node.children())
+    for position in index.stack_order(calls):
+        caller, callee = calls[position]
+        edges.setdefault(caller, []).append(callee)
     return unresolved
 
 
@@ -128,11 +137,18 @@ def _find_cycles(edges: Dict[str, List[str]],
 
 
 def build_call_graph(program: N.Program,
-                     toplevel_name: str = "<toplevel>") -> CallGraph:
-    """Build the name-resolved call graph of ``program``."""
-    functions = _collect_functions(program)
+                     toplevel_name: str = "<toplevel>",
+                     index: Optional[AstIndex] = None) -> CallGraph:
+    """Build the name-resolved call graph of ``program``.
+
+    ``index`` is ``program``'s :class:`~repro.jsengine.astindex.AstIndex`
+    when the caller has one; otherwise it is built here.
+    """
+    if index is None:
+        index = AstIndex(program)
+    functions = _collect_functions(index.nodes)
     edges: Dict[str, List[str]] = {}
-    unresolved = _enclosing_walk(toplevel_name, program.body, functions, edges)
+    unresolved = _record_calls(toplevel_name, index, functions, edges)
     graph = CallGraph(functions=functions, edges=edges,
                       unresolved_calls=unresolved)
     graph.recursive = _find_cycles(edges, functions)

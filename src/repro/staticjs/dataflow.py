@@ -18,9 +18,10 @@ resolved string that reaches an ``eval``-like sink, a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..jsengine import nodes as N
+from ..jsengine.astindex import AstIndex
 from ..jsengine.deobfuscate import PURE_DECODERS
 from ..jsengine.interpreter import BudgetExceeded, evaluate_binary, evaluate_unary
 from ..jsengine.values import UNDEFINED, JSArray, JSException, to_boolean, to_number, to_string
@@ -348,19 +349,40 @@ def _fold_method(receiver: Any, method: str, args: List[Any]) -> Any:
 # Whole-script propagation
 # ---------------------------------------------------------------------------
 
-def _count_writes(program: N.Node) -> Dict[str, int]:
-    """How many times each name is written anywhere in the script."""
+def _facts(nodes: Sequence[N.Node]) -> Tuple[Dict[str, int], List[Tuple[str, N.Node]],
+                                              List[N.Node]]:
+    """One preorder pass: how many times each name is written anywhere
+    in the script, the (name, rhs) pairs from declarations, assignments
+    and IIFE bindings, and the call, assignment and ``new`` sites."""
     writes: Dict[str, int] = {}
+    initializers: List[Tuple[str, N.Node]] = []
+    sites: List[N.Node] = []
 
     def bump(name: str, by: int = 1) -> None:
         writes[name] = writes.get(name, 0) + by
 
-    for node in program.walk():
+    for node in nodes:
+        if node.__class__ not in _FACT_TYPES:
+            continue
         if isinstance(node, N.VarDecl):
-            for name, _init in node.declarations:
+            for name, init in node.declarations:
                 bump(name)
-        elif isinstance(node, N.Assignment) and isinstance(node.target, N.Identifier):
-            bump(node.target.name)
+                if init is not None:
+                    initializers.append((name, init))
+        elif isinstance(node, N.Assignment):
+            sites.append(node)
+            if isinstance(node.target, N.Identifier):
+                bump(node.target.name)
+                if node.operator == "=":
+                    initializers.append((node.target.name, node.value))
+        elif isinstance(node, N.Call):
+            sites.append(node)
+            if isinstance(node.callee, N.FunctionExpr):
+                # IIFE: bind parameters to their (possibly constant) arguments
+                for param, arg in zip(node.callee.params, node.arguments):
+                    initializers.append((param, arg))
+        elif isinstance(node, N.New):
+            sites.append(node)
         elif isinstance(node, N.Update) and isinstance(node.argument, N.Identifier):
             bump(node.argument.name, 2)  # mutation: never a constant
         elif isinstance(node, N.ForIn):
@@ -374,33 +396,24 @@ def _count_writes(program: N.Node) -> Dict[str, int]:
                 bump(param)  # may become a constant via IIFE binding
         elif isinstance(node, N.Try) and node.catch_param:
             bump(node.catch_param, 2)
-    return writes
+    return writes, initializers, sites
 
 
-def _initializers(program: N.Node) -> List[Tuple[str, N.Node]]:
-    """(name, rhs) pairs from declarations, assignments, IIFE bindings."""
-    out: List[Tuple[str, N.Node]] = []
-    for node in program.walk():
-        if isinstance(node, N.VarDecl):
-            for name, init in node.declarations:
-                if init is not None:
-                    out.append((name, init))
-        elif isinstance(node, N.Assignment) and node.operator == "=" and isinstance(
-            node.target, N.Identifier
-        ):
-            out.append((node.target.name, node.value))
-        elif isinstance(node, N.Call) and isinstance(node.callee, N.FunctionExpr):
-            # IIFE: bind parameters to their (possibly constant) arguments
-            for param, arg in zip(node.callee.params, node.arguments):
-                out.append((param, arg))
-    return out
+#: the node types :func:`_facts` reads; the rest (most nodes are
+#: identifiers, literals and member reads) are skipped with one lookup
+_FACT_TYPES = frozenset((N.VarDecl, N.Assignment, N.Call, N.New, N.Update, N.ForIn,
+                         N.FunctionDecl, N.FunctionExpr, N.Try))
 
 
-def propagate(program: N.Node) -> Resolution:
-    """Run constant propagation and collect resolved sink strings."""
+def propagate(program: N.Node, index: Optional[AstIndex] = None) -> Resolution:
+    """Run constant propagation and collect resolved sink strings.
+
+    ``index`` is ``program``'s :class:`~repro.jsengine.astindex.AstIndex`
+    when the caller has one; otherwise it is built here.
+    """
     resolution = Resolution()
-    writes = _count_writes(program)
-    initializers = _initializers(program)
+    nodes = (index if index is not None else AstIndex(program)).nodes
+    writes, initializers, sites = _facts(nodes)
 
     env: Dict[str, Any] = {}
     # iterate to a fixed point: chains like a = 'x'; b = a + 'y' need
@@ -419,12 +432,12 @@ def propagate(program: N.Node) -> Resolution:
             break
     resolution.constants = env
 
-    for node in program.walk():
+    for node in sites:
         if isinstance(node, N.Call):
             _collect_call(node, env, resolution)
         elif isinstance(node, N.Assignment):
             _collect_assignment(node, env, resolution)
-        elif isinstance(node, N.New):
+        else:
             path = callee_path(node.callee)
             if path == "Function" and node.arguments:
                 value = fold(node.arguments[-1], env)

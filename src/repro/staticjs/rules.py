@@ -5,7 +5,9 @@ script's AST from the pipeline's
 :class:`~repro.jsengine.compilecache.CompileCache` (or parses it with the
 jsengine parser when there is none) and runs three fact extractors
 (:mod:`.cfg`, :mod:`.dataflow`, :mod:`.taint`) plus a *capability*
-scan, then applies the rule table to produce typed
+scan (all but the CFG iterate the program's one
+:class:`~repro.jsengine.astindex.AstIndex`, stored on the cache entry
+beside the report), then applies the rule table to produce typed
 :class:`~repro.staticjs.report.StaticFinding`\\ s and a per-script
 verdict.
 
@@ -37,6 +39,7 @@ import re
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..jsengine import nodes as N
+from ..jsengine.astindex import AstIndex, ast_index
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from .absint import AbstractEffects, interpret_script
 from .cfg import build_cfg
@@ -120,57 +123,55 @@ def _clip(text: str) -> str:
 # Executable-code selection
 # ---------------------------------------------------------------------------
 
-def _executable_roots(program: N.Program) -> List[N.Node]:
-    """Statements/functions whose code can actually run.
+def _executable_roots(index: AstIndex) -> List[int]:
+    """Positions of the statements/functions whose code can actually run.
 
     The page's top level always runs.  Function *expressions* may be
     invoked through any alias, so all of them count.  Function
     *declarations* count only when their name is referenced somewhere
     outside the declaration itself.
     """
-    declared: Dict[str, N.FunctionDecl] = {}
-    for node in program.walk():
+    nodes, end = index.nodes, index.end
+    declared: Dict[str, int] = {}
+    for position, node in enumerate(nodes):
         if isinstance(node, N.FunctionDecl):
-            declared[node.name] = node
+            declared[node.name] = position
 
     referenced: Set[str] = set()
     if declared:
-        # walk everything except declaration bodies of candidate names;
+        # scan everything except declaration bodies of candidate names;
         # a self-recursive but otherwise-unused helper stays unreferenced
-        stack: List[N.Node] = list(program.body)
-        while stack:
-            node = stack.pop()
+        position, count = 1, len(nodes)
+        while position < count:
+            node = nodes[position]
             if isinstance(node, N.FunctionDecl) and node.name in declared:
+                position = end[position]
                 continue
             if isinstance(node, N.Identifier) and node.name in declared:
                 referenced.add(node.name)
-            stack.extend(node.children())
+            position += 1
         # a referenced function's body may call further declarations
         frontier = list(referenced)
         while frontier:
             name = frontier.pop()
-            for node in declared[name].walk():
+            start = declared[name]
+            for node in nodes[start:end[start]]:
                 if (isinstance(node, N.Identifier) and node.name in declared
                         and node.name not in referenced and node.name != name):
                     referenced.add(node.name)
                     frontier.append(node.name)
 
-    roots: List[N.Node] = [
-        statement for statement in program.body
-        if not (isinstance(statement, N.FunctionDecl)
-                and statement.name not in referenced)
-    ]
-    return roots
+    return [position for position in index.children_of(0)
+            if not (isinstance(nodes[position], N.FunctionDecl)
+                    and nodes[position].name not in referenced)]
 
 
-def _executable_nodes(roots: Sequence[N.Node]) -> List[N.Node]:
-    """Flat list of every node reachable inside the executable roots."""
+def _subtree_nodes(index: AstIndex, roots: Sequence[int]) -> List[N.Node]:
+    """Every node under the positions ``roots``, in preorder."""
+    nodes, end = index.nodes, index.end
     out: List[N.Node] = []
-    stack: List[N.Node] = list(roots)
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        stack.extend(node.children())
+    for root in roots:
+        out.extend(nodes[root:end[root]])
     return out
 
 
@@ -178,9 +179,9 @@ def _executable_nodes(roots: Sequence[N.Node]) -> List[N.Node]:
 # Capability scan
 # ---------------------------------------------------------------------------
 
-def _declared_names(program: N.Program) -> Set[str]:
+def _declared_names(index: AstIndex) -> Set[str]:
     names: Set[str] = set()
-    for node in program.walk():
+    for node in index.nodes:
         if isinstance(node, N.VarDecl):
             names.update(name for name, _init in node.declarations)
         elif isinstance(node, N.FunctionDecl):
@@ -261,12 +262,13 @@ def _listener_capability(event: Optional[str]) -> Optional[str]:
     return None
 
 
-def _scan_capabilities(roots: Sequence[N.Node],
+def _scan_capabilities(code: Sequence[N.Node],
                        declared: Set[str]) -> Tuple[List[str], List[Tuple[str, N.Node]]]:
-    """All sandbox-observable capabilities in executable code.
+    """All sandbox-observable capabilities among the nodes ``code``.
 
     Returns ``(capabilities, sink_sites)`` where ``sink_sites`` pairs a
     capability name with the AST node, for cloaking cross-reference.
+    Callers use both as sets: their order is not data.
     """
     capabilities: List[str] = []
     sites: List[Tuple[str, N.Node]] = []
@@ -275,7 +277,7 @@ def _scan_capabilities(roots: Sequence[N.Node],
         capabilities.append(name)
         sites.append((name, node))
 
-    for node in _executable_nodes(roots):
+    for node in code:
         if isinstance(node, (N.Call, N.New)):
             path = callee_path(node.callee)
             leaf = path.split(".")[-1] if path else ""
@@ -446,8 +448,8 @@ def analyze_script(source: str, _depth: int = 0,
                                   charge_tokens=False)
         except Exception:  # noqa: BLE001 - the analyzer reports
             pass           # lexer/parser failures itself, below
-        report = compile_cache.static_report(
-            source, lambda: _analyze_script_uncached(source, 0, compile_cache))
+        report = compile_cache.memo(
+            source, "report", lambda: _analyze_script_uncached(source, 0, compile_cache))
     else:
         report = _analyze_script_uncached(source, _depth, compile_cache)
     if observer is not None:
@@ -478,21 +480,22 @@ def _analyze_script_uncached(source: str, _depth: int,
         if report.effects is not None:
             report.redirect_targets = list(report.effects.redirect_targets)
         return report
-    report.node_count = sum(1 for _node in program.walk())
+    index = ast_index(source, program, compile_cache)
+    report.node_count = len(index)
     try:
-        return _analyze_program(program, report, _depth, compile_cache)
+        return _analyze_program(program, index, report, _depth, compile_cache)
     except (RecursionError, MemoryError):
         report.verdict = VERDICT_NEEDS_DYNAMIC
         report.capabilities.append("analysis-overflow")
         return report
 
 
-def _analyze_program(program: N.Program, report: ScriptReport,
+def _analyze_program(program: N.Program, index: AstIndex, report: ScriptReport,
                      depth: int, compile_cache: Optional[CompileCache]) -> ScriptReport:
-    resolution: Resolution = propagate(program)
-    roots = _executable_roots(program)
-    declared = _declared_names(program)
-    capabilities, sites = _scan_capabilities(roots, declared)
+    resolution: Resolution = propagate(program, index)
+    executable = _subtree_nodes(index, _executable_roots(index))
+    declared = _declared_names(index)
+    capabilities, sites = _scan_capabilities(executable, declared)
     report.capabilities = sorted(set(capabilities))
 
     findings: List[StaticFinding] = []
@@ -502,7 +505,8 @@ def _analyze_program(program: N.Program, report: ScriptReport,
     if cfg.constant_pruned:
         unreachable = cfg.unreachable_statements()
         if unreachable:
-            cloaked_sinks = [name for name, _node in _iter_sink_sites(unreachable, declared)]
+            cloaked_sinks = [name for name, _node in
+                             _iter_sink_sites(index, unreachable, declared)]
             if cloaked_sinks:
                 findings.append(StaticFinding(
                     rule="cloaked-payload", severity=SEVERITY_HIGH,
@@ -515,7 +519,7 @@ def _analyze_program(program: N.Program, report: ScriptReport,
                     message="branch guarded by a constant-false predicate"))
 
     # -- taint flows --------------------------------------------------------
-    for flow in find_taint_flows(program):
+    for flow in find_taint_flows(program, index):
         findings.append(StaticFinding(
             rule="taint-flow", severity=SEVERITY_HIGH,
             message="attacker-influenced %s flows into %s" % (flow.source, flow.sink),
@@ -546,17 +550,22 @@ def _analyze_program(program: N.Program, report: ScriptReport,
     for name, _node in sites:
         if name == "eval":
             eval_like += 1
-    for node in _executable_nodes(roots):
+    shellcode: List[str] = []
+    for node in executable:
         if isinstance(node, N.Call):
             path = callee_path(node.callee)
             if path in ("unescape", "atob", "String.fromCharCode") or \
                     path.endswith(".fromCharCode"):
                 decoder_calls += 1
         elif isinstance(node, N.StringLiteral) and _SHELLCODE_RE.search(node.value):
-            findings.append(StaticFinding(
-                rule="shellcode-string", severity=SEVERITY_HIGH,
-                message="string literal carries %u-encoded shellcode",
-                evidence=_clip(node.value)))
+            shellcode.append(node.value)
+    # reported in the order of a right-to-left walk, which meets these
+    # leaves in reverse source order
+    for value in reversed(shellcode):
+        findings.append(StaticFinding(
+            rule="shellcode-string", severity=SEVERITY_HIGH,
+            message="string literal carries %u-encoded shellcode",
+            evidence=_clip(value)))
     if eval_like and decoder_calls:
         findings.append(StaticFinding(
             rule="obfuscated-eval", severity=SEVERITY_MEDIUM,
@@ -575,10 +584,12 @@ def _analyze_program(program: N.Program, report: ScriptReport,
     return report
 
 
-def _iter_sink_sites(statements: Sequence[N.Node],
+def _iter_sink_sites(index: AstIndex, statements: Sequence[N.Node],
                      declared: Set[str]) -> List[Tuple[str, N.Node]]:
     """Sink capabilities found anywhere under ``statements``."""
-    _capabilities, sites = _scan_capabilities(list(statements), declared)
+    wanted = {id(statement) for statement in statements}
+    roots = [position for position, node in enumerate(index.nodes) if id(node) in wanted]
+    _capabilities, sites = _scan_capabilities(_subtree_nodes(index, roots), declared)
     dangerous = {"eval", "document-write", "navigation", "resource-load",
                  "popup", "timer", "dom-mutation", "network"}
     return [(name, node) for name, node in sites if name in dangerous]

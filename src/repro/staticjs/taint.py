@@ -17,9 +17,10 @@ source/sink sets below.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Set
+from typing import List, Optional, Set
 
 from ..jsengine import nodes as N
+from ..jsengine.astindex import AstIndex
 from .dataflow import callee_path
 
 __all__ = ["TaintFlow", "TAINT_SOURCES", "TAINT_SINKS", "find_taint_flows"]
@@ -68,6 +69,9 @@ TAINT_ASSIGN_SINKS = (
 
 TAINT_SINKS = TAINT_CALL_SINKS + TAINT_ASSIGN_SINKS
 
+#: the node types :func:`find_taint_flows` acts on
+_VISITED = (N.VarDecl, N.Assignment, N.Call)
+
 
 @dataclass
 class TaintFlow:
@@ -82,11 +86,15 @@ class TaintFlow:
         return "%s -> %s%s" % (self.source, self.sink, via)
 
 
-def _source_of(node: N.Node, tainted: dict) -> Optional[str]:
-    """The source label if ``node`` reads tainted data, else None."""
-    stack = [node]
+def _source_of(index: AstIndex, position: int, tainted: dict) -> Optional[str]:
+    """The source label if the node at ``position`` reads tainted data,
+    else None.  The first source a right-to-left walk of the expression
+    meets wins."""
+    nodes, end = index.nodes, index.end
+    stack = [position]
     while stack:
-        current = stack.pop()
+        position = stack.pop()
+        current = nodes[position]
         if isinstance(current, (N.FunctionExpr, N.FunctionDecl)):
             continue  # handled as their own statement scope
         if isinstance(current, N.Identifier) and current.name in tainted:
@@ -100,9 +108,12 @@ def _source_of(node: N.Node, tainted: dict) -> Optional[str]:
                 base = callee_path(current.obj)
                 if base in ("location", "window.location", "document.location",
                             "document", "window"):
-                    stack.append(current.prop)
+                    stack.append(end[position + 1])  # the property
                     continue
-        stack.extend(current.children())
+        child, stop = position + 1, end[position]
+        while child < stop:
+            stack.append(child)
+            child = end[child]
     return None
 
 
@@ -116,14 +127,24 @@ def _sink_path_of_assignment(target: N.Member) -> Optional[str]:
     return None
 
 
-def find_taint_flows(program: N.Node) -> List[TaintFlow]:
+def find_taint_flows(program: N.Node, index: Optional[AstIndex] = None) -> List[TaintFlow]:
     """All source→sink flows discoverable by ordered statement walk.
 
-    Two passes: the first collects variable taint from assignments, the
-    second (sharing the same per-statement walk) reports sinks.  Running
-    the propagation loop twice lets taint flow through simple forward
-    *and* backward declaration orders without a full fixpoint.
+    Statements run in program order; within one, nodes are visited as a
+    right-to-left stack walk visits them (a node before its children,
+    the last child first), which decides what a nested assignment
+    taints before its enclosing expression reads it.  Two passes: the
+    first collects variable taint from assignments, the second (over
+    the same visit order) reports sinks.  Running the propagation loop
+    twice lets taint flow through simple forward *and* backward
+    declaration orders without a full fixpoint.
+
+    ``index`` is ``program``'s :class:`~repro.jsengine.astindex.AstIndex`
+    when the caller has one; otherwise it is built here.
     """
+    if index is None:
+        index = AstIndex(program)
+    nodes, end = index.nodes, index.end
     tainted: dict = {}
     flows: List[TaintFlow] = []
     seen: Set[tuple] = set()
@@ -134,24 +155,28 @@ def find_taint_flows(program: N.Node) -> List[TaintFlow]:
             seen.add(key)
             flows.append(TaintFlow(source=source, sink=sink, variable=variable))
 
-    def visit_statements(statements: Sequence[N.Node], report: bool) -> None:
-        for statement in statements:
-            visit(statement, report)
+    # the nodes that read or write taint, statement by statement
+    statements = index.children_of(0) if isinstance(program, N.Program) else [0]
+    visits: List[int] = []
+    for statement in statements:
+        visits.extend(index.stack_order(
+            position for position in range(statement, end[statement])
+            if isinstance(nodes[position], _VISITED)))
 
-    def visit(node: Optional[N.Node], report: bool) -> None:
-        if node is None:
-            return
-        stack: List[N.Node] = [node]
-        while stack:
-            current = stack.pop()
+    for report in (False, True):
+        for position in visits:
+            current = nodes[position]
             if isinstance(current, N.VarDecl):
+                child = position + 1
                 for name, init in current.declarations:
-                    if init is not None:
-                        source = _source_of(init, tainted)
-                        if source is not None:
-                            tainted[name] = source
+                    if init is None:
+                        continue
+                    source = _source_of(index, child, tainted)
+                    if source is not None:
+                        tainted[name] = source
+                    child = end[child]
             elif isinstance(current, N.Assignment):
-                source = _source_of(current.value, tainted)
+                source = _source_of(index, end[position + 1], tainted)  # the value
                 if isinstance(current.target, N.Identifier):
                     if source is not None:
                         tainted[current.target.name] = source
@@ -163,10 +188,11 @@ def find_taint_flows(program: N.Node) -> List[TaintFlow]:
                         variable = (current.value.name
                                     if isinstance(current.value, N.Identifier) else None)
                         record(source, sink, variable)
-            elif isinstance(current, N.Call):
+            else:
                 path = callee_path(current.callee)
                 if path in TAINT_CALL_SINKS and current.arguments:
-                    source = _source_of(current.arguments[0], tainted)
+                    # the first argument follows the callee
+                    source = _source_of(index, end[position + 1], tainted)
                     if source is not None and report:
                         argument = current.arguments[0]
                         variable = (argument.name
@@ -174,9 +200,4 @@ def find_taint_flows(program: N.Node) -> List[TaintFlow]:
                         record(source, path, variable)
                 # document.body.appendChild(taintedIframe) and friends are
                 # covered by the .src assignment that taints the element
-            stack.extend(current.children())
-
-    body = program.body if isinstance(program, N.Program) else [program]
-    visit_statements(body, report=False)
-    visit_statements(body, report=True)
     return flows

@@ -300,21 +300,27 @@ CORPUS_DIGEST = "a1b56aa15c684aabfcee10c37af2d985f574354903a06623b09050c0bc4aa9f
 CORPUS_SCRIPTS = 649
 
 
+def corpus_sources():
+    """Every distinct non-empty inline script of the seed-2016
+    scale-0.005 web, in sorted order."""
+    from repro import MalwareSlumsStudy, StudyConfig
+    from repro.htmlparse import parse, select
+
+    web = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.005)).generate_web()
+    return sorted({
+        script.text_content()
+        for site in web.registry for page in site.pages.values()
+        for script in select(parse(page.html), "script")
+        if not script.get("src") and script.text_content().strip()})
+
+
 def corpus_digest():
     """(script count, sha256 of each summary's sorted-key JSON, in
     sorted source order)."""
     import hashlib
     import json
 
-    from repro import MalwareSlumsStudy, StudyConfig
-    from repro.htmlparse import parse, select
-
-    web = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.005)).generate_web()
-    sources = sorted({
-        script.text_content()
-        for site in web.registry for page in site.pages.values()
-        for script in select(parse(page.html), "script")
-        if not script.get("src") and script.text_content().strip()})
+    sources = corpus_sources()
     digest = hashlib.sha256()
     for source in sources:
         digest.update(json.dumps(interpret_script(source).to_dict(), sort_keys=True).encode())

@@ -129,7 +129,7 @@ class TestErrorReplay:
 
 
 class TestSharedAst:
-    """parse_reusing / static_report: the reuse-only side of the cache."""
+    """parse_reusing / memo: the reuse-only side of the cache."""
 
     def test_reuse_never_counts_or_inserts(self):
         cache = CompileCache()
@@ -176,13 +176,35 @@ class TestSharedAst:
             return object()
 
         # no entry yet: computed afresh, nothing stored or inserted
-        assert cache.static_report(SCRIPTS[0], analyze) is not cache.static_report(
-            SCRIPTS[0], analyze)
+        assert cache.memo(SCRIPTS[0], "report", analyze) is not cache.memo(
+            SCRIPTS[0], "report", analyze)
         assert len(calls) == 2 and len(cache) == 0
         cache.compile(SCRIPTS[0])
-        first = cache.static_report(SCRIPTS[0], analyze)
-        assert cache.static_report(SCRIPTS[0], analyze) is first
+        first = cache.memo(SCRIPTS[0], "report", analyze)
+        assert cache.memo(SCRIPTS[0], "report", analyze) is first
         assert len(calls) == 3
+        assert cache.hits == 0 and cache.misses == 1
+
+    def test_memo_without_store_reuses_but_keeps_nothing(self):
+        cache = CompileCache()
+        cache.compile(SCRIPTS[0])
+        calls = []
+
+        def build():
+            calls.append(1)
+            return object()
+
+        # a reader that may not store computes afresh while nothing is stored
+        first = cache.memo(SCRIPTS[0], "index", build, store=False)
+        assert cache.memo(SCRIPTS[0], "index", build, store=False) is not first
+        assert cache._entries[SCRIPTS[0]].index is None
+        # and reuses what a storing reader left
+        stored = cache.memo(SCRIPTS[0], "index", build)
+        assert cache.memo(SCRIPTS[0], "index", build, store=False) is stored
+        assert len(calls) == 3
+        # each slot is its own value
+        assert cache.memo(SCRIPTS[0], "merge", lambda: (1, 0.0, 0.0, 0)) == (1, 0.0, 0.0, 0)
+        assert cache._entries[SCRIPTS[0]].report is None
 
     def test_analyze_script_reads_the_counted_entry(self, monkeypatch):
         from repro.staticjs import absint, rules

@@ -9,12 +9,16 @@ dynamic-only pipeline while skipping a substantial share of provably
 benign scripts.
 """
 
+import hashlib
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro import MalwareSlumsStudy, StudyConfig
 from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.detection.heuristics import analyze_html
-from repro.jsengine import Interpreter
+from repro.jsengine import CompileCache, Interpreter, deobfuscate, extract_features
 from repro.jsengine import nodes as N
 from repro.jsengine.parser import parse
 from repro.jsengine.values import JSArray
@@ -26,11 +30,14 @@ from repro.staticjs import (
     VERDICT_NEEDS_DYNAMIC,
     VERDICT_SUSPICIOUS,
     analyze_script,
+    build_call_graph,
     build_cfg,
     find_taint_flows,
     fold,
     propagate,
 )
+
+from .test_absint import corpus_sources
 
 
 class TestCfg:
@@ -251,6 +258,87 @@ class TestTaint:
 
     def test_clean_script_has_no_flows(self):
         assert find_taint_flows(parse("var a = 1; eval('x');")) == []
+
+
+class TestVisitOrders:
+    """Outputs that depend on the order the static passes visit nodes
+    in, recorded before the passes moved onto the AST index."""
+
+    @staticmethod
+    def _flows(source):
+        return [f.evidence for f in analyze_script(source).findings if f.rule == "taint-flow"]
+
+    def test_taint_statements_in_order_expressions_right_to_left(self):
+        source = ("var a = document.referrer, b = location.search; "
+                  "document.write(a + b); location.href = b + a;")
+        assert self._flows(source) == ["location.search -> document.write",
+                                       "document.referrer -> location.href"]
+        assert self._flows("eval(location.hash + document.cookie);") == [
+            "document.cookie -> eval"]
+
+    def test_nested_assignment_taints_before_its_reads(self):
+        assert self._flows("x = (y = location.hash); eval(x); eval(y);") == [
+            "location.hash -> eval via x", "location.hash -> eval via y"]
+
+    def test_shellcode_literals_in_reverse_source_order(self):
+        report = analyze_script(
+            "var a = '%u9090%u9090'; var b = '%u4141%u4141'; var c = '%u4242%u4242';")
+        assert [(f.rule, f.evidence) for f in report.findings] == [
+            ("shellcode-string", "%u4242%u4242"),
+            ("shellcode-string", "%u4141%u4141"),
+            ("shellcode-string", "%u9090%u9090")]
+
+    def test_call_graph_later_binding_wins(self):
+        program = parse(
+            "function f() { g(); h(); } var f = function () { k(); f(); }; "
+            "function g() { h(); } function h() {} (function () { g(); f(); })(); f();")
+        graph = build_call_graph(program)
+        assert {name: type(fn).__name__ for name, fn in graph.functions.items()} == {
+            "f": "FunctionExpr", "g": "FunctionDecl", "h": "FunctionDecl"}
+        # anonymous function expressions' calls are the enclosing scope's
+        assert graph.edges == {"<toplevel>": ["f", "f", "g", "f"], "g": ["h"],
+                               "f": ["h", "g"]}
+        assert graph.unresolved_calls == 2
+        assert graph.recursive == set()
+
+
+#: sha256 of the static pass over every distinct non-empty inline script
+#: of the seed-2016 scale-0.005 web (see :func:`corpus_report_digest`)
+CORPUS_REPORT_DIGEST = "bd6572478a456f70ec27df7e95cf94f7e7db98750fa98a04e0e11d1bb33ac16a"
+CORPUS_REPORT_SCRIPTS = 649
+
+
+def corpus_report_digest(compile_cache=None):
+    """(script count, sha256 of each script's sorted-key JSON report,
+    deobfuscation and features of the deobfuscated text, in sorted
+    source order), every pass reading ``compile_cache`` when given."""
+    sources = corpus_sources()
+    digest = hashlib.sha256()
+    for source in sources:
+        deobfuscated = deobfuscate(source)
+        digest.update(json.dumps({
+            "report": analyze_script(source, compile_cache=compile_cache).to_dict(),
+            "features": asdict(extract_features(deobfuscated.source,
+                                                compile_cache=compile_cache)),
+            "deobfuscated": [deobfuscated.layers, deobfuscated.source,
+                             deobfuscated.decoded_strings],
+        }, sort_keys=True).encode())
+    return len(sources), digest.hexdigest()
+
+
+def test_corpus_reports_are_pinned():
+    """The static pass decides most pages' sandbox skip and feeds the
+    content heuristics: a refactor of the rules, the fact extractors,
+    the feature extractor, the deobfuscator or the AST index must leave
+    every report unchanged, cold and through one shared cache.  A change
+    that moves them on purpose says why and regenerates the digest
+    with::
+
+        PYTHONPATH=src python -c "from tests.test_staticjs import corpus_report_digest; print(corpus_report_digest())"
+    """
+    expected = (CORPUS_REPORT_SCRIPTS, CORPUS_REPORT_DIGEST)
+    assert corpus_report_digest() == expected
+    assert corpus_report_digest(CompileCache()) == expected
 
 
 class TestVerdicts:

@@ -226,3 +226,25 @@ def test_study_parses_each_url_string_a_few_times(monkeypatch):
     monkeypatch.setattr(Url, "parse", classmethod(counting))
     study.run()
     assert len(parsed) <= 5 * len(set(parsed))
+
+
+def test_scan_reads_crawled_urls_through_the_table(monkeypatch):
+    """The verdict service's blacklist lookup, the blacklist builder's
+    site roots and the iframe findings' hosts reuse what the crawl (or
+    the iframe check) already parsed, so a whole study parses each
+    distinct URL string about once; each of the three used to parse
+    again, about three times per string in all."""
+    from repro import MalwareSlumsStudy, StudyConfig
+
+    study = MalwareSlumsStudy(StudyConfig(seed=2016, scale=0.003))
+    study.generate_web()
+    parsed = []
+    original = Url.parse.__func__
+
+    def counting(cls, raw):
+        parsed.append(raw)
+        return original(cls, raw)
+
+    monkeypatch.setattr(Url, "parse", classmethod(counting))
+    study.run()
+    assert len(parsed) <= 1.5 * len(set(parsed))
