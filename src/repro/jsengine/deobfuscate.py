@@ -19,13 +19,13 @@ layer count itself is a strong maliciousness signal.
 
 from __future__ import annotations
 
-import base64
-import binascii
 import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .builtins import js_unescape
+from .builtins import js_atob, js_decode_uri, js_from_char_code, js_unescape
+from .lexer import LexError, decode_string_body
+from .values import JSException
 
 __all__ = [
     "DeobfuscationResult", "PURE_DECODERS", "DECODER_NAMES", "deobfuscate",
@@ -33,26 +33,16 @@ __all__ = [
 ]
 
 
-def _decode_base64(text: str) -> Optional[str]:
-    """``atob`` semantics over latin-1, tolerant of missing padding."""
-    try:
-        return base64.b64decode(text + "=" * (-len(text) % 4)).decode("latin-1")
-    except (binascii.Error, ValueError):
-        return None
-
-
-#: pure single-string decoders shared by every static layer: the regex
-#: peeler below, the AST constant folder
-#: (:func:`repro.staticjs.dataflow.fold`) and the abstract machine
-#: (:mod:`repro.staticjs.absint`) must decode identically, or their
-#: recovered payloads would disagree with the sandbox.  A decoder
-#: returns ``None`` when the input is not decodable (the call site
-#: keeps the original expression).
-PURE_DECODERS: Dict[str, Callable[[str], Optional[str]]] = {
+#: the sandbox's single-string decoders (:mod:`repro.jsengine.builtins`),
+#: by global name, so the regex peeler below recovers what the sandbox
+#: would decode.  ``atob`` raises :class:`~repro.jsengine.values.JSException`
+#: on input it cannot decode; the call site then keeps the original
+#: expression.
+PURE_DECODERS: Dict[str, Callable[[str], str]] = {
     "unescape": js_unescape,
-    "decodeURIComponent": js_unescape,
-    "decodeURI": js_unescape,
-    "atob": _decode_base64,
+    "decodeURIComponent": js_decode_uri,
+    "decodeURI": js_decode_uri,
+    "atob": js_atob,
 }
 
 #: decoder vocabulary for work accounting / reporting; includes the
@@ -95,21 +85,31 @@ def _quote(text: str) -> str:
     return '"%s"' % escaped
 
 
+def _decode_call(name: str, text: str, decoded: List[str]) -> Optional[str]:
+    """The quoted result of the sandbox's decoder ``name`` on ``text``,
+    or None where it throws."""
+    try:
+        payload = PURE_DECODERS[name](text)
+    except JSException:
+        return None
+    decoded.append(payload)
+    return _quote(payload)
+
+
 def _pass_unescape(source: str, decoded: List[str]) -> str:
     def repl(match: "re.Match[str]") -> str:
-        payload = PURE_DECODERS[match.group(1)](match.group(3))
-        if payload is None:
-            return match.group(0)
-        decoded.append(payload)
-        return _quote(payload)
+        return _decode_call(match.group(1), match.group(3), decoded) or match.group(0)
 
     return _UNESCAPE_CALL.sub(repl, source)
 
 
 def _pass_fromcharcode(source: str, decoded: List[str]) -> str:
     def repl(match: "re.Match[str]") -> str:
-        codes = [int(c) for c in match.group(1).replace(" ", "").split(",") if c]
-        payload = "".join(chr(c & 0xFFFF) for c in codes)
+        try:
+            codes = [float(c) for c in match.group(1).replace(" ", "").split(",") if c.strip()]
+        except ValueError:  # digits split by a line break: no call JS would parse
+            return match.group(0)
+        payload = js_from_char_code(*codes)
         decoded.append(payload)
         return _quote(payload)
 
@@ -118,58 +118,32 @@ def _pass_fromcharcode(source: str, decoded: List[str]) -> str:
 
 def _pass_atob(source: str, decoded: List[str]) -> str:
     def repl(match: "re.Match[str]") -> str:
-        payload = PURE_DECODERS["atob"](match.group(2))
-        if payload is None:
-            return match.group(0)
-        decoded.append(payload)
-        return _quote(payload)
+        return _decode_call("atob", match.group(2), decoded) or match.group(0)
 
     return _ATOB_CALL.sub(repl, source)
 
 
-def _unescape_js_literal(text: str) -> str:
-    out: List[str] = []
-    i = 0
-    while i < len(text):
-        if text[i] == "\\" and i + 1 < len(text):
-            nxt = text[i + 1]
-            if nxt == "x" and i + 4 <= len(text):
-                try:
-                    out.append(chr(int(text[i + 2 : i + 4], 16)))
-                    i += 4
-                    continue
-                except ValueError:
-                    pass
-            if nxt == "u" and i + 6 <= len(text):
-                try:
-                    out.append(chr(int(text[i + 2 : i + 6], 16)))
-                    i += 6
-                    continue
-                except ValueError:
-                    pass
-            mapped = {"n": "\n", "t": "\t", "r": "\r", "'": "'", '"': '"', "\\": "\\"}.get(nxt)
-            out.append(mapped if mapped is not None else nxt)
-            i += 2
-            continue
-        out.append(text[i])
-        i += 1
-    return "".join(out)
-
-
-def _strip_literal(literal: str) -> str:
-    return _unescape_js_literal(literal[1:-1])
+def _strip_literal(literal: str) -> Optional[str]:
+    """A string literal's value as the lexer decodes it, or None for a
+    literal the lexer rejects (the pass then leaves it alone)."""
+    try:
+        return decode_string_body(literal[1:-1])
+    except LexError:
+        return None
 
 
 def _pass_concat(source: str) -> str:
-    previous = None
-    while previous != source:
-        previous = source
-
-        def repl(match: "re.Match[str]") -> str:
-            return _quote(_strip_literal(match.group(1)) + _strip_literal(match.group(2)))
-
-        source = _CONCAT.sub(repl, source, count=1)
-    return source
+    start = 0
+    while True:
+        match = _CONCAT.search(source, start)
+        if match is None:
+            return source
+        left, right = _strip_literal(match.group(1)), _strip_literal(match.group(2))
+        if left is None or right is None:
+            start = match.start() + 1
+            continue
+        source = source[:match.start()] + _quote(left + right) + source[match.end():]
+        start = 0
 
 
 def _pass_eval_unwrap(source: str, decoded: List[str]) -> str:
@@ -177,6 +151,8 @@ def _pass_eval_unwrap(source: str, decoded: List[str]) -> str:
 
     def repl(match: "re.Match[str]") -> str:
         code = _strip_literal(match.group(1))
+        if code is None:
+            return match.group(0)
         decoded.append(code)
         return code
 
@@ -201,31 +177,37 @@ def _pass_var_eval(source: str, decoded: List[str]) -> str:
     for match in _VAR_STRING.finditer(source):
         name, literal = match.group(1), match.group(2)
         eval_call = re.compile(r"eval\(\s*%s\s*\)" % re.escape(name))
-        if eval_call.search(source):
-            code = _strip_literal(literal)
+        if not eval_call.search(source):
+            continue
+        code = _strip_literal(literal)
+        if code is not None:
             decoded.append(code)
             source = source.replace(match.group(0), "", 1)
-            source = eval_call.sub(lambda _m: code, source, count=1)
-            return source
+            return eval_call.sub(lambda _m: code, source, count=1)
     for match in _VAR_ARRAY.finditer(source):
         name, body = match.group(1), match.group(2)
         eval_call = re.compile(
             r"eval\(\s*%s\.join\(\s*(?:''|\"\")\s*\)\s*\)" % re.escape(name)
         )
-        if eval_call.search(source):
-            code = "".join(_strip_literal(lit.group(0)) for lit in _LITERAL_FINDER.finditer(body))
-            decoded.append(code)
-            source = source.replace(match.group(0), "", 1)
-            source = eval_call.sub(lambda _m: code, source, count=1)
-            return source
+        if not eval_call.search(source):
+            continue
+        pieces = [_strip_literal(lit.group(0)) for lit in _LITERAL_FINDER.finditer(body)]
+        if None in pieces:
+            continue
+        code = "".join(pieces)
+        decoded.append(code)
+        source = source.replace(match.group(0), "", 1)
+        return eval_call.sub(lambda _m: code, source, count=1)
     return source
 
 
 def _pass_reverse(source: str, decoded: List[str]) -> str:
     def repl(match: "re.Match[str]") -> str:
-        payload = _strip_literal(match.group(1))[::-1]
-        decoded.append(payload)
-        return _quote(payload)
+        literal = _strip_literal(match.group(1))
+        if literal is None:
+            return match.group(0)
+        decoded.append(literal[::-1])
+        return _quote(literal[::-1])
 
     return _REVERSE_IDIOM.sub(repl, source)
 

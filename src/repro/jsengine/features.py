@@ -144,7 +144,7 @@ def _scan_nodes(nodes: Sequence[N.Node], features: JsFeatures, strings: List[str
             ):
                 features.long_number_array = True
         elif isinstance(node, N.Call):
-            name = _callee_name(node.callee)
+            name = N.callee_path(node.callee)
             if name:
                 for suspicious in _SUSPICIOUS_CALLEES:
                     if name == suspicious or name.endswith("." + suspicious):
@@ -157,18 +157,6 @@ def _scan_nodes(nodes: Sequence[N.Node], features: JsFeatures, strings: List[str
                     features.fromcharcode_count += 1
                 if name == "unescape" or name.endswith(".unescape"):
                     features.unescape_count += 1
-
-
-def _callee_name(callee: N.Node) -> str:
-    # iterative: a member chain (a.b.c...) may be thousands of links long
-    props: List[str] = []
-    while isinstance(callee, N.Member) and isinstance(callee.prop, N.StringLiteral):
-        props.append(callee.prop.value)
-        callee = callee.obj
-    name = callee.name if isinstance(callee, N.Identifier) else ""
-    for prop in reversed(props):
-        name = (name + "." if name else "") + prop
-    return name
 
 
 def _scan_text(source: str, features: JsFeatures, strings: List[str]) -> None:

@@ -31,25 +31,25 @@ from . import nodes as N
 from .builtins import get_member, make_global_builtins
 from .parser import parse
 from .values import (
+    MAX_STRING_LENGTH,
     UNDEFINED,
+    BudgetExceeded,
     JSArray,
     JSException,
     JSFunction,
     JSObject,
     NativeFunction,
+    check_string_length,
     loose_equals,
     strict_equals,
     to_boolean,
+    to_int32,
     to_number,
     to_string,
     type_of,
 )
 
 __all__ = ["Interpreter", "BudgetExceeded", "Environment", "evaluate_binary", "evaluate_unary"]
-
-
-class BudgetExceeded(RuntimeError):
-    """The script exceeded its execution step budget."""
 
 
 class _Break(Exception):
@@ -140,10 +140,6 @@ class Interpreter:
         Source of randomness for ``Math.random`` (seeded for
         reproducibility).
     """
-
-    #: strings longer than this abort the script (memory-bomb guard; real
-    #: sandboxes enforce allocation limits the same way)
-    MAX_STRING_LENGTH = 2_000_000
 
     def __init__(
         self,
@@ -297,7 +293,7 @@ class Interpreter:
         return old, (old + 1 if operator == "++" else old - 1)
 
     def _eval_binary(self, operator: str, left: Any, right: Any) -> Any:
-        return evaluate_binary(operator, left, right, self.MAX_STRING_LENGTH)
+        return evaluate_binary(operator, left, right, MAX_STRING_LENGTH)
 
     def _construct(self, callee: Any, args: List[Any]) -> Any:
         """``new callee(...args)``."""
@@ -312,7 +308,7 @@ class Interpreter:
         """A constructor's value: its returned object, else ``instance``."""
         return result if isinstance(result, (JSObject, JSArray)) else instance
 
-    def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
+    def _eval_builtin(self, source: Any = UNDEFINED, *_: Any) -> Any:
         """The ``eval`` global: executes in the global scope and logs the
         source — layered obfuscators call this repeatedly, and each layer
         is captured for the analyst (Section V-D "de-obfuscating the file
@@ -673,7 +669,7 @@ def evaluate_unary(operator: str, value: Any) -> Any:
     if operator == "+":
         return to_number(value)
     if operator == "~":
-        return float(~_to_int32(to_number(value)))
+        return float(~to_int32(to_number(value)))
     if operator == "void":
         return UNDEFINED
     raise JSException("unsupported unary %s" % operator)
@@ -690,12 +686,9 @@ def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int
     """
     if operator == "+":
         if isinstance(left, str) or isinstance(right, str) or isinstance(left, (JSObject, JSArray)) or isinstance(right, (JSObject, JSArray)):
-            joined = to_string(left) + to_string(right)
-            if len(joined) > max_string_length:
-                raise BudgetExceeded(
-                    "string allocation limit (%d chars) exceeded" % max_string_length
-                )
-            return joined
+            left_text, right_text = to_string(left), to_string(right)
+            check_string_length(len(left_text) + len(right_text), max_string_length)
+            return left_text + right_text
         return to_number(left) + to_number(right)
     if operator == "-":
         return to_number(left) - to_number(right)
@@ -738,17 +731,17 @@ def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int
             return lval <= rval
         return lval >= rval
     if operator == "&":
-        return float(_to_int32(to_number(left)) & _to_int32(to_number(right)))
+        return float(to_int32(to_number(left)) & to_int32(to_number(right)))
     if operator == "|":
-        return float(_to_int32(to_number(left)) | _to_int32(to_number(right)))
+        return float(to_int32(to_number(left)) | to_int32(to_number(right)))
     if operator == "^":
-        return float(_to_int32(to_number(left)) ^ _to_int32(to_number(right)))
+        return float(to_int32(to_number(left)) ^ to_int32(to_number(right)))
     if operator == "<<":
-        return float(_wrap_int32(_to_int32(to_number(left)) << (_to_int32(to_number(right)) & 31)))
+        return float(to_int32(to_int32(to_number(left)) << (to_int32(to_number(right)) & 31)))
     if operator == ">>":
-        return float(_to_int32(to_number(left)) >> (_to_int32(to_number(right)) & 31))
+        return float(to_int32(to_number(left)) >> (to_int32(to_number(right)) & 31))
     if operator == ">>>":
-        return float((_to_int32(to_number(left)) & 0xFFFFFFFF) >> (_to_int32(to_number(right)) & 31))
+        return float((to_int32(to_number(left)) & 0xFFFFFFFF) >> (to_int32(to_number(right)) & 31))
     if operator == "instanceof":
         return isinstance(left, (JSObject, JSFunction))
     if operator == "in":
@@ -757,15 +750,3 @@ def evaluate_binary(operator: str, left: Any, right: Any, max_string_length: int
         return False
     raise JSException("unsupported operator %s" % operator)
 
-
-def _to_int32(value: float) -> int:
-    if math.isnan(value) or math.isinf(value):
-        return 0
-    return _wrap_int32(int(value))
-
-
-def _wrap_int32(value: int) -> int:
-    value &= 0xFFFFFFFF
-    if value >= 0x80000000:
-        value -= 0x100000000
-    return value

@@ -1,11 +1,12 @@
 """JavaScript lexer.
 
 Tokenizes the JavaScript subset that in-the-wild malware on traffic
-exchanges uses (Section IV-A1, V): string/number literals with the full
-escape repertoire obfuscators rely on (``\\xNN``, ``\\uNNNN``, octal),
-identifiers, keywords, comments, and the operator set of ES5 minus
-regular-expression literals (none of the analyzed samples need them —
-a ``/`` is always division here).
+exchanges uses (Section IV-A1, V): string/number literals with the
+escapes obfuscators rely on (``\\xNN``, ``\\uNNNN``, the single-letter
+escapes, line continuations and ``\\0``; like the reference lexer, it
+decodes no other octal escape), identifiers, keywords, comments, and
+the operator set of ES5 minus regular-expression literals (none of the
+analyzed samples need them — a ``/`` is always division here).
 
 One compiled master regex does the scanning: each match skips any
 whitespace and comments, then matches one token, and :func:`tokenize`
@@ -25,7 +26,7 @@ import re
 from dataclasses import dataclass
 from typing import List
 
-__all__ = ["Token", "LexError", "tokenize", "KEYWORDS"]
+__all__ = ["Token", "LexError", "tokenize", "decode_string_body", "KEYWORDS"]
 
 KEYWORDS = {
     "var", "function", "return", "if", "else", "while", "for", "do",
@@ -121,7 +122,7 @@ def tokenize(source: str) -> List[Token]:
         elif kind == "string":
             body = text[1:-1]
             if "\\" in body:
-                body = _unescape(body, start + 1)
+                body = decode_string_body(body, start + 1)
             append(Token("string", body, start))
         elif kind == "number":
             append(Token("number", text, start, number=float(text)))
@@ -147,8 +148,9 @@ def _hex_value(digits: str) -> float:
         return float("inf")
 
 
-def _unescape(body: str, offset: int) -> str:
-    """Decode the escapes of a string literal whose body starts at ``offset``."""
+def decode_string_body(body: str, offset: int = 0) -> str:
+    """Decode the escapes of a string literal whose body (the text between
+    its quotes) starts at ``offset``; the static de-obfuscator uses it too."""
 
     def decode(m: "re.Match[str]") -> str:
         hex2, hex4, esc = m.groups()

@@ -18,7 +18,7 @@ __all__ = [
     "UndefinedLiteral", "Identifier", "ThisExpr", "ArrayLiteral",
     "ObjectLiteral", "FunctionExpr", "Unary", "Update", "Binary",
     "Logical", "Conditional", "Assignment", "Call", "New", "Member",
-    "Sequence",
+    "Sequence", "callee_path",
 ]
 
 
@@ -294,3 +294,21 @@ class Member(Node):
 @dataclass
 class Sequence(Node):
     expressions: List[Node]
+
+
+def callee_path(node: Node) -> str:
+    """Dotted path of a callee/member chain (``''`` when not static)."""
+    # iterative: a member chain (a.b.c...) may be thousands of links long
+    props: List[str] = []
+    while isinstance(node, Member) and isinstance(node.prop, StringLiteral):
+        props.append(node.prop.value)
+        node = node.obj
+    if isinstance(node, Identifier):
+        path = node.name
+    elif isinstance(node, ThisExpr):
+        path = "this"
+    else:
+        path = ""
+    for prop in reversed(props):
+        path = (path + "." if path else "") + prop
+    return path

@@ -13,7 +13,14 @@ The interpreter's value universe:
 * host objects — any Python object implementing ``js_get``/``js_set``
 
 Coercion helpers implement the ES5 abstract operations the corpus needs
-(ToString, ToNumber, ToBoolean, loose equality).
+(ToString, ToNumber, ToBoolean, ToInt32, loose equality).
+
+Values are bounded so hostile scripts fail with :class:`BudgetExceeded`
+before allocating: no string is concatenated, joined or stringified
+past :data:`MAX_STRING_LENGTH` characters (every other builtin returns
+at most a fixed multiple of its inputs), and no array is padded past
+:data:`MAX_ARRAY_LENGTH` elements by an index or ``length`` write or
+grown past it by ``concat``.
 """
 
 from __future__ import annotations
@@ -22,10 +29,19 @@ import math
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
-    "UNDEFINED", "Undefined", "JSObject", "JSArray", "JSFunction",
-    "NativeFunction", "JSException", "to_string", "to_number",
-    "to_boolean", "loose_equals", "strict_equals", "type_of",
+    "UNDEFINED", "Undefined", "JSObject", "JSArray", "JSFunction", "NativeFunction",
+    "JSException", "BudgetExceeded", "to_string", "to_number", "to_boolean",
+    "to_int32", "loose_equals", "strict_equals", "type_of",
 ]
+
+#: strings longer than this abort the script (memory-bomb guard; real
+#: sandboxes enforce allocation limits the same way)
+MAX_STRING_LENGTH = 2_000_000
+#: arrays are dense lists, so a far index or a large ``length`` would
+#: allocate every slot below it; past this many elements (16 MB of
+#: slots, as many as the longest string has characters) the write aborts
+#: the script instead
+MAX_ARRAY_LENGTH = 2_000_000
 
 
 class Undefined:
@@ -46,6 +62,10 @@ class Undefined:
 
 
 UNDEFINED = Undefined()
+
+
+class BudgetExceeded(RuntimeError):
+    """The script exceeded its execution step budget or an allocation bound."""
 
 
 class JSException(Exception):
@@ -91,27 +111,32 @@ class JSArray(JSObject):
     def js_get(self, name: str) -> Any:
         if name == "length":
             return float(len(self.elements))
-        if name.lstrip("-").isdigit():
-            index = int(name)
-            if 0 <= index < len(self.elements):
-                return self.elements[index]
-            return UNDEFINED
+        index = array_index(name)
+        if index is not None:
+            return self.elements[index] if index < len(self.elements) else UNDEFINED
         return super().js_get(name)
 
     def js_set(self, name: str, value: Any) -> None:
         if name == "length":
-            new_len = int(to_number(value))
-            del self.elements[new_len:]
-            self.elements.extend([UNDEFINED] * (new_len - len(self.elements)))
+            length = to_number(value)
+            if not 0 <= length < 4294967296.0 or length != int(length):
+                raise JSException("RangeError: Invalid array length")
+            self._pad(int(length))
+            del self.elements[int(length):]
             return
-        if name.lstrip("-").isdigit():
-            index = int(name)
-            if index >= 0:
-                while len(self.elements) <= index:
-                    self.elements.append(UNDEFINED)
-                self.elements[index] = value
-                return
+        index = array_index(name)
+        if index is not None:
+            self._pad(index + 1)
+            self.elements[index] = value
+            return
         super().js_set(name, value)
+
+    def _pad(self, length: int) -> None:
+        """Grow to ``length`` elements with ``undefined``, within the bound."""
+        missing = length - len(self.elements)
+        if missing > 0:
+            check_array_length(length)
+            self.elements.extend([UNDEFINED] * missing)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "JSArray(%r)" % self.elements
@@ -163,6 +188,36 @@ class NativeFunction:
         return "NativeFunction(%s)" % self.name
 
 
+def check_string_length(length: int, limit: int = MAX_STRING_LENGTH) -> None:
+    """Refuse a string of ``length`` characters before it is built."""
+    if length > limit:
+        raise BudgetExceeded("string allocation limit (%d chars) exceeded" % limit)
+
+
+def check_array_length(length: int) -> None:
+    """Refuse an array of ``length`` elements before it is built."""
+    if length > MAX_ARRAY_LENGTH:
+        raise BudgetExceeded("array allocation limit (%d elements) exceeded" % MAX_ARRAY_LENGTH)
+
+
+def array_index(key: str) -> Optional[int]:
+    """The index a canonical numeral below 2**32 - 1 names (``"1"``; not
+    ``"01"``, ``"-1"`` or ``"1.0"``), or None for any other key."""
+    if key.isdigit() and len(key) <= 10 and key.isascii() and (key[0] != "0" or key == "0"):
+        index = int(key)
+        if index < 4294967295:
+            return index
+    return None
+
+
+def join_elements(elements: List[Any], separator: str) -> str:
+    """``Array.prototype.join``, refused before it builds a string past
+    :data:`MAX_STRING_LENGTH`."""
+    parts = ["" if el is UNDEFINED or el is None else to_string(el) for el in elements]
+    check_string_length(sum(map(len, parts)) + len(separator) * (len(parts) - 1))
+    return separator.join(parts)
+
+
 # ---------------------------------------------------------------------------
 # Coercions
 # ---------------------------------------------------------------------------
@@ -200,6 +255,8 @@ def to_number(value: Any) -> float:
             return float(text)
         except ValueError:
             return float("nan")
+        except OverflowError:  # a hex numeral past the largest double
+            return math.copysign(math.inf, -1.0 if text[0] == "-" else 1.0)
     if isinstance(value, JSArray):
         if not value.elements:
             return 0.0
@@ -233,7 +290,7 @@ def to_string(value: Any) -> str:
     if value is UNDEFINED:
         return "undefined"
     if isinstance(value, JSArray):
-        return ",".join("" if el is UNDEFINED or el is None else to_string(el) for el in value.elements)
+        return join_elements(value.elements, ",")
     if isinstance(value, JSFunction):
         return "function %s() { [code] }" % value.name
     if isinstance(value, NativeFunction):
@@ -243,6 +300,15 @@ def to_string(value: Any) -> str:
     if hasattr(value, "js_to_string"):
         return value.js_to_string()
     return "[object %s]" % type(value).__name__
+
+
+def to_int32(value: float) -> int:
+    """ToInt32 of a number (``& 0xFFFFFFFF`` is ToUint32): NaN and the
+    infinities are 0."""
+    if math.isnan(value) or math.isinf(value):
+        return 0
+    value = int(value) & 0xFFFFFFFF
+    return value - 0x100000000 if value >= 0x80000000 else value
 
 
 def type_of(value: Any) -> str:

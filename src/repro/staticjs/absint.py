@@ -44,7 +44,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..htmlparse import Element, Node
 from ..jsengine import nodes as N
 from ..jsengine.astindex import AstIndex, ast_index
-from ..jsengine.builtins import _int_or
+from ..jsengine.builtins import get_member
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from ..jsengine.deobfuscate import DECODER_NAMES
 from ..jsengine.hostenv import (
@@ -58,12 +58,14 @@ from ..jsengine.hostenv import (
 )
 from ..jsengine.interpreter import _Break, _Continue, Environment, Interpreter
 from ..jsengine.values import (
+    MAX_STRING_LENGTH,
     UNDEFINED,
     JSArray,
     JSException,
     JSFunction,
     JSObject,
     NativeFunction,
+    array_index,
     to_number,
     to_string,
 )
@@ -651,21 +653,13 @@ class AbstractDocument(DocumentObject):
 # ---------------------------------------------------------------------------
 # the machine
 
-#: string methods that are total (never throw) regardless of argument
-#: values — safe to summarise on an abstract receiver
-_STRING_METHODS = {
-    "charAt", "charCodeAt", "indexOf", "lastIndexOf", "substring",
-    "substr", "slice", "split", "replace", "toLowerCase", "toUpperCase",
-    "concat", "trim", "toString",
-}
-
-#: result kind of a pure, *total* global builtin applied to abstract
-#: args — every entry here was audited never to raise for any input
-#: (parseInt/Math.floor/… are NOT total and get bespoke summaries)
+#: result kind of a pure global builtin applied to abstract args (every
+#: builtin is total: it returns a value or throws a JS error)
 _PURE_GLOBAL_KIND: Dict[str, AbstractValue] = {
     "String": STR_TOP,
     "Number": NUM_TOP,
     "Boolean": BOOL_TOP,
+    "parseInt": NUM_TOP,
     "parseFloat": NUM_TOP,
     "isNaN": BOOL_TOP,
     "btoa": STR_TOP,
@@ -682,10 +676,6 @@ _PURE_GLOBAL_KIND: Dict[str, AbstractValue] = {
 _DECODE_BOUNDED = {"unescape", "decodeURIComponent", "decodeURI"}
 _ENCODE_FACTOR = {"escape": 6.0, "encodeURIComponent": 12.0,
                   "encodeURI": 12.0, "btoa": 2.0}
-
-#: Math natives that are total (abs/max/min never raise; floor, ceil,
-#: round, sqrt and pow raise ValueError/OverflowError on NaN/Infinity)
-_TOTAL_MATH = {"Math.abs", "Math.max", "Math.min", "Math.random"}
 
 #: :meth:`AbstractMachine._summarise_call`'s answer when a builtin may
 #: run on the sandbox's own path
@@ -825,7 +815,7 @@ class AbstractMachine(Interpreter):
                 recursive_cap=_CALL_DEPTH_RECURSIVE)
         return program
 
-    def _eval_builtin(self, source: Any = UNDEFINED) -> Any:
+    def _eval_builtin(self, source: Any = UNDEFINED, *_: Any) -> Any:
         if is_abstract(source):
             raise _Abort("abstract-eval")
         if isinstance(source, str) and self.eval_depth >= _MAX_EVAL_DEPTH:
@@ -883,6 +873,7 @@ class AbstractMachine(Interpreter):
                 raise _Abort("opaque-nodelist")
             if not any(contains_abstract(arg) for arg in args):
                 return _RUN_CONCRETELY
+            _check_join_bounds(args)
             name = getattr(fn, "name", "")
             if name == "String":
                 # total: refine the length bound when the input is a string
@@ -925,11 +916,15 @@ class AbstractMachine(Interpreter):
                     return _RUN_CONCRETELY
                 return TOP
             if name in ("Array.join", "Array.toString"):
-                return STR_TOP
+                bound = _join_bound(this, args[0] if name == "Array.join" and args else UNDEFINED)
+                if bound is None or bound > MAX_STRING_LENGTH:
+                    raise _Abort("string-bound")  # the sandbox may refuse the join
+                return string(bound)
             if name == "Array.indexOf":
                 return NUM_TOP
             # sort/filter coerce element/callback results concretely
             raise _Abort("abstract-native")
+        _check_join_bounds(args)
         if any(_function_like(arg) for arg in args):
             raise _Abort("abstract-callback")
         if name.startswith("String."):
@@ -942,14 +937,9 @@ class AbstractMachine(Interpreter):
             method = name[len("Number."):]
             return self._abstract_number_method(method, args)
         if name.startswith("Math."):
-            if name in _TOTAL_MATH:
-                return NUM_TOP
-            # floor/ceil/round/sqrt/pow raise on NaN or Infinity inputs
-            raise _Abort("abstract-native")
+            return NUM_TOP
         if name == "Error":
             return JSObject({"message": STR_TOP})
-        if name == "parseInt":
-            return self._summarise_parse_int(args)
         if name in _DECODE_BOUNDED or name in _ENCODE_FACTOR:
             first = args[0] if args else UNDEFINED
             source_bound = _bound_str(first)
@@ -963,16 +953,6 @@ class AbstractMachine(Interpreter):
         kind = _PURE_GLOBAL_KIND.get(name)
         if kind is not None:
             return kind
-        raise _Abort("abstract-native")
-
-    def _summarise_parse_int(self, args: List[Any]) -> Any:
-        """parseInt with abstract text: safe only for sane radixes
-        (base 1, >36, or negative raises once any digit matches)."""
-        if len(args) > 1 and contains_abstract(args[1]):
-            raise _Abort("abstract-native")
-        base = _int_or(args[1], 0) if len(args) > 1 else 0
-        if base == 0 or 2 <= base <= 36:
-            return NUM_TOP
         raise _Abort("abstract-native")
 
     def _construct(self, callee: Any, args: List[Any]) -> Any:
@@ -1070,6 +1050,7 @@ class AbstractMachine(Interpreter):
     def _member_key(self, raw: Any) -> Any:
         """A computed key; TOP stands for one the machine cannot know."""
         if contains_abstract(raw):
+            _check_join_bounds((raw,))  # the sandbox stringifies the key
             return TOP
         return self._to_string(raw)
 
@@ -1138,17 +1119,22 @@ class AbstractMachine(Interpreter):
         return TOP
 
     def _abstract_member_read(self, obj: AbstractValue, prop: str) -> Any:
+        """A member of an unknown primitive: the sandbox's builtins
+        decide which members are methods."""
         if obj.kind == "string":
             if prop == "length":
                 return number(Interval(0.0, obj.max_len))
-            if prop in _STRING_METHODS:
+            if isinstance(get_member(None, "", prop), NativeFunction):
                 return HostNative(
                     "String.%s" % prop,
                     lambda *args, _p=prop, _b=obj.max_len:
                         self._abstract_string_method(_p, _b, list(args)))
+            index = array_index(prop)
+            if index is not None and index < obj.max_len:
+                return TOP  # one character, or undefined past the end
             return UNDEFINED
         if obj.kind == "number":
-            if prop in ("toString", "toFixed"):
+            if isinstance(get_member(None, 0.0, prop), NativeFunction):
                 return HostNative(
                     "Number.%s" % prop,
                     lambda *args, _p=prop:
@@ -1160,6 +1146,7 @@ class AbstractMachine(Interpreter):
 
     def _abstract_string_method(self, method: str, bound: float,
                                 args: List[Any]) -> Any:
+        _check_join_bounds(args)
         if method == "charAt":
             return string(1.0)
         if method in ("charCodeAt", "indexOf", "lastIndexOf"):
@@ -1173,31 +1160,22 @@ class AbstractMachine(Interpreter):
             if method == "replace" and len(args) > 1 and _function_like(args[1]):
                 raise _Abort("abstract-callback")
             total = bound
-            for arg in args:
+            for arg in (args if method == "concat" else args[:2]):
                 piece = _bound_str(arg)
-                if piece is None:
-                    return STR_TOP
-                total += piece
-            if total == _INF:
-                return STR_TOP
-            return string(total)
+                total = _INF if piece is None else total + piece
+            if method == "concat" and total > MAX_STRING_LENGTH:
+                raise _Abort("string-bound")  # the sandbox may refuse the result
+            return STR_TOP if total == _INF else string(total)
         raise _Abort("abstract-native")
 
     def _abstract_number_method(self, method: str, args: List[Any]) -> Any:
+        """``toString``/``toFixed`` on an unknown number: the receiver
+        picks only the digits, so the builtin run on any number throws
+        the sandbox's RangeError for a radix or digit count out of range."""
         if any(contains_abstract(arg) for arg in args):
             raise _Abort("abstract-native")
-        if method == "toString":
-            base = _int_or(args[0], 10) if args else 10
-            if base == 10:
-                return STR_TOP
-            # non-decimal radix calls int() on the receiver — ValueError
-            # on NaN, OverflowError on Infinity: receiver-dependent
-            raise _Abort("abstract-native")
-        if method == "toFixed":
-            digits = _int_or(args[0], 0) if args else 0
-            "%.*f" % (digits, 0.0)  # reproduce receiver-independent errors
-            return STR_TOP
-        raise _Abort("abstract-native")
+        get_member(self, 0.0, method)(*args)
+        return STR_TOP
 
 
     # -- operators ----------------------------------------------------------
@@ -1246,6 +1224,8 @@ class AbstractMachine(Interpreter):
     def _eval_binary(self, operator: str, left: Any, right: Any) -> Any:
         if operator in ("==", "!=", "===", "!=="):
             if self._equality_unknown(operator, left, right):
+                if operator in ("==", "!="):
+                    _check_join_bounds((left, right))
                 return BOOL_TOP
         elif _nodelist_tainted(left) or _nodelist_tainted(right):
             # to_string/to_number of a node list needs its elements
@@ -1293,6 +1273,7 @@ class AbstractMachine(Interpreter):
                 return BOOL_TOP
             return isinstance(left, (JSObject, JSFunction))
         if operator == "in":
+            _check_join_bounds((left,))  # the key is the left side as a string
             if is_abstract(right):
                 if right.kind in ("number", "string", "boolean"):
                     return False  # the sandbox requires a JSObject
@@ -1319,7 +1300,7 @@ class AbstractMachine(Interpreter):
                 # cannot prove the sandbox's allocation guard is safe
                 raise _Abort("string-bound")
             total = left_bound + right_bound
-            if total > self.MAX_STRING_LENGTH:
+            if total > MAX_STRING_LENGTH:
                 raise _Abort("string-bound")
             return string(total)
         return number(self._num_interval(left).add(self._num_interval(right)))
@@ -1358,6 +1339,32 @@ def _bound_str(value: Any) -> Optional[float]:
         return float(len(to_string(value)))
     except _Abort:
         return None
+
+
+def _check_join_bounds(values: Iterable[Any]) -> None:
+    """Abort unless every array among ``values`` that holds an unknown
+    value provably stringifies within ``MAX_STRING_LENGTH``: a builtin or
+    a loose comparison that coerces it would otherwise hit the sandbox's
+    join bound where the summary computes a value."""
+    for value in values:
+        if isinstance(value, JSArray) and contains_abstract(value):
+            bound = _join_bound(value, UNDEFINED)
+            if bound is None or bound > MAX_STRING_LENGTH:
+                raise _Abort("string-bound")
+
+
+def _join_bound(array: JSArray, separator: Any) -> Optional[float]:
+    """Upper bound on len(array.join(separator)), or None when unbounded."""
+    sep = 1.0 if separator is UNDEFINED else _bound_str(separator)
+    if sep is None:
+        return None
+    total = sep * max(len(array.elements) - 1, 0)
+    for element in array.elements:
+        piece = 0.0 if element is None or element is UNDEFINED else _bound_str(element)
+        if piece is None:
+            return None
+        total += piece
+    return total
 
 
 # ---------------------------------------------------------------------------

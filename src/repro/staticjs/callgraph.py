@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..jsengine import nodes as N
 from ..jsengine.astindex import AstIndex
-from .dataflow import callee_path
 
 __all__ = ["CallGraph", "build_call_graph"]
 
@@ -102,7 +101,7 @@ def _record_calls(owner: str, index: AstIndex,
             inner = node.name if node.name in functions else scopes[-1][1]
             scopes.append((end[position], inner))
         elif isinstance(node, (N.Call, N.New)):
-            path = callee_path(node.callee)
+            path = N.callee_path(node.callee)
             root = path.split(".")[0] if path else ""
             if root in functions and "." not in path:
                 calls[position] = (scopes[-1][1], root)

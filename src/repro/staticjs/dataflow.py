@@ -8,6 +8,13 @@ regex peeler misses: single-assignment variables flowing into sinks,
 ``join``/``reverse`` chains, and IIFE parameter binding (the Google
 Analytics bootstrap pattern ``(function(a,b){...})('literal', ...)``).
 
+The folder implements no JS semantics of its own: operators are the
+sandbox's :func:`~repro.jsengine.interpreter.evaluate_binary`, and
+member reads and calls go through the sandbox's builtins
+(:mod:`repro.jsengine.builtins`).  What stays here is the folder's
+vocabulary (which global functions and which pure methods it calls)
+and the conversion between folded values and sandbox values.
+
 The public entry point is :func:`propagate`, which returns a
 :class:`Resolution`: the constant environment plus every statically
 resolved string that reaches an ``eval``-like sink, a
@@ -18,15 +25,16 @@ resolved string that reaches an ``eval``-like sink, a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..jsengine import nodes as N
 from ..jsengine.astindex import AstIndex
+from ..jsengine.builtins import get_member, js_from_char_code, js_number, js_parse_int, js_string
 from ..jsengine.deobfuscate import PURE_DECODERS
-from ..jsengine.interpreter import BudgetExceeded, evaluate_binary, evaluate_unary
-from ..jsengine.values import UNDEFINED, JSArray, JSException, to_boolean, to_number, to_string
+from ..jsengine.interpreter import evaluate_binary, evaluate_unary
+from ..jsengine.values import UNDEFINED, BudgetExceeded, JSArray, JSException, to_boolean, to_string
 
-__all__ = ["UNKNOWN", "Resolution", "ResolvedString", "fold", "propagate", "callee_path", "to_js"]
+__all__ = ["UNKNOWN", "Resolution", "ResolvedString", "fold", "propagate", "to_js"]
 
 
 class _Unknown:
@@ -69,24 +77,6 @@ class Resolution:
         return self.eval_payloads + self.write_payloads + self.url_strings
 
 
-def callee_path(node: N.Node) -> str:
-    """Dotted path of a callee/member chain (``''`` when not static)."""
-    # iterative: a member chain (a.b.c...) may be thousands of links long
-    props: List[str] = []
-    while isinstance(node, N.Member) and isinstance(node.prop, N.StringLiteral):
-        props.append(node.prop.value)
-        node = node.obj
-    if isinstance(node, N.Identifier):
-        path = node.name
-    elif isinstance(node, N.ThisExpr):
-        path = "this"
-    else:
-        path = ""
-    for prop in reversed(props):
-        path = (path + "." if path else "") + prop
-    return path
-
-
 def to_js(value: Any) -> Any:
     """A folded value as the sandbox sees it.
 
@@ -118,8 +108,11 @@ def fold(node: Optional[N.Node], env: Optional[Dict[str, Any]] = None,
     ``null`` to ``None``, and all-constant array literals to ``list``.
     Operators and coercions are the sandbox's
     (:func:`repro.jsengine.interpreter.evaluate_binary` and
-    :mod:`repro.jsengine.values`), so a folded value is the value the
-    sandbox would compute.
+    :mod:`repro.jsengine.values`), and so are member reads and the calls
+    the folder makes (:mod:`repro.jsengine.builtins`), so a folded value
+    is the value the sandbox would compute.  A call that throws, and a
+    result outside the folded domain (``undefined``, a function, an
+    object), fold to :data:`UNKNOWN`; ``fold`` itself never raises.
     """
     if env is None:
         env = {}
@@ -209,6 +202,37 @@ def _fold_unary(node: N.Unary, env: Dict[str, Any], depth: int) -> Any:
     return UNKNOWN if result is UNDEFINED else result
 
 
+#: the global functions the folder calls, by callee path: the sandbox's
+#: own, its decoders as the peeler names them (``unescape`` and ``atob``
+#: also as members of ``window``)
+_GLOBAL_CALLS: Dict[str, Callable[..., Any]] = {
+    **PURE_DECODERS,
+    "window.unescape": PURE_DECODERS["unescape"], "window.atob": PURE_DECODERS["atob"],
+    "String.fromCharCode": js_from_char_code,
+    "parseInt": js_parse_int, "String": js_string, "Number": js_number,
+}
+
+#: the methods the folder calls on a folded receiver, by the receiver's
+#: type: pure, and none takes a callback
+_METHODS: Dict[type, FrozenSet[str]] = {
+    str: frozenset(("split", "charAt", "charCodeAt", "substring", "slice", "substr",
+                    "toLowerCase", "toUpperCase", "trim", "concat", "indexOf",
+                    "replace", "toString")),
+    list: frozenset(("join", "reverse", "slice", "concat")),
+    float: frozenset(("toString",)),
+}
+
+
+def _from_js(value: Any) -> Any:
+    """A sandbox value as a folded value, or UNKNOWN outside the domain."""
+    if isinstance(value, JSArray):
+        items = [_from_js(item) for item in value.elements]
+        return UNKNOWN if any(item is UNKNOWN for item in items) else items
+    if value is None or isinstance(value, (str, float, bool)):
+        return value
+    return UNKNOWN
+
+
 def _fold_member(node: N.Member, env: Dict[str, Any], depth: int) -> Any:
     obj = fold(node.obj, env, depth + 1)
     if obj is UNKNOWN:
@@ -218,131 +242,33 @@ def _fold_member(node: N.Member, env: Dict[str, Any], depth: int) -> Any:
     )
     if prop is UNKNOWN:
         return UNKNOWN
-    if prop == "length" and isinstance(obj, (str, list)):
-        return float(len(obj))
-    if isinstance(obj, (str, list)) and isinstance(prop, float) and prop.is_integer():
-        index = int(prop)
-        if 0 <= index < len(obj):
-            return obj[index]
-    return UNKNOWN
-
-
-#: string/array methods the folder evaluates on constant receivers
-def _fold_call(node: N.Call, env: Dict[str, Any], depth: int) -> Any:
-    path = callee_path(node.callee)
-    args = [fold(a, env, depth + 1) for a in node.arguments]
-    js_args = [to_js(a) for a in args]
-
-    if path == "String.fromCharCode":
-        if any(a is UNKNOWN for a in args):
-            return UNKNOWN
-        try:
-            return "".join(chr(int(to_number(a)) & 0xFFFF) for a in js_args)
-        except (ValueError, OverflowError):
-            return UNKNOWN
-    if path in ("unescape", "window.unescape", "decodeURIComponent", "decodeURI",
-                "atob", "window.atob"):
-        if len(args) == 1 and isinstance(args[0], str):
-            decoded = PURE_DECODERS[path.rpartition(".")[2]](args[0])
-            return decoded if decoded is not None else UNKNOWN
+    try:
+        return _from_js(get_member(None, to_js(obj), to_string(to_js(prop))))
+    except (BudgetExceeded, JSException):  # a member of null
         return UNKNOWN
-    if path == "parseInt" and args and isinstance(args[0], (str, float)):
-        try:
-            base_val = int(to_number(js_args[1])) if len(args) > 1 and args[1] is not UNKNOWN else 10
-            return float(int(to_string(args[0]).strip(), base_val or 10))
-        except (ValueError, OverflowError):
+
+
+def _fold_call(node: N.Call, env: Dict[str, Any], depth: int) -> Any:
+    callee = node.callee
+    native = _GLOBAL_CALLS.get(N.callee_path(callee))
+    if native is None:
+        # a method call on a foldable receiver: 'abc'.split('') etc.
+        if not (isinstance(callee, N.Member) and isinstance(callee.prop, N.StringLiteral)):
             return UNKNOWN
-    if path == "String" and len(args) == 1 and args[0] is not UNKNOWN:
-        return to_string(js_args[0])
-    if path == "Number" and len(args) == 1 and args[0] is not UNKNOWN:
-        return to_number(js_args[0])
-
-    # method call on a foldable receiver: 'abc'.split('') etc.
-    if isinstance(node.callee, N.Member) and isinstance(node.callee.prop, N.StringLiteral):
-        receiver = fold(node.callee.obj, env, depth + 1)
-        if receiver is not UNKNOWN:
-            return _fold_method(receiver, node.callee.prop.value, args)
-    return UNKNOWN
-
-
-def _fold_method(receiver: Any, method: str, args: List[Any]) -> Any:
+        receiver = fold(callee.obj, env, depth + 1)
+        if callee.prop.value not in _METHODS.get(type(receiver), ()):
+            return UNKNOWN
+        native = get_member(None, to_js(receiver), callee.prop.value)
+    args = [fold(a, env, depth + 1) for a in node.arguments]
     if any(a is UNKNOWN for a in args):
         return UNKNOWN
-    js_args = [to_js(a) for a in args]
-    if isinstance(receiver, str):
-        if method == "split":
-            if not args:
-                return UNKNOWN
-            sep = to_string(js_args[0])
-            return list(receiver) if sep == "" else receiver.split(sep)
-        if method in ("charAt",):
-            index = int(to_number(js_args[0])) if args else 0
-            return receiver[index] if 0 <= index < len(receiver) else ""
-        if method == "charCodeAt":
-            index = int(to_number(js_args[0])) if args else 0
-            return float(ord(receiver[index])) if 0 <= index < len(receiver) else float("nan")
-        if method in ("substring", "slice", "substr"):
-            start = int(to_number(js_args[0])) if args else 0
-            if method == "substr":
-                length = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
-                start = max(0, start if start >= 0 else len(receiver) + start)
-                return receiver[start:start + max(0, length)]
-            end = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
-            if method == "slice":
-                return receiver[slice(start, end)] if start >= 0 or end >= 0 else receiver[start:end]
-            start, end = max(0, min(start, end)), max(0, max(start, end))
-            return receiver[start:end]
-        if method == "toLowerCase":
-            return receiver.lower()
-        if method == "toUpperCase":
-            return receiver.upper()
-        if method == "trim":
-            return receiver.strip()
-        if method == "concat":
-            return receiver + "".join(to_string(a) for a in js_args)
-        if method == "indexOf":
-            return float(receiver.find(to_string(js_args[0]))) if args else -1.0
-        if method == "replace" and len(args) >= 2 and isinstance(args[0], str):
-            return receiver.replace(args[0], to_string(js_args[1]), 1)
-        if method == "toString":
-            return receiver
-    if isinstance(receiver, list):
-        if method == "join":
-            sep = to_string(js_args[0]) if args else ","
-            out = sep.join(to_string(to_js(v)) for v in receiver)
-            return out if len(out) <= _MAX_FOLDED_STRING else UNKNOWN
-        if method == "reverse":
-            return list(reversed(receiver))
-        if method == "slice":
-            start = int(to_number(js_args[0])) if args else 0
-            end = int(to_number(js_args[1])) if len(args) > 1 else len(receiver)
-            return receiver[start:end]
-        if method == "concat":
-            out = list(receiver)
-            for a in args:
-                out.extend(a if isinstance(a, list) else [a])
-            return out
-    if isinstance(receiver, float):
-        if method == "toString":
-            base_val = int(to_number(js_args[0])) if args else 10
-            if base_val == 10:
-                return to_string(receiver)
-            try:
-                value = int(receiver)
-            except (ValueError, OverflowError):
-                return UNKNOWN
-            digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-            if not 2 <= base_val <= 36:
-                return UNKNOWN
-            if value == 0:
-                return "0"
-            sign, value = ("-", -value) if value < 0 else ("", value)
-            out: List[str] = []
-            while value:
-                value, rem = divmod(value, base_val)
-                out.append(digits[rem])
-            return sign + "".join(reversed(out))
-    return UNKNOWN
+    try:
+        result = native(*[to_js(a) for a in args])
+    except (BudgetExceeded, JSException):
+        return UNKNOWN
+    if isinstance(result, str) and len(result) > _MAX_FOLDED_STRING:
+        return UNKNOWN
+    return _from_js(result)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +364,7 @@ def propagate(program: N.Node, index: Optional[AstIndex] = None) -> Resolution:
         elif isinstance(node, N.Assignment):
             _collect_assignment(node, env, resolution)
         else:
-            path = callee_path(node.callee)
+            path = N.callee_path(node.callee)
             if path == "Function" and node.arguments:
                 value = fold(node.arguments[-1], env)
                 if isinstance(value, str):
@@ -454,7 +380,7 @@ _URL_MEMBER_PROPS = ("src", "href", "location", "action", "data")
 
 
 def _collect_call(node: N.Call, env: Dict[str, Any], resolution: Resolution) -> None:
-    path = callee_path(node.callee)
+    path = N.callee_path(node.callee)
     if not path or not node.arguments:
         return
     if path in _EVAL_CALLEES or path.endswith(".eval"):
@@ -497,4 +423,4 @@ def _collect_assignment(node: N.Assignment, env: Dict[str, Any],
         resolution.write_payloads.append(ResolvedString(value, "write", detail="innerHTML"))
     else:
         resolution.url_strings.append(
-            ResolvedString(value, "url", detail=callee_path(target) or prop))
+            ResolvedString(value, "url", detail=N.callee_path(target) or prop))

