@@ -3,7 +3,7 @@
 * :func:`redirect_count_distribution` — the Figure 5 histogram: for each
   malicious URL that redirects, how many hops before the destination,
 * :func:`example_chain` — a Figure 4 style chain extracted from the HAR
-  logs (hop URLs + mechanisms),
+  logs (the URL of each hop),
 * :func:`probe_rotating_redirector` — the Figure 9 experiment: request a
   redirector repeatedly and collect the distinct targets it rotates
   through.

@@ -94,8 +94,6 @@ class ExchangeCrawler:
         else:  # pragma: no cover - base class fallback
             iterator = (self.exchange.next_step(self._session) for _ in range(steps))
 
-        observer = self.observer
-        step_counters = {}  # per-kind handles: one registry lookup per kind
         for step in iterator:
             stats.steps += 1
             if step.kind == StepKind.SELF_REFERRAL:
@@ -106,20 +104,23 @@ class ExchangeCrawler:
                 stats.campaign_visits += 1
             else:
                 stats.member_visits += 1
-            if observer is not None:
-                counter = step_counters.get(step.kind)
-                if counter is None:
-                    counter = step_counters[step.kind] = observer.metrics.counter(
-                        "crawl.steps", exchange=self.exchange.name,
-                        kind=str(step.kind))
-                counter.value += 1.0
             self.browser.visit(
                 step.url,
                 kind=_STEP_TO_RECORD_KIND[step.kind],
                 step_index=step.index,
                 timestamp=step.timestamp,
             )
+        observer = self.observer
         if observer is not None:
+            # the per-kind step counts, added once per session: counts
+            # are integral, so the sums equal one add per step
+            for kind, count in ((StepKind.SELF_REFERRAL, stats.self_referrals),
+                                (StepKind.POPULAR_REFERRAL, stats.popular_referrals),
+                                (StepKind.MEMBER_SITE, stats.member_visits),
+                                (StepKind.CAMPAIGN, stats.campaign_visits)):
+                if count:
+                    observer.metrics.counter("crawl.steps", exchange=self.exchange.name,
+                                             kind=kind).value += count
             observer.event("crawl.exchange.done", exchange=self.exchange.name,
                            steps=stats.steps, member_visits=stats.member_visits,
                            campaign_visits=stats.campaign_visits)

@@ -14,7 +14,7 @@ from typing import Optional
 
 from ..httpsim import FetchResult, SimHttpClient
 from ..simweb.registry import WebRegistry
-from .storage import CachedContent, CrawlDataset, RecordKind, UrlRecord
+from .storage import CrawlDataset, RecordKind, UrlRecord
 
 __all__ = ["BrowserSession"]
 
@@ -78,6 +78,7 @@ class BrowserSession:
                    timestamp: float) -> None:
         """Log the requested URL and every redirect hop it traversed."""
         chain_urls = [result.request_url] + [to for _frm, to in result.hops]
+        response = result.response
         for position, chain_url in enumerate(chain_urls):
             remaining = len(chain_urls) - 1 - position
             self.dataset.add_record(UrlRecord(
@@ -90,13 +91,8 @@ class BrowserSession:
                 final_url=result.final_url,
                 redirect_count=remaining,
             ))
-            self.dataset.cache_content(chain_url, CachedContent(
-                content=result.response.body,
-                content_type=result.response.content_type,
-                final_url=result.final_url,
-                redirect_count=remaining,
-                status=result.response.status,
-            ))
+            self.dataset.cache_content(chain_url, response.body,
+                                       response.content_type, result.final_url)
 
     def _fetch_subresources(self, page_result: FetchResult, kind: str,
                             step_index: int, timestamp: float, page_ref: str) -> None:

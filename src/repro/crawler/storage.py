@@ -50,8 +50,6 @@ class CachedContent:
     content: bytes
     content_type: str
     final_url: str
-    redirect_count: int
-    status: int = 200
 
 
 class CrawlDataset:
@@ -76,16 +74,21 @@ class CrawlDataset:
     def add_record(self, record: UrlRecord) -> None:
         self.records.append(record)
 
-    def cache_content(self, url: str, cached: CachedContent) -> bool:
-        """Cache the first capture of ``url``; True when it was new.
+    def cache_content(self, url: str, content: bytes, content_type: str,
+                      final_url: str) -> None:
+        """Cache the first capture of ``url``.
 
         First capture wins: matches "download completed pages" semantics.
-        The new/duplicate split is the crawl's dedup hit rate.
+        A later capture of the same URL builds nothing.
         """
-        is_new = url not in self.content
-        if is_new:
-            self.content[url] = cached
-        return is_new
+        if url not in self.content:
+            self.content[url] = CachedContent(content, content_type, final_url)
+
+    def merge_content(self, other: CrawlDataset) -> None:
+        """Cache ``other``'s captures where this dataset has none: the
+        first capture still wins when ``other`` crawled later."""
+        for url, cached in other.content.items():
+            self.content.setdefault(url, cached)
 
     def har_log(self, exchange: str) -> HarLog:
         log = self.har_logs.get(exchange)

@@ -18,12 +18,10 @@ from ..crawler.crawlers import CrawlStats, ExchangeCrawler
 from ..crawler.session import BrowserSession
 from ..crawler.storage import CrawlDataset
 from ..httpsim.client import SimHttpClient
-from ..httpsim.message import HttpRequest, HttpResponse
 from ..httpsim.server import SimHttpServer
 from ..obs.clock import SimClock
 from ..phasexec.executor import PhaseExecutor
 from ..phasexec.recording import RecordingObserver
-from ..simweb.url import Url
 
 __all__ = [
     "CrawlExecution",
@@ -77,19 +75,11 @@ class _ShardHttpServer(SimHttpServer):
         #: deferred shortener accounting: (host, slug, referrer_domain, country)
         self.shortener_log: List[Tuple[str, str, str, str]] = []
 
-    def _handle_shortener(self, request: HttpRequest) -> HttpResponse:
-        url = request.url
-        slug = url.path.lstrip("/")
-        referrer_domain = ""
-        if request.referrer:
-            referrer_url = Url.try_parse(request.referrer)
-            if referrer_url is not None:
-                referrer_domain = referrer_url.registrable_domain
-        self.shortener_log.append((url.host, slug, referrer_domain, request.country))
-        stats = self.registry.shorteners.service(url.host).stats(slug)
-        if stats is None:
-            return HttpResponse.not_found(url=url)
-        return HttpResponse.redirect(stats.long_url, status=301, url=url)
+    def _resolve_short_url(self, host: str, slug: str, referrer_domain: str,
+                           country: str) -> Optional[str]:
+        self.shortener_log.append((host, slug, referrer_domain, country))
+        stats = self.registry.shorteners.service(host).stats(slug)
+        return None if stats is None else stats.long_url
 
 
 @dataclass
@@ -236,10 +226,9 @@ class ParallelCrawlExecutor(PhaseExecutor):
         """
         pipeline.crawl_stats[spec.name] = result.stats
         pipeline.dataset.records.extend(result.dataset.records)
-        for url, cached in result.dataset.content.items():
-            # first capture wins across exchanges, in exchange order —
-            # the same winner the serial loop picks
-            pipeline.dataset.cache_content(url, cached)
+        # first capture wins across exchanges, in exchange order — the
+        # same winner the serial loop picks
+        pipeline.dataset.merge_content(result.dataset)
         shard_log = result.dataset.har_logs.get(spec.name)
         if shard_log is not None:
             for entry in shard_log.entries:
@@ -248,7 +237,6 @@ class ParallelCrawlExecutor(PhaseExecutor):
             pipeline.dataset.har_log(spec.name).extend(shard_log.entries)
         # server-side accounting continues into the scan phase, so the
         # main server must hold the post-crawl totals
-        pipeline.server.requests_served += result.server.requests_served
         rotation = pipeline.server._rotation_counters
         for key, count in result.server._rotation_counters.items():
             rotation[key] = rotation.get(key, 0) + count

@@ -11,20 +11,16 @@ NetExport::
 """
 
 from .client import FetchResult, SimHttpClient
-from .cookies import Cookie, CookieJar
 from .har import HarEntry, HarLog
-from .message import HttpRequest, HttpResponse, STATUS_REASONS
+from .message import HttpRequest, HttpResponse
 from .server import SimHttpServer
 
 __all__ = [
-    "Cookie",
-    "CookieJar",
     "FetchResult",
     "HarEntry",
     "HarLog",
     "HttpRequest",
     "HttpResponse",
-    "STATUS_REASONS",
     "SimHttpClient",
     "SimHttpServer",
 ]

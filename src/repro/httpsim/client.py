@@ -1,10 +1,12 @@
 """The simulated HTTP client: redirect following and capture.
 
 Follows HTTP 3xx, ``<meta http-equiv=refresh>``, and trivial JS
-``window.location`` hops (the three mechanisms in the paper's Figure 4
-chain), recording every transaction as a HAR entry.  The crawler and the
-URL scanners both fetch through this client — with different referrer
-policies, which is exactly what cloaked sites discriminate on.
+``window.location`` hops (the three kinds of hop in the paper's Figure 4
+chain), recording every transaction as a HAR entry and each hop as a
+(from, to) URL pair; which kind of hop it was is not recorded.  The
+crawler and the URL scanners both fetch through this client — with
+different referrer policies, which is exactly what cloaked sites
+discriminate on.
 """
 
 from __future__ import annotations
@@ -14,13 +16,16 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from ..obs.clock import Clock, SimClock
+from ..obs.observer import RunObserver
 from ..simweb.url import Url, UrlTable
-from .cookies import CookieJar
 from .har import HarEntry
 from .message import HttpRequest, HttpResponse
 from .server import SimHttpServer
 
 __all__ = ["FetchResult", "SimHttpClient"]
+
+#: redirect hops a fetch follows before it stops (redirect loops end here)
+MAX_REDIRECTS = 10
 
 _META_REFRESH = re.compile(
     r"""<meta[^>]+http-equiv=["']?refresh["']?[^>]+content=["'][^"']*url=([^"'>]+)["']""",
@@ -38,8 +43,7 @@ class FetchResult:
     request_url: str
     final_url: str
     response: HttpResponse
-    hops: List[Tuple[str, str]] = field(default_factory=list)  # (from, to) with mechanism folded in
-    mechanisms: List[str] = field(default_factory=list)
+    hops: List[Tuple[str, str]] = field(default_factory=list)  # (from, to)
     entries: List[HarEntry] = field(default_factory=list)
 
     @property
@@ -59,20 +63,15 @@ class SimHttpClient:
     #: simulated cost of one request/response round trip (seconds)
     REQUEST_SECONDS = 0.05
 
-    def __init__(self, server: SimHttpServer, max_redirects: int = 10,
-                 follow_js_redirects: bool = True,
-                 cookie_jar: Optional["CookieJar"] = None,
+    def __init__(self, server: SimHttpServer,
                  clock: Optional[Clock] = None,
                  observer: Optional[object] = None,
                  url_table: Optional[UrlTable] = None) -> None:
         self.server = server
-        self.max_redirects = max_redirects
-        self.follow_js_redirects = follow_js_redirects
-        #: optional cookie jar: sends Cookie headers, stores Set-Cookie
-        self.cookie_jar = cookie_jar
         #: capture clock (seconds); HAR entries and the tracer share it,
         #: so cross-layer timestamps never drift
         self.clock: Clock = clock if clock is not None else SimClock()
+        self._simulated = isinstance(self.clock, SimClock)
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks)
         self.observer = observer
         #: the ``str → Url`` memo every hop is looked up in: the
@@ -91,6 +90,11 @@ class SimHttpClient:
             }
             self._fetch_seconds = metrics.histogram("http.fetch.seconds")
             self._redirect_hops = metrics.counter("http.redirect.hops")
+        #: per-fetch work amounts go to a profiler, or to a shard buffer
+        #: (it cannot know whether the observer it replays into profiles);
+        #: an unprofiled RunObserver would drop them
+        self._counts_work = observer is not None and (
+            not isinstance(observer, RunObserver) or observer.profiler is not None)
 
     def _status_counter(self, status: int):
         status_class = status // 100
@@ -107,35 +111,27 @@ class SimHttpClient:
         country: str = "US",
         page_ref: str = "",
     ) -> FetchResult:
-        """GET ``url``; follow redirect mechanisms up to ``max_redirects``."""
+        """GET ``url``; follow up to ``MAX_REDIRECTS`` redirect hops."""
         current = url
         current_referrer = referrer
         hops: List[Tuple[str, str]] = []
-        mechanisms: List[str] = []
         entries: List[HarEntry] = []
         response: Optional[HttpResponse] = None
         observer = self.observer
-        fetch_started = self.clock.now()
-        body_bytes = 0
+        simulated = self._simulated
+        if observer is not None and not simulated:
+            fetch_started = self.clock.now()
         lookup = self.url_table.lookup
 
-        for _ in range(self.max_redirects + 1):
+        for _ in range(MAX_REDIRECTS + 1):
             parsed = lookup(current)
             if parsed is None:
                 response = HttpResponse.not_found()
                 break
             request = HttpRequest.get(parsed, referrer=current_referrer, country=country)
-            if self.cookie_jar is not None:
-                header = self.cookie_jar.cookie_header(parsed)
-                if header:
-                    request.headers["Cookie"] = header
             response = self.server.handle(request)
-            if self.cookie_jar is not None and "Set-Cookie" in response.headers:
-                self.cookie_jar.store(parsed, response.headers["Set-Cookie"])
-            if isinstance(self.clock, SimClock):
+            if simulated:
                 self.clock.advance(self.REQUEST_SECONDS)
-            if self.cookie_jar is not None:
-                self.cookie_jar.advance(self.REQUEST_SECONDS)
             entries.append(
                 HarEntry.from_transaction(
                     request, response,
@@ -145,24 +141,24 @@ class SimHttpClient:
                 )
             )
             if observer is not None:
-                # hot loop: bump the counter slots directly rather than
-                # paying two method calls per request
-                self._requests_counter.value += 1.0
+                # hot loop: bump the counter slot directly rather than
+                # paying a method call per request
                 try:
                     self._status_counters[response.status // 100].value += 1.0
                 except KeyError:
                     self._status_counter(response.status).inc()
-                body_bytes += len(response.body)
             next_url = self._next_hop(parsed, response)
             if next_url is None:
                 break
             hops.append((current, next_url))
-            mechanisms.append(self._mechanism(response))
             current_referrer = current
             current = next_url
         assert response is not None
         if observer is not None:
-            if isinstance(self.clock, SimClock):
+            # integral float sums are exact, so one add per fetch equals
+            # one add per request
+            self._requests_counter.value += len(entries)
+            if simulated:
                 # the simulated duration is *defined* as requests × unit
                 # cost; computing it as a clock difference would pick up
                 # accumulated rounding that differs between the serial
@@ -172,16 +168,15 @@ class SimHttpClient:
                 self._fetch_seconds.observe(self.clock.now() - fetch_started)
             if hops:
                 self._redirect_hops.inc(len(hops))
-            # batched per fetch: request/byte work for the profiler
-            # (a single is-None test each when profiling is off)
-            observer.work("http.requests", len(entries))
-            observer.work("http.bytes", body_bytes)
+            if self._counts_work:
+                # batched per fetch: request/byte work for the profiler
+                observer.work("http.requests", len(entries))
+                observer.work("http.bytes", sum(entry.body_size for entry in entries))
         return FetchResult(
             request_url=url,
             final_url=current,
             response=response,
             hops=hops,
-            mechanisms=mechanisms,
             entries=entries,
         )
 
@@ -194,7 +189,7 @@ class SimHttpClient:
             match = _META_REFRESH.search(text)
             if match:
                 return str(current.join(match.group(1).strip()))
-            if self.follow_js_redirects and len(text) < 4096:
+            if len(text) < 4096:
                 # only trivially-redirecting pages (the whole body is a
                 # redirect stub) are followed at the HTTP layer; richer
                 # pages get full JS analysis elsewhere
@@ -202,11 +197,3 @@ class SimHttpClient:
                 if js_match and text.count("<") < 20:
                     return str(current.join(js_match.group(1).strip()))
         return None
-
-    @staticmethod
-    def _mechanism(response: HttpResponse) -> str:
-        if response.is_redirect:
-            return "http"
-        if "refresh" in response.text.lower()[:2048]:
-            return "meta"
-        return "js"

@@ -49,10 +49,9 @@ class HarEntry:
     ) -> "HarEntry":
         return cls(
             url=str(request.url),
-            method=request.method,
             status=response.status,
             content_type=response.content_type,
-            redirect_location=response.location,
+            redirect_location=response.location or "",
             referrer=request.referrer,
             body_size=len(response.body),
             started=started,
@@ -121,9 +120,6 @@ class HarLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def entries_for_page(self, page_ref: str) -> List[HarEntry]:
-        return [e for e in self.entries if e.page_ref == page_ref]
 
     def time_span(self) -> float:
         """Capture duration in seconds (first request start to last end).

@@ -1,59 +1,39 @@
-"""HTTP request/response message types for the simulation layer."""
+"""HTTP request/response message types for the simulation layer.
+
+A request carries what the server decides on: its URL, its referrer
+(cloaking and shortener accounting) and the client's country (shortener
+accounting).  A response carries its status, body, content type and
+redirect location.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from dataclasses import dataclass
+from typing import Optional, Union
 
 from ..simweb.url import Url
 
-__all__ = ["HttpRequest", "HttpResponse", "STATUS_REASONS"]
-
-STATUS_REASONS: Dict[int, str] = {
-    200: "OK",
-    301: "Moved Permanently",
-    302: "Temporary Redirect",
-    303: "See Other",
-    307: "Temporary Redirect",
-    404: "Not Found",
-    410: "Gone",
-    500: "Internal Server Error",
-    502: "Bad Gateway",
-}
-
-_DEFAULT_UA = "Mozilla/5.0 (Windows NT 6.1; rv:38.0) Gecko/20100101 Firefox/38.0"
+__all__ = ["HttpRequest", "HttpResponse"]
 
 
 @dataclass
 class HttpRequest:
-    """A simulated HTTP request."""
+    """A simulated HTTP GET."""
 
     url: Url
-    method: str = "GET"
-    headers: Dict[str, str] = field(default_factory=dict)
+    referrer: str = ""
     #: two-letter-ish country of the requesting client (exchanges route
     #: traffic from a diverse IP pool; shortener stats track this)
     country: str = "US"
 
     @classmethod
-    def get(cls, url: Union[str, Url], referrer: str = "", user_agent: str = _DEFAULT_UA,
+    def get(cls, url: Union[str, Url], referrer: str = "",
             country: str = "US") -> "HttpRequest":
         """A GET of ``url``: a string is parsed, a parsed :class:`Url` is
         used as it is (the client hands over the one it looked up)."""
-        headers = {"User-Agent": user_agent}
-        if referrer:
-            headers["Referer"] = referrer
         if not isinstance(url, Url):
             url = Url.parse(url)
-        return cls(url=url, headers=headers, country=country)
-
-    @property
-    def referrer(self) -> str:
-        return self.headers.get("Referer", "")
-
-    @property
-    def user_agent(self) -> str:
-        return self.headers.get("User-Agent", "")
+        return cls(url, referrer, country)
 
 
 @dataclass
@@ -61,14 +41,11 @@ class HttpResponse:
     """A simulated HTTP response."""
 
     status: int
-    headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
-    #: the URL this response was served for (after server-side handling)
-    url: Optional[Url] = None
-
-    @property
-    def reason(self) -> str:
-        return STATUS_REASONS.get(self.status, "Unknown")
+    content_type: str = "application/octet-stream"
+    #: the ``Location`` a redirect names; ``None`` when the response has
+    #: none (an empty location still makes a 30x a redirect)
+    location: Optional[str] = None
 
     @property
     def ok(self) -> bool:
@@ -76,29 +53,20 @@ class HttpResponse:
 
     @property
     def is_redirect(self) -> bool:
-        return self.status in (301, 302, 303, 307) and "Location" in self.headers
-
-    @property
-    def location(self) -> str:
-        return self.headers.get("Location", "")
-
-    @property
-    def content_type(self) -> str:
-        return self.headers.get("Content-Type", "application/octet-stream")
+        return self.location is not None and self.status in (301, 302, 303, 307)
 
     @property
     def text(self) -> str:
         return self.body.decode("utf-8", errors="replace")
 
     @classmethod
-    def html(cls, markup: str, status: int = 200, url: Optional[Url] = None) -> "HttpResponse":
-        return cls(status=status, headers={"Content-Type": "text/html; charset=utf-8"},
-                   body=markup.encode("utf-8"), url=url)
+    def html(cls, markup: str, status: int = 200) -> "HttpResponse":
+        return cls(status, markup.encode("utf-8"), "text/html; charset=utf-8")
 
     @classmethod
-    def redirect(cls, location: str, status: int = 302, url: Optional[Url] = None) -> "HttpResponse":
-        return cls(status=status, headers={"Location": location}, url=url)
+    def redirect(cls, location: str, status: int = 302) -> "HttpResponse":
+        return cls(status, location=location)
 
     @classmethod
-    def not_found(cls, url: Optional[Url] = None) -> "HttpResponse":
-        return cls.html("<html><body><h1>404 Not Found</h1></body></html>", status=404, url=url)
+    def not_found(cls) -> "HttpResponse":
+        return cls.html("<html><body><h1>404 Not Found</h1></body></html>", status=404)

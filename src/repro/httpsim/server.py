@@ -37,12 +37,10 @@ class SimHttpServer:
         self.registry = registry
         #: per-(host, path) round-robin counters for rotating redirectors
         self._rotation_counters: Dict[str, int] = {}
-        #: request counter, handy for tests and stats
-        self.requests_served = 0
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks);
         #: counter handles resolved once — handle() runs per request.
-        #: No per-request counter here: ``requests_served`` above already
-        #: counts every request, so only the rare outcomes get metrics
+        #: The client counts every request, so only the rare outcomes
+        #: get metrics here
         self.observer = observer
         if observer is not None:
             metrics = observer.metrics
@@ -53,7 +51,6 @@ class SimHttpServer:
     # ------------------------------------------------------------------
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Serve one request."""
-        self.requests_served += 1
         url = request.url
         observer = self.observer
 
@@ -66,7 +63,7 @@ class SimHttpServer:
         if site is None:
             if observer is not None:
                 self._not_found_counter.inc()
-            return HttpResponse.not_found(url=url)
+            return HttpResponse.not_found()
 
         behavior = site.behavior
         path = url.path
@@ -76,62 +73,56 @@ class SimHttpServer:
             key = "%s|%s" % (url.host, path)
             index = self._rotation_counters.get(key, 0)
             self._rotation_counters[key] = index + 1
-            return HttpResponse.redirect(rotation[index % len(rotation)], url=url)
+            return HttpResponse.redirect(rotation[index % len(rotation)])
 
         hop = behavior.redirects.get(path)
         if hop is not None:
-            return self._serve_hop(hop, url)
+            return self._serve_hop(hop)
 
         cloak = behavior.cloaked_paths.get(path)
         if cloak is not None and self._looks_like_scanner(request):
             if observer is not None:
                 self._cloaked_counter.inc()
-            return HttpResponse.html(cloak, url=url)
+            return HttpResponse.html(cloak)
 
         page, resource = site.lookup(path)
-        response: Optional[HttpResponse] = None
         if page is not None:
-            response = HttpResponse.html(page.html, url=url)
-        elif resource is not None:
-            response = HttpResponse(
-                status=200,
-                headers={"Content-Type": resource.content_type},
-                body=resource.body,
-                url=url,
-            )
-        if response is None:
-            return HttpResponse.not_found(url=url)
-        set_cookie = behavior.set_cookies.get(path)
-        if set_cookie is not None:
-            response.headers["Set-Cookie"] = set_cookie
-        return response
+            return HttpResponse.html(page.html)
+        if resource is not None:
+            return HttpResponse(200, resource.body, resource.content_type)
+        return HttpResponse.not_found()
 
     # ------------------------------------------------------------------
-    def _serve_hop(self, hop: RedirectHop, url: Url) -> HttpResponse:
+    def _serve_hop(self, hop: RedirectHop) -> HttpResponse:
         if hop.mechanism == "meta":
-            return HttpResponse.html(_META_REFRESH_TEMPLATE % hop.location, url=url)
+            return HttpResponse.html(_META_REFRESH_TEMPLATE % hop.location)
         if hop.mechanism == "js":
             markup = (
                 "<html><body><script>window.location.href = '%s';</script></body></html>"
                 % hop.location
             )
-            return HttpResponse.html(markup, url=url)
-        return HttpResponse.redirect(hop.location, status=hop.status, url=url)
+            return HttpResponse.html(markup)
+        return HttpResponse.redirect(hop.location, status=hop.status)
 
     def _handle_shortener(self, request: HttpRequest) -> HttpResponse:
         url = request.url
-        slug = url.path.lstrip("/")
         referrer_domain = ""
         if request.referrer:
             referrer_url = Url.try_parse(request.referrer)
             if referrer_url is not None:
                 referrer_domain = referrer_url.registrable_domain
-        target = self.registry.shorteners.service(url.host).resolve(
-            slug, referrer=referrer_domain, country=request.country
-        )
+        target = self._resolve_short_url(url.host, url.path.lstrip("/"),
+                                         referrer_domain, request.country)
         if target is None:
-            return HttpResponse.not_found(url=url)
-        return HttpResponse.redirect(target, status=301, url=url)
+            return HttpResponse.not_found()
+        return HttpResponse.redirect(target, status=301)
+
+    def _resolve_short_url(self, host: str, slug: str, referrer_domain: str,
+                           country: str) -> Optional[str]:
+        """The long URL behind ``slug``, with the hit counted (Table IV);
+        ``None`` for an unknown slug."""
+        return self.registry.shorteners.service(host).resolve(
+            slug, referrer=referrer_domain, country=country)
 
     @staticmethod
     def _looks_like_scanner(request: HttpRequest) -> bool:

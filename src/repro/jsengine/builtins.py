@@ -20,7 +20,7 @@ import functools
 import json
 import math
 import re
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .values import (
     UNDEFINED,
@@ -510,7 +510,9 @@ def _json_stringify(value: Any) -> str:
     """``JSON.stringify`` in :func:`json.dumps`'s layout, refused before
     its text grows past :data:`~repro.jsengine.values.MAX_STRING_LENGTH`:
     each piece is counted before the text holding it is built, and an
-    array or object met again is counted again but not walked again."""
+    array or object met again is counted again but not walked again.  An
+    array or object met inside itself throws a ``TypeError`` (ES5
+    15.12.3).  Nesting depth costs no Python frames."""
     size = 0
     texts: Dict[int, str] = {}
 
@@ -520,26 +522,48 @@ def _json_stringify(value: Any) -> str:
         check_string_length(size)
         return text
 
-    def dump(v: Any) -> str:
-        if id(v) in texts:
-            return counted(texts[id(v)])
+    def scalar(v: Any) -> str:
+        if isinstance(v, float) and math.isfinite(v):
+            return counted(json.dumps(int(v) if v == int(v) else v))
+        if isinstance(v, (str, bool, int)):
+            return counted(json.dumps(v))
+        return counted("null")  # NaN, ±Infinity, undefined, functions, host objects
+
+    def opened(v: JSObject) -> Tuple[JSObject, str, List[Tuple[str, Any]], List[str]]:
+        """A frame: the container, its layout, (prefix, child) per
+        member, and the texts of the members written so far."""
         if isinstance(v, JSArray):
             counted("[]", 2 * max(len(v.elements) - 1, 0))  # and the ", "s
-            text = "[%s]" % ", ".join([dump(el) for el in v.elements])
-        elif isinstance(v, JSObject):
-            counted("{}", 2 * max(len(v.properties) - 1, 0))
-            text = "{%s}" % ", ".join([counted(json.dumps(k), 2) + ": " + dump(val)
-                                       for k, val in v.properties.items()])
-        elif isinstance(v, float) and math.isfinite(v):
-            return counted(json.dumps(int(v) if v == int(v) else v))
-        elif isinstance(v, (str, bool, int)):
-            return counted(json.dumps(v))
-        else:
-            return counted("null")  # NaN, ±Infinity, undefined, functions, host objects
-        texts[id(v)] = text
-        return text
+            return v, "[%s]", [("", el) for el in v.elements], []
+        counted("{}", 2 * max(len(v.properties) - 1, 0))
+        return v, "{%s}", [(counted(json.dumps(k), 2) + ": ", val)
+                           for k, val in v.properties.items()], []
 
-    return dump(value)
+    if not isinstance(value, JSObject):
+        return scalar(value)
+    stack = [opened(value)]
+    active = {id(value)}
+    while True:
+        container, layout, members, parts = stack[-1]
+        if len(parts) < len(members):
+            prefix, child = members[len(parts)]
+            if not isinstance(child, JSObject):
+                parts.append(prefix + scalar(child))
+            elif id(child) in texts:
+                parts.append(prefix + counted(texts[id(child)]))
+            elif id(child) in active:
+                raise JSException("TypeError: Converting circular structure to JSON")
+            else:
+                active.add(id(child))
+                stack.append(opened(child))
+            continue
+        text = texts[id(container)] = layout % ", ".join(parts)
+        stack.pop()
+        active.discard(id(container))
+        if not stack:
+            return text
+        _container, _layout, members, parts = stack[-1]
+        parts.append(members[len(parts)][0] + text)
 
 
 class _CallableWithProps:

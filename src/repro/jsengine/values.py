@@ -212,10 +212,54 @@ def array_index(key: str) -> Optional[int]:
 
 def join_elements(elements: List[Any], separator: str) -> str:
     """``Array.prototype.join``, refused before it builds a string past
-    :data:`MAX_STRING_LENGTH`."""
-    parts = ["" if el is UNDEFINED or el is None else to_string(el) for el in elements]
-    check_string_length(sum(map(len, parts)) + len(separator) * (len(parts) - 1))
-    return separator.join(parts)
+    :data:`MAX_STRING_LENGTH`.
+
+    Nested arrays join with ``","`` without a Python frame per level.
+    An array met inside itself (a cycle) joins as ``""``, as browsers
+    do.  Within one join, an array met again reuses its string unless it
+    lies on a cycle, whose string depends on where the cycle is entered:
+    an array shared n times off any cycle costs one join.
+    """
+    joined: Dict[int, str] = {}
+    # one frame per array being joined: (elements, separator, parts, state);
+    # element i's string is parts[i], state[0] counts parts and separators,
+    # and state[1] is the lowest stack depth a cycle cut inside it reached
+    # (one past its own depth when none did)
+    stack = [(elements, separator, [], [0, 1])]
+    depths = {id(elements): 0}  # the stack depth of each array being joined
+    while True:
+        elements, separator, parts, state = stack[-1]
+        if len(parts) < len(elements):
+            element = elements[len(parts)]
+            if isinstance(element, JSArray):
+                key = id(element.elements)
+                text = joined.get(key)
+                if text is None:
+                    depth = depths.get(key)
+                    if depth is None:
+                        depths[key] = len(stack)
+                        stack.append((element.elements, ",", [], [0, len(stack) + 1]))
+                        continue
+                    text = ""
+                    state[1] = min(state[1], depth)
+            elif element is UNDEFINED or element is None:
+                text = ""
+            else:
+                text = to_string(element)
+        else:
+            text = separator.join(parts)
+            stack.pop()
+            del depths[id(elements)]
+            if not stack:
+                return text
+            lowest_cut = state[1]
+            if lowest_cut > len(stack):  # no cut reached this array or below
+                joined[id(elements)] = text
+            elements, separator, parts, state = stack[-1]
+            state[1] = min(state[1], lowest_cut)
+        state[0] += len(text) + (len(separator) if parts else 0)
+        check_string_length(state[0])
+        parts.append(text)
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +302,21 @@ def to_number(value: Any) -> float:
         except OverflowError:  # a hex numeral past the largest double
             return math.copysign(math.inf, -1.0 if text[0] == "-" else 1.0)
     if isinstance(value, JSArray):
-        if not value.elements:
+        # ToNumber of an array is ToNumber of its join (ES5 9.3, 15.4.4.2),
+        # built only as far as it can be a number: two or more elements
+        # join with a "," (NaN), and an empty array or a cycle joins as ""
+        seen = set()
+        while isinstance(value, JSArray):
+            elements = value.elements
+            if len(elements) > 1:
+                return float("nan")
+            if not elements or id(elements) in seen:
+                return 0.0
+            seen.add(id(elements))
+            value = elements[0]
+        if value is UNDEFINED or value is None:
             return 0.0
-        if len(value.elements) == 1:
-            return to_number(value.elements[0])
-        return float("nan")
+        return to_number(to_string(value))
     return float("nan")
 
 

@@ -99,7 +99,8 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "total",
-                 "min_value", "max_value", "observations")
+                 "min_value", "max_value", "observations", "_last_value",
+                 "_last_index")
 
     def __init__(self, name: str, bounds: Optional[Iterable[float]] = None,
                  labels: LabelKey = (),
@@ -119,23 +120,30 @@ class Histogram:
         #: sequence the serial loop would have, instead of adding a
         #: shard-local partial sum whose rounding differs in the last ulp
         self.observations: Optional[List[float]] = [] if record_observations else None
+        #: the previous observation and its bucket: a value equal to it
+        #: is already within [min, max] and needs no bucket search.  A
+        #: simulated fetch lasts (requests x unit cost), so nearly every
+        #: fetch-duration observation repeats the one before it; a
+        #: wall-clock value misses and pays one comparison
+        self._last_value: Optional[float] = None
+        self._last_index = 0
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        if value < self.min_value:
-            self.min_value = value
-        if value > self.max_value:
-            self.max_value = value
-        self.bucket_counts[self._bucket_index(value)] += 1
+        if value != self._last_value:
+            if value < self.min_value:
+                self.min_value = value
+            if value > self.max_value:
+                self.max_value = value
+            # bisect_left on bounds gives the first bound >= value, i.e.
+            # the inclusive-upper-edge bucket; values past the last bound
+            # land in the overflow slot len(bounds)
+            self._last_index = bisect_left(self.bounds, value)
+            self._last_value = value
+        self.bucket_counts[self._last_index] += 1
         if self.observations is not None:
             self.observations.append(value)
-
-    def _bucket_index(self, value: float) -> int:
-        # bisect_left on bounds gives the first bound >= value, i.e. the
-        # inclusive-upper-edge bucket; values past the last bound land in
-        # the overflow slot len(bounds)
-        return bisect_left(self.bounds, value)
 
     @property
     def mean(self) -> float:

@@ -110,9 +110,6 @@ class ServerBehavior:
     #: rotating redirect targets: path -> list of candidate next URLs; the
     #: server picks a different target per request (Figure 9)
     rotating_redirects: Dict[str, List[str]] = field(default_factory=dict)
-    #: Set-Cookie header value served with a path's response (session
-    #: cookies on exchange pages, tracker cookies on ad slots)
-    set_cookies: Dict[str, str] = field(default_factory=dict)
 
 
 @dataclass

@@ -1187,6 +1187,8 @@ class AbstractMachine(Interpreter):
             if value.kind == "boolean":
                 return Interval(0.0, 1.0)
             return Interval.top()
+        if contains_abstract(value):  # e.g. an array holding an unknown
+            return Interval.top()
         return Interval.const(to_number(value))
 
     def _unary(self, operator: str, value: Any) -> Any:
@@ -1198,7 +1200,8 @@ class AbstractMachine(Interpreter):
             return super()._unary(operator, value)
         if _nodelist_tainted(value):
             raise _Abort("opaque-nodelist")
-        if not is_abstract(value):
+        if not is_abstract(value) and (operator in ("!", "void")
+                                       or not contains_abstract(value)):
             return super()._unary(operator, value)
         if operator == "!":
             return BOOL_TOP
@@ -1215,7 +1218,7 @@ class AbstractMachine(Interpreter):
     def _increment(self, operator: str, value: Any) -> Tuple[Any, Any]:
         if _nodelist_tainted(value):
             raise _Abort("opaque-nodelist")
-        if not is_abstract(value):
+        if not contains_abstract(value):
             return super()._increment(operator, value)
         old = number(self._num_interval(value))
         delta = Interval.const(1.0 if operator == "++" else -1.0)

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.crawler.session import BrowserSession
-from repro.crawler.storage import CachedContent, CrawlDataset, RecordKind, UrlRecord
+from repro.crawler.storage import CrawlDataset, RecordKind, UrlRecord
 from repro.httpsim import SimHttpClient, SimHttpServer
 from repro.simweb import (
     ContentCategory,
@@ -104,8 +104,8 @@ class TestDatasetOps:
 
     def test_cache_first_wins(self):
         dataset = CrawlDataset()
-        dataset.cache_content("u", CachedContent(b"first", "text/html", "u", 0))
-        dataset.cache_content("u", CachedContent(b"second", "text/html", "u", 0))
+        dataset.cache_content("u", b"first", "text/html", "u")
+        dataset.cache_content("u", b"second", "text/html", "u")
         assert dataset.content["u"].content == b"first"
 
     def test_records_json_round_trip(self):
@@ -123,3 +123,75 @@ class TestDatasetOps:
             dataset.add_record(UrlRecord(url=url, exchange="E", kind=RecordKind.REGULAR,
                                          step_index=0, timestamp=0.0))
         assert sorted(dataset.distinct_domains()) == ["a.example", "b.example"]
+
+
+#: the crawl digest of seed 2016 at scale 0.005 (see test_crawl_artifacts_are_pinned)
+CRAWL_RECORDS = 8880
+CRAWL_DIGEST = "8fa57aecd6ae67b0cf0a9bbe97c4ec3c7ab34879875c068bbdcaa499da996c45"
+
+
+def crawl_digest():
+    """(record count, sha256 over every artifact a crawl leaves).
+
+    Crawls seed 2016 at scale 0.005 with a ``RunObserver`` and hashes,
+    in this order: ``records_to_json()``; each exchange's
+    ``HarLog.to_json()`` in ``har_logs`` order; the content cache as
+    sorted (url, sha256(content), content_type, final_url) tuples; every
+    ``http.*`` counter and the ``http.fetch.seconds`` histogram (count,
+    exact sum, bucket counts); and each shortened URL's hit, referrer
+    and country counts in insertion order (Table IV's ties break on
+    it).
+    """
+    import hashlib
+    import json
+
+    from repro import MalwareSlumsStudy, StudyConfig
+    from repro.crawler import CrawlPipeline
+    from repro.obs import RunObserver
+
+    config = StudyConfig(seed=2016, scale=0.005)
+    web = MalwareSlumsStudy(config).generate_web()
+    pipeline = CrawlPipeline(web, config.pipeline_options(observer=RunObserver()))
+    pipeline.crawl()
+    dataset = pipeline.dataset
+    metrics = pipeline.observer.metrics
+
+    digest = hashlib.sha256()
+
+    def add(text):
+        digest.update(text.encode())
+        digest.update(b"\n")
+
+    add(dataset.records_to_json())
+    for exchange, log in dataset.har_logs.items():
+        add(exchange)
+        add(log.to_json())
+    add(json.dumps([
+        (url, hashlib.sha256(cached.content).hexdigest(), cached.content_type,
+         cached.final_url)
+        for url, cached in sorted(dataset.content.items())]))
+    add(json.dumps({key: repr(value) for key, value
+                    in metrics.snapshot()["counters"].items()
+                    if key.startswith("http.")}, sort_keys=True))
+    for histogram in metrics.histograms_named("http.fetch.seconds"):
+        add(json.dumps([histogram.count, repr(histogram.total),
+                        histogram.bucket_counts]))
+    for host, service in web.registry.shorteners.services.items():
+        for slug in service.slugs():
+            stats = service.stats(slug)
+            add(json.dumps([host, slug, stats.hits,
+                            list(stats.referrer_counts.items()),
+                            list(stats.country_counts.items())]))
+    return len(dataset.records), digest.hexdigest()
+
+
+def test_crawl_artifacts_are_pinned():
+    """Records, HAR logs, the content cache, the HTTP telemetry and the
+    shortener accounting of one crawl, byte for byte: a change to the
+    request path (httpsim, the browser session, the dataset) must leave
+    all of them unchanged.  A change that moves them on purpose says why
+    and regenerates the digest with::
+
+        PYTHONPATH=src python -c "from tests.test_crawler_session import crawl_digest; print(crawl_digest())"
+    """
+    assert crawl_digest() == (CRAWL_RECORDS, CRAWL_DIGEST)

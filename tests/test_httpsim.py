@@ -12,6 +12,7 @@ from repro.httpsim import (
     SimHttpClient,
     SimHttpServer,
 )
+from repro.httpsim.client import MAX_REDIRECTS
 from repro.simweb import (
     ContentCategory,
     GroundTruth,
@@ -89,7 +90,7 @@ class TestRedirects:
         result = client.fetch("http://landing.example.com/go")
         assert result.redirect_count == 1
         assert result.final_url == "http://landing.example.com/deal"
-        assert result.mechanisms == ["http"]
+        assert [e.status for e in result.entries] == [302, 200]
 
     def test_meta_refresh_hop(self, registry, client):
         site = registry.site("landing.example.com")
@@ -98,7 +99,8 @@ class TestRedirects:
         )
         result = client.fetch("http://landing.example.com/m")
         assert result.redirect_count == 1
-        assert result.mechanisms == ["meta"]
+        assert result.final_url == "http://landing.example.com/deal"
+        assert [e.status for e in result.entries] == [200, 200]
 
     def test_js_redirect_hop(self, registry, client):
         site = registry.site("landing.example.com")
@@ -123,7 +125,7 @@ class TestRedirects:
         site.behavior.redirects["/a"] = RedirectHop("http://landing.example.com/b")
         site.behavior.redirects["/b"] = RedirectHop("http://landing.example.com/a")
         result = client.fetch("http://landing.example.com/a")
-        assert result.redirect_count <= client.max_redirects + 1
+        assert result.redirect_count <= MAX_REDIRECTS + 1
 
     def test_rotating_redirector(self, registry, client):
         site = registry.site("landing.example.com")
@@ -199,9 +201,3 @@ class TestHar:
         assert len(restored) == len(log)
         assert restored.entries[0].url == log.entries[0].url
         assert restored.entries[0].referrer == "http://e.com/"
-
-    def test_entries_for_page(self):
-        log = HarLog()
-        log.add(HarEntry(url="http://a.com/", page_ref="p1"))
-        log.add(HarEntry(url="http://b.com/", page_ref="p2"))
-        assert [e.url for e in log.entries_for_page("p1")] == ["http://a.com/"]

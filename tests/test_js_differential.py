@@ -668,6 +668,11 @@ HOST_CASES = [
     "var a = []; a[50000000] = 1;",
     # an index past an unknown string's longest length is undefined
     "document.write(location.href[99999]);",
+    # a cyclic array joins as '' and throws in JSON.stringify; a shared
+    # one is joined once per conversion until the string bound stops it
+    "var a = []; a[0] = a; document.write('x' + a);",
+    "var a = []; a[0] = a; document.write(JSON.stringify(a));",
+    "var a = [1]; for (var i = 0; i < 40; i++) a = [a, a]; document.write('' + a);",
 ]
 
 #: page facts no summary can know: only these host cases may abort
@@ -689,6 +694,9 @@ PAGE_FACT_CASES = [
     'var b = document.createElement("b"); p.appendChild(a); p.appendChild(b); '
     'p.insertBefore(document.createElement("i"), [a, b][location.href.length % 2]); '
     "document.write(p.innerHTML);",
+    # an array holding an unknown number converts to an unknown number
+    "if (+[location.href.length] > 5) document.write('long');",
+    "var n = [location.href.length]; n++; if (n > 5) document.write('long');",
 ]
 HOST_CASES += PAGE_FACT_CASES
 

