@@ -35,6 +35,7 @@ def test_crawl_throughput(benchmark):
 
 def test_observer_overhead(benchmark):
     """An attached RunObserver must stay within 10% of the bare crawl."""
+    import gc
     import time
 
     from repro.crawler import CrawlPipeline, PipelineOptions
@@ -47,23 +48,29 @@ def test_observer_overhead(benchmark):
         pipeline.crawl()
         return pipeline
 
-    def timed(thunk):
+    def timed(observer=None):
+        # no pipeline outlives its crawl, and the garbage of the last one
+        # is collected before the clock starts: both sides run on the
+        # same live heap, so a full collection inside one costs the same
+        gc.collect()
         start = time.perf_counter()
-        result = thunk()
-        return time.perf_counter() - start, result
+        crawl(observer)
+        return time.perf_counter() - start
 
     # warm both paths, then time interleaved bare/observed pairs and take
     # the median per-pair ratio — noise within a pair is correlated, so
     # ratios are far more stable than independent best-of timings
     crawl(), crawl(RunObserver())
     ratios = []
-    pipeline = None
+    requests = 0.0
     for _ in range(7):
-        bare, _ = timed(crawl)
-        seconds, pipeline = timed(lambda: crawl(RunObserver()))
-        ratios.append(seconds / bare)
+        bare = timed()
+        observer = RunObserver()
+        ratios.append(timed(observer) / bare)
+        requests = observer.metrics.counter_total("http.requests")
+        del observer
     benchmark.pedantic(lambda: crawl(RunObserver()), rounds=1, iterations=1)
-    assert pipeline.observer.metrics.counter_total("http.requests") > 0
+    assert requests > 0
     ratios.sort()
     overhead = ratios[len(ratios) // 2] - 1.0
     print("\nper-pair overhead: %s -> median %+.1f%%"

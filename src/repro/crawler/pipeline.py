@@ -568,7 +568,6 @@ class CrawlPipeline:
         for spec in specs:
             browser = BrowserSession(
                 client=self.client,
-                registry=self.web.registry,
                 dataset=self.dataset,
                 exchange_name=spec.name,
                 exchange_host=spec.host,

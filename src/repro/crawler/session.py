@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..httpsim import FetchResult, SimHttpClient
-from ..simweb.registry import WebRegistry
 from .storage import CrawlDataset, RecordKind, UrlRecord
 
 __all__ = ["BrowserSession"]
@@ -25,7 +24,6 @@ class BrowserSession:
     def __init__(
         self,
         client: SimHttpClient,
-        registry: WebRegistry,
         dataset: CrawlDataset,
         exchange_name: str,
         exchange_host: str,
@@ -33,11 +31,13 @@ class BrowserSession:
         observer: Optional[object] = None,
     ) -> None:
         self.client = client
-        self.registry = registry
         self.dataset = dataset
         self.exchange_name = exchange_name
         self.exchange_host = exchange_host
         self.country = country
+        #: every visit arrives from the exchange's surf page
+        self.surf_referrer = "http://%s/surf" % exchange_host
+        self._har_log = dataset.har_log(exchange_name)
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks);
         #: the session is bound to one exchange, so its per-exchange
         #: counters resolve once here rather than once per visit
@@ -51,10 +51,6 @@ class BrowserSession:
             self._subresource_counter = metrics.counter(
                 "crawl.subresource_fetches", exchange=exchange_name)
 
-    @property
-    def surf_referrer(self) -> str:
-        return "http://%s/surf" % self.exchange_host
-
     # ------------------------------------------------------------------
     def visit(self, url: str, kind: str, step_index: int, timestamp: float) -> FetchResult:
         """Visit ``url``; log page, redirect hops, and sub-resources."""
@@ -63,7 +59,7 @@ class BrowserSession:
             url, referrer=self.surf_referrer, country=self.country, page_ref=page_ref
         )
         self._log_chain(result, kind, step_index, timestamp)
-        self.dataset.har_log(self.exchange_name).extend(result.entries)
+        self._har_log.extend(result.entries)
         if self.observer is not None:
             self._visits_counter.value += 1.0
             if result.hops:
@@ -77,40 +73,33 @@ class BrowserSession:
     def _log_chain(self, result: FetchResult, kind: str, step_index: int,
                    timestamp: float) -> None:
         """Log the requested URL and every redirect hop it traversed."""
-        chain_urls = [result.request_url] + [to for _frm, to in result.hops]
-        response = result.response
-        for position, chain_url in enumerate(chain_urls):
-            remaining = len(chain_urls) - 1 - position
-            self.dataset.add_record(UrlRecord(
-                url=chain_url,
-                exchange=self.exchange_name,
-                kind=kind,
-                step_index=step_index,
-                timestamp=timestamp,
-                role="page" if position == 0 else "hop",
-                final_url=result.final_url,
-                redirect_count=remaining,
-            ))
-            self.dataset.cache_content(chain_url, response.body,
-                                       response.content_type, result.final_url)
+        # runs once per logged URL instance: positional construction and
+        # bound methods keep it cheap
+        add_record = self.dataset.add_record
+        cache_content = self.dataset.cache_content
+        exchange_name = self.exchange_name
+        final_url = result.final_url
+        body = result.response.body
+        content_type = result.response.content_type
+        role = "page"
+        remaining = len(result.hops)
+        for chain_url in [result.request_url] + [to for _frm, to in result.hops]:
+            add_record(UrlRecord(chain_url, exchange_name, kind, step_index,
+                                 timestamp, role, final_url, remaining))
+            cache_content(chain_url, body, content_type, final_url)
+            role = "hop"
+            remaining -= 1
 
     def _fetch_subresources(self, page_result: FetchResult, kind: str,
                             step_index: int, timestamp: float, page_ref: str) -> None:
-        final = self.client.url_table.lookup(page_result.final_url)
-        if final is None:
-            return
-        site = self.registry.site(final.host)
-        if site is None:
-            return
-        page, _resource = site.lookup(final.path)
-        if page is None:
-            return
-        for sub_url in page.subresource_urls:
-            sub_result = self.client.fetch(
+        client = self.client
+        for sub_url in client.server.subresource_urls(page_result.final_url,
+                                                      client.url_table.lookup):
+            sub_result = client.fetch(
                 sub_url, referrer=page_result.final_url,
                 country=self.country, page_ref=page_ref,
             )
             self._log_chain(sub_result, kind, step_index, timestamp)
-            self.dataset.har_log(self.exchange_name).extend(sub_result.entries)
+            self._har_log.extend(sub_result.entries)
             if self.observer is not None:
                 self._subresource_counter.value += 1.0

@@ -90,7 +90,6 @@ class _ShardJob:
     client: SimHttpClient
     dataset: CrawlDataset
     buffer: Optional[RecordingObserver]
-    registry: object
 
 
 @dataclass
@@ -160,13 +159,12 @@ class ParallelCrawlExecutor(PhaseExecutor):
                                url_table=pipeline.url_table)
         return _ShardJob(server=server, client=client,
                          dataset=CrawlDataset(url_table=pipeline.url_table),
-                         buffer=buffer, registry=pipeline.web.registry)
+                         buffer=buffer)
 
     def run_shard(self, spec: CrawlSpec, job: _ShardJob) -> _ShardResult:
         """One worker invocation: surf one exchange end to end."""
         browser = BrowserSession(
             client=job.client,
-            registry=job.registry,
             dataset=job.dataset,
             exchange_name=spec.name,
             exchange_host=spec.host,

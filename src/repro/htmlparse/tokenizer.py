@@ -12,12 +12,24 @@ mirroring browser behaviour that malware relies on.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["Token", "TokenKind", "tokenize", "decode_entities", "RAW_TEXT_ELEMENTS"]
 
 RAW_TEXT_ELEMENTS = {"script", "style", "textarea", "title"}
+
+#: each raw-text element's end tag: ``</element`` followed by whitespace,
+#: ``>``, ``/`` or the end of the input.  The name matches case-insensitively
+#: for ASCII letters only, on the original string: lowercasing the page
+#: first would shift every index after a character whose lowercase is
+#: longer (``İ`` becomes two code points), and would copy the page once
+#: per element
+_RAW_TEXT_END = {
+    element: re.compile(r"</%s(?=[ \t\n\r\f>/]|\Z)" % element, re.IGNORECASE | re.ASCII)
+    for element in RAW_TEXT_ELEMENTS
+}
 
 _SPACE = " \t\n\r\f"
 
@@ -132,20 +144,13 @@ def tokenize(html: str) -> Iterator[Token]:
 
 def _scan_raw_text(html: str, pos: int, element: str) -> Tuple[int, str, Optional[Token]]:
     """Scan raw text until ``</element``; returns (new_pos, text, end_token)."""
-    needle = "</" + element
-    lower = html.lower()
-    search = pos
-    while True:
-        idx = lower.find(needle, search)
-        if idx == -1:
-            return len(html), html[pos:], None
-        after = idx + len(needle)
-        # must be followed by whitespace, '>' or '/' to be a real end tag
-        if after >= len(html) or html[after] in _SPACE + ">/":
-            gt = html.find(">", after)
-            end = len(html) if gt == -1 else gt + 1
-            return end, html[pos:idx], Token(TokenKind.END_TAG, element, position=idx)
-        search = after
+    match = _RAW_TEXT_END[element].search(html, pos)
+    if match is None:
+        return len(html), html[pos:], None
+    idx = match.start()
+    gt = html.find(">", match.end())
+    end = len(html) if gt == -1 else gt + 1
+    return end, html[pos:idx], Token(TokenKind.END_TAG, element, position=idx)
 
 
 def _scan_markup(html: str, pos: int) -> Tuple[Optional[Token], int]:

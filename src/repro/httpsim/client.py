@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs.clock import Clock, SimClock
 from ..obs.observer import RunObserver
@@ -34,6 +34,17 @@ _META_REFRESH = re.compile(
 _JS_LOCATION = re.compile(
     r"""window\.location(?:\.href)?\s*=\s*['"]([^'"]+)['"]"""
 )
+
+
+class Transaction(NamedTuple):
+    """One served request, as every later fetch of its URL replays it."""
+
+    #: the requested URL as the HAR entry records it (``str`` of the
+    #: parsed URL)
+    url: str
+    response: HttpResponse
+    #: the URL the hop rule follows from here, or ``None``
+    next_hop: Optional[str]
 
 
 @dataclass
@@ -58,7 +69,19 @@ class FetchResult:
 
 
 class SimHttpClient:
-    """Fetches through a :class:`SimHttpServer`, following redirects."""
+    """Fetches through a :class:`SimHttpServer`, following redirects.
+
+    **Transaction memo.**  :attr:`transactions` keeps, per requested URL
+    string, every transaction whose response the server did not call
+    per-request (see :meth:`SimHttpServer.serve`), and :meth:`fetch`
+    replays it by building only its HAR entry.  So the shorteners, the
+    rotating redirectors, the cloaked paths and the unknown hosts are
+    served on every request, and Table IV's hit accounting, the rotation
+    order and every server counter stay exact.  Each client has its own
+    memo, never one at module level; two threads missing on one URL at
+    once both serve it and store equal transactions, so no lock is
+    needed.
+    """
 
     #: simulated cost of one request/response round trip (seconds)
     REQUEST_SECONDS = 0.05
@@ -78,6 +101,8 @@ class SimHttpClient:
         #: pipeline's, shared with its sessions, scanners and dataset, or
         #: one of this client's own
         self.url_table = url_table if url_table is not None else UrlTable()
+        #: requested URL string → its transaction
+        self.transactions: Dict[str, Transaction] = {}
         # metric handles resolved once — fetch() is the pipeline's hottest
         # loop and must not pay a registry lookup per request
         if observer is not None:
@@ -111,35 +136,39 @@ class SimHttpClient:
         country: str = "US",
         page_ref: str = "",
     ) -> FetchResult:
-        """GET ``url``; follow up to ``MAX_REDIRECTS`` redirect hops."""
+        """GET ``url``; follow up to ``MAX_REDIRECTS`` redirect hops.
+
+        A request of a URL in :attr:`transactions` is replayed from it:
+        only its HAR entry is built.
+        """
         current = url
         current_referrer = referrer
         hops: List[Tuple[str, str]] = []
         entries: List[HarEntry] = []
         response: Optional[HttpResponse] = None
         observer = self.observer
+        clock = self.clock
         simulated = self._simulated
         if observer is not None and not simulated:
-            fetch_started = self.clock.now()
-        lookup = self.url_table.lookup
+            fetch_started = clock.now()
+        transactions = self.transactions
+        duration_ms = self.REQUEST_SECONDS * 1000.0
 
         for _ in range(MAX_REDIRECTS + 1):
-            parsed = lookup(current)
-            if parsed is None:
-                response = HttpResponse.not_found()
-                break
-            request = HttpRequest.get(parsed, referrer=current_referrer, country=country)
-            response = self.server.handle(request)
-            if simulated:
-                self.clock.advance(self.REQUEST_SECONDS)
-            entries.append(
-                HarEntry.from_transaction(
-                    request, response,
-                    started=self.clock.now(),
-                    duration_ms=self.REQUEST_SECONDS * 1000.0,
-                    page_ref=page_ref,
-                )
-            )
+            transaction = transactions.get(current)
+            if transaction is None:
+                transaction = self._transact(current, current_referrer, country)
+                if transaction is None:
+                    response = HttpResponse.not_found()
+                    break
+            url_text, response, next_url = transaction
+            started = (clock.advance(self.REQUEST_SECONDS) if simulated
+                       else clock.now())
+            entries.append(HarEntry(
+                url_text, "GET", response.status, response.content_type,
+                response.location or "", current_referrer, len(response.body),
+                started, duration_ms, page_ref,
+            ))
             if observer is not None:
                 # hot loop: bump the counter slot directly rather than
                 # paying a method call per request
@@ -147,7 +176,6 @@ class SimHttpClient:
                     self._status_counters[response.status // 100].value += 1.0
                 except KeyError:
                     self._status_counter(response.status).inc()
-            next_url = self._next_hop(parsed, response)
             if next_url is None:
                 break
             hops.append((current, next_url))
@@ -165,20 +193,28 @@ class SimHttpClient:
                 # loop and a shard-local clock starting at zero
                 self._fetch_seconds.observe(len(entries) * self.REQUEST_SECONDS)
             else:
-                self._fetch_seconds.observe(self.clock.now() - fetch_started)
+                self._fetch_seconds.observe(clock.now() - fetch_started)
             if hops:
                 self._redirect_hops.inc(len(hops))
             if self._counts_work:
                 # batched per fetch: request/byte work for the profiler
                 observer.work("http.requests", len(entries))
                 observer.work("http.bytes", sum(entry.body_size for entry in entries))
-        return FetchResult(
-            request_url=url,
-            final_url=current,
-            response=response,
-            hops=hops,
-            entries=entries,
-        )
+        return FetchResult(url, current, response, hops, entries)
+
+    def _transact(self, url: str, referrer: str, country: str) -> Optional[Transaction]:
+        """Serve ``url`` and apply the hop rule to the response, keeping
+        the transaction unless the server calls it per-request; ``None``
+        when ``url`` is no URL (a client-side 404 that logs nothing)."""
+        parsed = self.url_table.lookup(url)
+        if parsed is None:
+            return None
+        response, per_request = self.server.serve(
+            HttpRequest.get(parsed, referrer=referrer, country=country))
+        transaction = Transaction(str(parsed), response, self._next_hop(parsed, response))
+        if not per_request:
+            self.transactions[url] = transaction
+        return transaction
 
     # ------------------------------------------------------------------
     def _next_hop(self, current: Url, response: HttpResponse) -> Optional[str]:

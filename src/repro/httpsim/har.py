@@ -14,8 +14,6 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
 
-from .message import HttpRequest, HttpResponse
-
 __all__ = ["HarEntry", "HarLog"]
 
 
@@ -37,27 +35,6 @@ class HarEntry:
     duration_ms: float = 0.0
     #: page identifier tying sub-resources to their page visit
     page_ref: str = ""
-
-    @classmethod
-    def from_transaction(
-        cls,
-        request: HttpRequest,
-        response: HttpResponse,
-        started: float = 0.0,
-        duration_ms: float = 0.0,
-        page_ref: str = "",
-    ) -> "HarEntry":
-        return cls(
-            url=str(request.url),
-            status=response.status,
-            content_type=response.content_type,
-            redirect_location=response.location or "",
-            referrer=request.referrer,
-            body_size=len(response.body),
-            started=started,
-            duration_ms=duration_ms,
-            page_ref=page_ref,
-        )
 
     def to_har_dict(self) -> Dict[str, Any]:
         return {

@@ -3,7 +3,8 @@
 A request carries what the server decides on: its URL, its referrer
 (cloaking and shortener accounting) and the client's country (shortener
 accounting).  A response carries its status, body, content type and
-redirect location.
+redirect location; it is frozen, because the client's transaction memo
+hands one response to every fetch of the same URL.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ class HttpRequest:
         return cls(url, referrer, country)
 
 
-@dataclass
+@dataclass(frozen=True)
 class HttpResponse:
     """A simulated HTTP response."""
 

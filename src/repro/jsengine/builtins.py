@@ -17,7 +17,6 @@ from __future__ import annotations
 import base64
 import binascii
 import functools
-import json
 import math
 import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -506,13 +505,34 @@ def make_global_builtins(interp: Any) -> dict:
     }
 
 
-def _json_stringify(value: Any) -> str:
-    """``JSON.stringify`` in :func:`json.dumps`'s layout, refused before
-    its text grows past :data:`~repro.jsengine.values.MAX_STRING_LENGTH`:
-    each piece is counted before the text holding it is built, and an
-    array or object met again is counted again but not walked again.  An
-    array or object met inside itself throws a ``TypeError`` (ES5
-    15.12.3).  Nesting depth costs no Python frames."""
+#: the characters Quote (ES5 15.12.3) escapes, and how
+_JSON_ESCAPED = re.compile(r'["\\\x00-\x1f]')
+_JSON_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\b": "\\b", "\f": "\\f",
+                       "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+
+
+def _json_quote(text: str) -> str:
+    """Quote (ES5 15.12.3): only ``"``, ``\\`` and the control
+    characters are escaped; every other character is written as it is."""
+    return '"%s"' % _JSON_ESCAPED.sub(
+        lambda m: _JSON_SHORT_ESCAPES.get(m.group()) or "\\u%04x" % ord(m.group()), text)
+
+
+def _json_omitted(value: Any) -> bool:
+    """Str (ES5 15.12.3) is undefined for ``undefined`` and functions: an
+    object leaves such a member out, an array writes ``null``."""
+    return value is UNDEFINED or isinstance(value, (JSFunction, NativeFunction))
+
+
+def _json_stringify(value: Any) -> Any:
+    """``JSON.stringify`` in ES5 15.12.3's layout (no white space), refused
+    before its text grows past
+    :data:`~repro.jsengine.values.MAX_STRING_LENGTH`: each piece is
+    counted before the text holding it is built, and an array or object
+    met again is counted again but not walked again.  An array or object
+    met inside itself throws a ``TypeError``.  ``undefined`` and
+    functions stringify to ``undefined``.  Nesting depth costs no Python
+    frames."""
     size = 0
     texts: Dict[int, str] = {}
 
@@ -523,22 +543,27 @@ def _json_stringify(value: Any) -> str:
         return text
 
     def scalar(v: Any) -> str:
-        if isinstance(v, float) and math.isfinite(v):
-            return counted(json.dumps(int(v) if v == int(v) else v))
-        if isinstance(v, (str, bool, int)):
-            return counted(json.dumps(v))
-        return counted("null")  # NaN, ±Infinity, undefined, functions, host objects
+        if isinstance(v, bool):
+            return counted("true" if v else "false")
+        if isinstance(v, str):
+            return counted(_json_quote(v))
+        if isinstance(v, (float, int)) and math.isfinite(v):
+            return counted(to_string(float(v)))
+        return counted("null")  # NaN, ±Infinity, null, undefined, functions, host objects
 
     def opened(v: JSObject) -> Tuple[JSObject, str, List[Tuple[str, Any]], List[str]]:
         """A frame: the container, its layout, (prefix, child) per
         member, and the texts of the members written so far."""
         if isinstance(v, JSArray):
-            counted("[]", 2 * max(len(v.elements) - 1, 0))  # and the ", "s
+            counted("[]", max(len(v.elements) - 1, 0))  # and the ","s
             return v, "[%s]", [("", el) for el in v.elements], []
-        counted("{}", 2 * max(len(v.properties) - 1, 0))
-        return v, "{%s}", [(counted(json.dumps(k), 2) + ": ", val)
-                           for k, val in v.properties.items()], []
+        members = [(key, val) for key, val in v.properties.items() if not _json_omitted(val)]
+        counted("{}", max(len(members) - 1, 0))
+        return v, "{%s}", [(counted(_json_quote(key), 1) + ":", val)
+                           for key, val in members], []
 
+    if _json_omitted(value):
+        return UNDEFINED
     if not isinstance(value, JSObject):
         return scalar(value)
     stack = [opened(value)]
@@ -557,7 +582,7 @@ def _json_stringify(value: Any) -> str:
                 active.add(id(child))
                 stack.append(opened(child))
             continue
-        text = texts[id(container)] = layout % ", ".join(parts)
+        text = texts[id(container)] = layout % ",".join(parts)
         stack.pop()
         active.discard(id(container))
         if not stack:

@@ -26,6 +26,7 @@ grown past it by ``concat``.
 from __future__ import annotations
 
 import math
+import re
 from typing import Any, Callable, Dict, List, Optional
 
 __all__ = [
@@ -42,6 +43,18 @@ MAX_STRING_LENGTH = 2_000_000
 #: slots, as many as the longest string has characters) the write aborts
 #: the script instead
 MAX_ARRAY_LENGTH = 2_000_000
+
+#: StrWhiteSpaceChar (ES5 9.3.1): WhiteSpace (tab, VT, FF, space, NBSP,
+#: BOM and the other Unicode space separators) and LineTerminator (LF,
+#: CR, LS, PS); Python's ``str.strip`` strips other characters (U+001C
+#: to U+001F, U+0085) and keeps the BOM
+_STR_WHITESPACE = ("\t\x0b\x0c \xa0\ufeff\u1680\u2000\u2001\u2002\u2003\u2004"
+                  "\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+                  "\n\r\u2028\u2029")
+#: StrNumericLiteral (ES5 9.3.1) once the white space is trimmed: a
+#: signed decimal literal or ``Infinity``, or an unsigned hex integer
+_STR_DECIMAL = re.compile(r"[+-]?(?:Infinity|(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)")
+_STR_HEX = re.compile(r"0[xX][0-9a-fA-F]+")
 
 
 class Undefined:
@@ -290,17 +303,19 @@ def to_number(value: Any) -> float:
     if value is UNDEFINED:
         return float("nan")
     if isinstance(value, str):
-        text = value.strip()
+        # ES5 9.3.1: Python's float() and int() also take "1_0", "inf",
+        # non-ASCII digits and signed hex, which are NaN in JS
+        text = value.strip(_STR_WHITESPACE)
         if not text:
             return 0.0
-        try:
-            if text.lower().startswith(("0x", "-0x", "+0x")):
+        if _STR_DECIMAL.fullmatch(text):
+            return float(text.replace("Infinity", "inf"))
+        if _STR_HEX.fullmatch(text):
+            try:
                 return float(int(text, 16))
-            return float(text)
-        except ValueError:
-            return float("nan")
-        except OverflowError:  # a hex numeral past the largest double
-            return math.copysign(math.inf, -1.0 if text[0] == "-" else 1.0)
+            except OverflowError:  # a hex numeral past the largest double
+                return math.inf
+        return float("nan")
     if isinstance(value, JSArray):
         # ToNumber of an array is ToNumber of its join (ES5 9.3, 15.4.4.2),
         # built only as far as it can be a number: two or more elements

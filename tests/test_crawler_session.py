@@ -36,7 +36,7 @@ def world():
     server = SimHttpServer(registry)
     dataset = CrawlDataset()
     session = BrowserSession(
-        client=SimHttpClient(server), registry=registry, dataset=dataset,
+        client=SimHttpClient(server), dataset=dataset,
         exchange_name="TestEx", exchange_host="exchange.example",
     )
     return registry, dataset, session

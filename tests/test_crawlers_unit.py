@@ -33,7 +33,7 @@ def make_crawler(registry, exchange):
         exchange.list_site("http://member%d.example.com/" % index)
     dataset = CrawlDataset()
     browser = BrowserSession(
-        client=SimHttpClient(SimHttpServer(registry)), registry=registry,
+        client=SimHttpClient(SimHttpServer(registry)),
         dataset=dataset, exchange_name=exchange.name, exchange_host=exchange.host,
     )
     return ExchangeCrawler(exchange, browser, random.Random(3)), dataset

@@ -1,5 +1,6 @@
 """Tests for repro.httpsim: messages, server behaviours, client, HAR."""
 
+import dataclasses
 import random
 
 import pytest
@@ -58,20 +59,29 @@ class TestMessages:
     def test_text_decoding(self):
         assert HttpResponse.html("héllo").text == "héllo"
 
+    def test_response_is_frozen(self):
+        # the client's transaction memo hands one response to many fetches
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            HttpResponse.html("<p>x</p>").status = 500
+
 
 class TestServer:
     def test_serves_page(self, server):
-        resp = server.handle(HttpRequest.get("http://landing.example.com/deal"))
+        resp, per_request = server.serve(HttpRequest.get("http://landing.example.com/deal"))
         assert resp.ok and b"deal page" in resp.body
+        assert not per_request
 
     def test_unknown_host_404(self, server):
-        assert server.handle(HttpRequest.get("http://nope.example.com/")).status == 404
+        resp, per_request = server.serve(HttpRequest.get("http://nope.example.com/"))
+        # the miss is counted per request
+        assert resp.status == 404 and per_request
 
     def test_unknown_path_404(self, server):
-        assert server.handle(HttpRequest.get("http://landing.example.com/missing")).status == 404
+        resp, per_request = server.serve(HttpRequest.get("http://landing.example.com/missing"))
+        assert resp.status == 404 and not per_request
 
     def test_root_fallback(self, server):
-        resp = server.handle(HttpRequest.get("http://landing.example.com/"))
+        resp, _per_request = server.serve(HttpRequest.get("http://landing.example.com/"))
         assert b"landing" in resp.body
 
     def test_resource_served_with_type(self, registry, server):
@@ -79,7 +89,7 @@ class TestServer:
 
         site = registry.site("landing.example.com")
         site.add_resource(Resource("/a.js", "application/javascript", b"var x;"))
-        resp = server.handle(HttpRequest.get("http://landing.example.com/a.js"))
+        resp, _per_request = server.serve(HttpRequest.get("http://landing.example.com/a.js"))
         assert resp.content_type == "application/javascript"
 
 
@@ -140,12 +150,15 @@ class TestCloaking:
     def test_scanner_sees_decoy(self, registry, server):
         site = registry.site("landing.example.com")
         site.behavior.cloaked_paths["/deal"] = "<html><body>innocent</body></html>"
-        bare = server.handle(HttpRequest.get("http://landing.example.com/deal"))
+        bare, bare_per_request = server.serve(
+            HttpRequest.get("http://landing.example.com/deal"))
         assert b"innocent" in bare.body
-        browser = server.handle(HttpRequest.get(
+        browser, browser_per_request = server.serve(HttpRequest.get(
             "http://landing.example.com/deal", referrer="http://exchange.example/surf"
         ))
         assert b"deal page" in browser.body
+        # the next request may be the other kind
+        assert bare_per_request and browser_per_request
 
 
 class TestShortenerServing:
@@ -201,3 +214,108 @@ class TestHar:
         assert len(restored) == len(log)
         assert restored.entries[0].url == log.entries[0].url
         assert restored.entries[0].referrer == "http://e.com/"
+
+
+class TestTransactionMemo:
+    """A client replays a transaction only where per-request state
+    cannot decide it; everything else is served on every request."""
+
+    @pytest.mark.parametrize("submit_files", [True, False])
+    def test_memo_equals_a_fresh_serve(self, submit_files):
+        from repro import MalwareSlumsStudy, StudyConfig
+        from repro.analysis.redirects import probe_rotating_redirector
+        from repro.crawler import CrawlPipeline
+
+        config = StudyConfig(seed=2016, scale=0.005, submit_files=submit_files, workers=1)
+        web = MalwareSlumsStudy(config).generate_web()
+        pipeline = CrawlPipeline(web, config.pipeline_options())
+        pipeline.run()
+        registry = web.registry
+        # the crawl resolves short URLs; Figure 9's probe fetches every
+        # rotating redirector: neither may enter a memo
+        assert any(registry.shorteners.is_short_host(pipeline.url_table.lookup(url).host)
+                   for url in pipeline.dataset.distinct_urls())
+        rotating = [site.url(path) for site in registry
+                    for path, targets in site.behavior.rotating_redirects.items() if targets]
+        assert rotating
+        for url in rotating:
+            assert len(probe_rotating_redirector(pipeline.client, url, probes=4)) > 1
+        service = pipeline.verdict_service
+        clients = [pipeline.client, service.virustotal.client, service.quttera.client]
+        # the scanners fetch only URL submissions (no file submission)
+        assert [bool(client.transactions) for client in clients] == [
+            True, not submit_files, not submit_files]
+        fresh = SimHttpServer(registry)
+        hop_rule = SimHttpClient(fresh)._next_hop
+        for client in clients:
+            for url, transaction in client.transactions.items():
+                parsed = pipeline.url_table.lookup(url)
+                site = registry.site(parsed.host)
+                assert not registry.shorteners.is_short_host(parsed.host)
+                assert site is not None
+                assert not site.behavior.rotating_redirects.get(parsed.path)
+                assert parsed.path not in site.behavior.cloaked_paths
+                memoised = transaction.response
+                # with a referrer or without one: the same response
+                for referrer in ("", "http://referrer.example/"):
+                    response, per_request = fresh.serve(
+                        HttpRequest.get(parsed, referrer=referrer))
+                    assert not per_request
+                    assert (memoised.status, memoised.body, memoised.content_type,
+                            memoised.location) == (response.status, response.body,
+                                                   response.content_type, response.location)
+                assert transaction.url == str(parsed)
+                assert transaction.next_hop == hop_rule(parsed, response)
+        # the content cache keeps the memo's body, not a copy
+        memo = pipeline.client.transactions
+        shared = [url for url, cached in pipeline.dataset.content.items()
+                  if cached.final_url == url and url in memo]
+        assert shared
+        for url in shared:
+            assert pipeline.dataset.content[url].content is memo[url].response.body
+
+    def test_rotation_order_is_kept(self, registry, client):
+        registry.site("landing.example.com").behavior.rotating_redirects["/r"] = [
+            "http://t1.example.com/", "http://t2.example.com/",
+        ]
+        finals = [client.fetch("http://landing.example.com/r",
+                               referrer="http://e.example/").final_url for _ in range(4)]
+        assert finals == ["http://t1.example.com/", "http://t2.example.com/"] * 2
+        assert "http://landing.example.com/r" not in client.transactions
+
+    def test_every_short_url_hit_is_counted(self, registry, client):
+        short = registry.shorteners.shorten("goo.gl", "http://landing.example.com/deal",
+                                            slug="MEMO01")
+        for referrer, country in (("http://www.10khits.com/surf", "BR"),
+                                  ("http://www.otohits.net/surf", "US"),
+                                  ("http://www.10khits.com/surf", "US")):
+            result = client.fetch(short, referrer=referrer, country=country)
+            assert result.final_url == "http://landing.example.com/deal"
+        stats = registry.shorteners.service("goo.gl").stats("MEMO01")
+        assert stats.hits == 3
+        assert dict(stats.referrer_counts) == {"10khits.com": 2, "otohits.net": 1}
+        assert dict(stats.country_counts) == {"BR": 1, "US": 2}
+        assert short not in client.transactions
+
+    def test_cloaking_and_its_counter_per_request(self, registry):
+        from repro.obs import RunObserver
+
+        registry.site("landing.example.com").behavior.cloaked_paths["/deal"] = (
+            "<html><body>innocent</body></html>")
+        observer = RunObserver()
+        client = SimHttpClient(SimHttpServer(registry, observer=observer), observer=observer)
+        bodies = [client.fetch("http://landing.example.com/deal", referrer=referrer).response.body
+                  for referrer in ("", "http://exchange.example/surf", "")]
+        assert [b"innocent" in body for body in bodies] == [True, False, True]
+        assert observer.metrics.counter_total("http.server.cloaked_decoys") == 2
+        assert not client.transactions
+
+    def test_not_found_counted_per_request(self, registry):
+        from repro.obs import RunObserver
+
+        observer = RunObserver()
+        client = SimHttpClient(SimHttpServer(registry, observer=observer), observer=observer)
+        for _ in range(2):
+            assert client.fetch("http://nope.example.com/").response.status == 404
+        assert observer.metrics.counter_total("http.server.not_found") == 2
+        assert not client.transactions

@@ -120,7 +120,8 @@ class TestValuesCoercionCorners:
     def test_hex_string_to_number(self):
         assert to_number("0x1A") == 26.0
         assert to_number("  0X10  ") == 16.0
-        assert to_number("-0x10") == -16.0
+        # ES5 9.3.1: a HexIntegerLiteral has no sign
+        assert math.isnan(to_number("-0x10"))
         assert to_number("") == 0.0
         assert to_number("  ") == 0.0
         assert math.isnan(to_number("0xZZ"))

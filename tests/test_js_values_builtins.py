@@ -66,6 +66,69 @@ class TestToNumber:
         assert math.isnan(to_number(JSArray([1.0, 2.0])))
 
 
+NAN = float("nan")
+
+#: ES5 9.3.1, ToNumber applied to the String type: the JS source of a
+#: string and the number it converts to
+STRING_TO_NUMBER = [
+    # StrWhiteSpaceChar is WhiteSpace or LineTerminator: the BOM, NBSP and
+    # LS are, U+001C (which Python's strip removes) is not
+    ("'\\ufeff5'", 5.0), ("'\\u00a0 5\\u2028'", 5.0), ("'\\x1c5'", NAN), ("' '", 0.0),
+    # StrDecimalLiteral: ASCII digits, no "_", and "Infinity" spelled out
+    ("'1_0'", NAN), ("'inf'", NAN), ("'infinity'", NAN), ("'-Infinity'", float("-inf")),
+    ("'\\uff11'", NAN), ("'1e3'", 1000.0), ("'.5'", 0.5), ("'5.'", 5.0), ("'-0'", -0.0),
+    ("'1e'", NAN), ("'+-1'", NAN), ("'1 2'", NAN),
+    # HexIntegerLiteral has no sign
+    ("'-0x10'", NAN), ("'+0x10'", NAN), ("'0x1_0'", NAN), ("'0X1f'", 31.0),
+]
+
+#: ES5 15.12.3, JSON.stringify: the JS source of a value and its JSON text
+JSON_STRINGIFY = [
+    # no white space between members, and Quote writes non-ASCII as it is
+    ("[1, 'x', {a: '\\u00e9'}]", '[1,"x",{"a":"\u00e9"}]'),
+    # Quote escapes '"', '\\' and the control characters, nothing else
+    ("'a\"b\\\\c'", '"a\\"b\\\\c"'),
+    ("'\\b\\f\\n\\r\\t\\u0001\\u001f\\u007f\\u2028'",
+     '"\\b\\f\\n\\r\\t\\u0001\\u001f\x7f\u2028"'),
+    # JO leaves out a member whose Str is undefined; JA writes null for it
+    ("{a: undefined, b: function () {}, c: 1}", '{"c":1}'),
+    ("[undefined, function () {}]", "[null,null]"),
+    ("{a: undefined}", "{}"),
+    # a number is written by ToNumber's inverse, ToString, unless not finite
+    ("[0/0, 1/0, -0, 1e21, 0.5, null, true]", "[null,null,0,1e+21,0.5,null,true]"),
+]
+
+
+def _folded(source):
+    from repro.jsengine.parser import parse
+    from repro.staticjs.dataflow import fold
+
+    return fold(parse(source + ";").body[0].expression)
+
+
+def _same(a, b):
+    """Type-exact equality with NaN equal to itself and -0 apart from 0."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+class TestStringToNumber:
+    @pytest.mark.parametrize("literal, expected", STRING_TO_NUMBER)
+    def test_sandbox_and_folder(self, literal, expected):
+        for source in ("Number(%s)" % literal, "+%s" % literal):
+            assert _same(Interpreter().run(source + ";"), expected)
+            assert _same(_folded(source), expected)
+
+
+class TestJsonStringify:
+    @pytest.mark.parametrize("source, expected", JSON_STRINGIFY)
+    def test_sandbox(self, source, expected):
+        assert Interpreter().run("JSON.stringify(%s);" % source) == expected
+
+    @pytest.mark.parametrize("source", ["undefined", "function () {}", "Math.max"])
+    def test_undefined_and_functions_stringify_to_undefined(self, source):
+        assert Interpreter().run("JSON.stringify(%s);" % source) is UNDEFINED
+
+
 class TestToString:
     @pytest.mark.parametrize("value,expected", [
         (1.0, "1"), (1.5, "1.5"), (-0.0, "0"), (float("inf"), "Infinity"),

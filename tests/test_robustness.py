@@ -11,6 +11,7 @@ must degrade, never crash:
   ``BudgetExceeded``, quickly, in every engine that runs it.
 """
 
+import gc
 import random
 import time
 
@@ -52,6 +53,53 @@ class TestHtmlParserFuzz:
     ])
     def test_nasty_inputs(self, nasty):
         parse(nasty)
+
+
+def _title_page(title):
+    """A page whose script writes two hidden iframes after ``<title>``."""
+    return ("<html><head><title>%s</title></head><body><script>"
+            "document.write('<iframe src=\"http://evil.test/a\" width=\"1\" height=\"1\"></iframe>');"
+            "document.write('<iframe src=\"http://evil.test/b\" style=\"display:none\"></iframe>');"
+            "</script></body></html>" % title)
+
+
+class TestRawTextEndTags:
+    """A raw-text element ends at the first ``</name`` whatever precedes
+    it: U+0130 lowercases to two code points, and must not hide the page's
+    scripts by shifting the end-tag search."""
+
+    @pytest.mark.parametrize("title", ["I", "\u0130"])
+    @pytest.mark.parametrize("static_prefilter", [True, False])
+    def test_title_character_hides_no_iframe(self, title, static_prefilter):
+        analysis = analyze_html(_title_page(title), static_prefilter=static_prefilter)
+        assert analysis.script_count == 1
+        assert sorted(f.hidden_by for f in analysis.hidden_iframes) == ["tiny", "visibility"]
+
+    @pytest.mark.parametrize("title", ["I", "\u0130"])
+    def test_title_character_stops_no_script(self, title):
+        host = run_script_in_page(_title_page(title))
+        assert len(host.log.document_writes) == 2
+
+    def test_end_tag_search_is_linear(self):
+        # the two sizes alternate, so a stretch of host contention slows
+        # both, and each keeps its fastest of fifteen parses; the collector
+        # is off while a parse runs (a full collection would also walk
+        # every object the test session holds), and each parse's garbage
+        # is freed from the youngest generation before the next one
+        pages = {pairs: "<script></script>" * pairs for pairs in (8_000, 16_000)}
+        best = dict.fromkeys(pages, float("inf"))
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(15):
+                for pairs, page in pages.items():
+                    start = time.perf_counter()
+                    parse(page)
+                    best[pairs] = min(best[pairs], time.perf_counter() - start)
+                    gc.collect(0)
+        finally:
+            gc.enable()
+        assert best[16_000] <= 2.5 * best[8_000]
 
 
 class TestSwfFuzz:
@@ -194,7 +242,7 @@ class TestBuiltinBounds:
         ("document.write('abc'.charAt('x'));", "a"),
         ("document.write((0/0).toString(16) + (1/0).toFixed(2));", "NaNInfinity"),
         ("var a = [1, 'x']; document.write(JSON.stringify([a, {k: a}, 0/0]));",
-         '[[1, "x"], {"k": [1, "x"]}, null]'),
+         '[[1,"x"],{"k":[1,"x"]},null]'),
     ])
     def test_builtin_results_are_js_values(self, source, written):
         assert run_script_in_page(_page(source)).log.document_writes == [written]
