@@ -2,8 +2,8 @@
 
 Measures what the repro.staticjs pre-filter buys the scan phase: scan
 throughput with the pre-filter on versus off on the same crawled
-dataset, plus the share of pages whose scripts were proven benign and
-never entered the JS sandbox.
+dataset, plus the share of pages whose scripts' effects the abstract
+interpreter proved, so that they never entered the JS sandbox.
 """
 
 from repro import MalwareSlumsStudy, StudyConfig
@@ -44,7 +44,7 @@ def test_scan_throughput_prefilter_on(benchmark):
           % (distinct, int(analyzed)))
     print("sandbox skipped for %d page scans, executed for %d (skip rate %.1f%%)"
           % (int(skipped), int(executed), 100 * skipped / (skipped + executed)))
-    print("benign-script skip rate %.1f%%"
+    print("script skip rate %.1f%%"
           % (100 * skipped_scripts / analyzed if analyzed else 0.0))
 
 

@@ -621,16 +621,9 @@ def _cmd_static_scan(args: argparse.Namespace) -> int:
     page_decision = None
     if args.explain_skips:
         from .detection.heuristics import _page_skip_decision
-        from .staticjs import VERDICT_BENIGN
 
-        all_benign = all(r.verdict == VERDICT_BENIGN for r in reports)
-        absint_skip, blockers = _page_skip_decision(reports)
-        page_decision = {
-            "all_benign": all_benign,
-            "absint_skip": absint_skip,
-            "sandbox_skip": all_benign or absint_skip,
-            "blockers": blockers,
-        }
+        sandbox_skip, blockers = _page_skip_decision(reports)
+        page_decision = {"sandbox_skip": sandbox_skip, "blockers": blockers}
     if args.markdown:
         for index, report in enumerate(reports):
             title = "Static scan: %s (script %d/%d)" % (
@@ -641,9 +634,7 @@ def _cmd_static_scan(args: argparse.Namespace) -> int:
         if page_decision is not None:
             print("## Sandbox skip decision\n")
             if page_decision["sandbox_skip"]:
-                how = ("all scripts benign" if page_decision["all_benign"]
-                       else "complete abstract effect summaries")
-                print("Page may **skip** dynamic execution (%s)." % how)
+                print("Page may **skip** dynamic execution.")
             else:
                 print("Page must **execute**; blocking conditions:\n")
                 for blocker in page_decision["blockers"]:

@@ -35,11 +35,6 @@ class StudyConfig:
     #: (the flight recorder behind ``repro explain``); off by default —
     #: measurement outputs are identical either way
     record_provenance: bool = False
-    #: enable the deterministic work-accounting profiler and memory
-    #: ledger (repro.obs.profile): the study builds its pipeline with a
-    #: profiling RunObserver and a MemoryLedger attached.  Off by
-    #: default; measurement outputs are identical either way
-    profile: bool = False
     profiles: Sequence[ExchangeProfile] = field(default_factory=lambda: EXCHANGE_PROFILES)
     #: optional overrides for web generation (seed/scale are synced in)
     web: Optional[WebGenerationConfig] = None

@@ -7,7 +7,6 @@ table and figure.  Deterministic per :class:`StudyConfig` seed.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Optional
 
 from ..analysis import (
@@ -53,22 +52,9 @@ class MalwareSlumsStudy:
     def crawl_and_scan(self) -> ScanOutcome:
         """Steps 2-3: crawl the exchanges, scan every distinct URL."""
         if self.outcome is None:
-            web = self.generate_web()
-            observer = None
-            memory_ledger = None
-            if self.config.profile:
-                from ..obs.observer import RunObserver
-                from ..obs.profile import MemoryLedger
-
-                observer = RunObserver(profile=True)
-                memory_ledger = MemoryLedger()
-            self.pipeline = CrawlPipeline(
-                web, self.config.pipeline_options(
-                    observer=observer, memory_ledger=memory_ledger))
-            # the ledger stops the tracemalloc session it started once the
-            # run is measured; left on, it slows the rest of the process
-            with memory_ledger if memory_ledger is not None else nullcontext():
-                self.outcome = self.pipeline.run()
+            self.pipeline = CrawlPipeline(self.generate_web(),
+                                          self.config.pipeline_options())
+            self.outcome = self.pipeline.run()
         return self.outcome
 
     def analyze(self) -> StudyResults:

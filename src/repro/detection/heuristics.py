@@ -29,7 +29,6 @@ from ..simweb.url import Url
 from ..staticjs import (
     EVENT_PHASES,
     PAGE_STEP_BUDGET,
-    VERDICT_BENIGN,
     AbstractEffects,
     ScriptReport,
     StaticFinding,
@@ -206,8 +205,8 @@ def analyze_content(content: bytes, content_type: str = "text/html",
     into the JS sandbox so eval-depth/op-count gauges cover every script
     the scanners execute.  ``static_prefilter`` enables the
     :mod:`repro.staticjs` pass: scripts get static findings before any
-    sandbox run, and pages whose every inline script is provably
-    side-effect-free skip dynamic execution entirely.  ``compile_cache``
+    sandbox run, and pages whose scripts' effects the abstract
+    interpreter proves replay them instead of executing.  ``compile_cache``
     (a :class:`repro.jsengine.CompileCache`, optional) makes the JS
     front end lex and parse each distinct script source once per run:
     the sandbox, the static pass and the feature extractor share its
@@ -253,12 +252,13 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
     """Full static + dynamic analysis of an HTML page.
 
     With ``static_prefilter`` on, every inline script is first analyzed
-    by :func:`repro.staticjs.analyze_script`.  The sandbox runs unless
-    *all* inline scripts receive the ``benign`` verdict — which the
-    static analyzer only issues when a script provably cannot produce
-    any signal the dynamic heuristics consume — so skipping is
+    by :func:`repro.staticjs.analyze_script`, which includes its
+    abstract effect summary.  The sandbox runs unless
+    :func:`_page_skip_decision` proves the summaries complete and
+    composable; then they are replayed instead, so skipping is
     behaviour-preserving: the resulting :class:`ContentAnalysis` is
-    identical to what the dynamic pass would have produced.
+    identical to what the dynamic pass would have produced.  A page
+    with no inline script has nothing to replay and always skips.
 
     The page is parsed once, and one walk of that DOM collects its
     scripts, iframes and metas.  The post-execution DOM is walked again
@@ -272,7 +272,6 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
 
     # ---- static pre-filter: analyze inline scripts without executing ----
     skip_sandbox = False
-    absint_skip = False
     reports: List[ScriptReport] = []
     if static_prefilter:
         with _frame(observer, "staticjs"):
@@ -290,35 +289,15 @@ def analyze_html(html: str, url: str = "http://unknown.invalid/",
                         analysis.static_redirect_targets.append(target)
                 _observe(observer, "staticjs.scripts")
                 _observe(observer, "staticjs.verdict", verdict=report.verdict)
-        skip_sandbox = all(r.verdict == VERDICT_BENIGN for r in reports)
-        if skip_sandbox and reports:
+        skip_sandbox, blockers = _page_skip_decision(reports)
+        if not skip_sandbox:
+            reason = blockers[0].partition(":")[0] if blockers else "unknown"
+            _observe(observer, "staticjs.absint.blocked_pages", reason=reason)
+        elif reports:
             _observe(observer, "staticjs.sandbox.skipped_scripts",
                      amount=float(len(reports)))
-        elif not skip_sandbox:
-            # not all benign — the abstract interpreter may still prove
-            # the page's complete dynamic effects, making execution
-            # redundant (the effects are replayed instead)
-            absint_skip, blockers = _page_skip_decision(reports)
-            if absint_skip:
-                _observe(observer, "staticjs.absint.skipped_pages")
-                _observe(observer, "staticjs.sandbox.skipped_scripts",
-                         amount=float(len(reports)))
-            else:
-                reason = blockers[0].partition(":")[0] if blockers else "unknown"
-                _observe(observer, "staticjs.absint.blocked_pages",
-                         reason=reason)
 
     if skip_sandbox:
-        # every script is provably side-effect-free (or there are no
-        # inline scripts at all): the post-execution state equals the
-        # static state, so synthesize the dynamic fields directly
-        analysis.sandbox_skipped = True
-        document = static_doc
-        analysis.remote_scripts = [
-            script.get("src") for script in static_scripts if script.get("src")
-        ]
-        _observe(observer, "staticjs.sandbox.skipped_pages")
-    elif absint_skip:
         # every script's effect summary is complete and the summaries
         # compose (no cross-script interference): replay the recorded
         # effects instead of executing

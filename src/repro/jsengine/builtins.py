@@ -22,6 +22,8 @@ import re
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .values import (
+    _STR_DECIMAL,
+    _STR_WHITESPACE,
     UNDEFINED,
     JSArray,
     JSException,
@@ -75,8 +77,9 @@ def js_unescape(value: Any = UNDEFINED, *_: Any) -> str:
 
 
 def js_escape(value: Any = UNDEFINED, *_: Any) -> str:
-    """The legacy ``escape`` global."""
-    return re.sub(r"[^\w@*+\-./]", lambda m: ("%%%02X" if ord(m.group(0)) < 256 else "%%u%04X")
+    """The legacy ``escape`` global (ES5 B.2.1): every character but the
+    ASCII letters, digits and ``@*_+-./``."""
+    return re.sub(r"[^A-Za-z0-9@*_+\-./]", lambda m: ("%%%02X" if ord(m.group(0)) < 256 else "%%u%04X")
                   % ord(m.group(0)), to_string(value))
 
 
@@ -93,8 +96,10 @@ def js_decode_uri(value: Any = UNDEFINED, *_: Any) -> str:
 
 
 def js_encode_uri(value: Any = UNDEFINED, *_: Any) -> str:
-    """``encodeURIComponent``; a lone surrogate encodes as its UTF-8 bytes."""
-    return re.sub(r"[^\w\-.!~*'()]", lambda m: "".join(
+    """``encodeURIComponent`` (ES5 15.1.3.4): every character but the
+    ASCII letters, digits and ``-_.!~*'()``; a lone surrogate encodes as
+    its UTF-8 bytes."""
+    return re.sub(r"[^A-Za-z0-9_\-.!~*'()]", lambda m: "".join(
         "%%%02X" % b for b in m.group(0).encode("utf-8", errors="surrogatepass")), to_string(value))
 
 
@@ -114,8 +119,9 @@ def js_btoa(value: Any = UNDEFINED, *_: Any) -> str:
 
 def js_parse_int(text: Any = UNDEFINED, radix: Any = UNDEFINED, *_: Any) -> float:
     """``parseInt``: a radix of 0 (or none) is 10, or 16 after ``0x``;
-    any other radix outside 2..36 gives NaN."""
-    raw = to_string(text).strip()
+    any other radix outside 2..36 gives NaN.  Leading white space
+    (StrWhiteSpaceChar, ES5 15.1.2.2 step 2) is skipped."""
+    raw = to_string(text).lstrip(_STR_WHITESPACE)
     base = to_int32(to_number(radix))
     sign = 1
     if raw[:1] in ("+", "-"):
@@ -143,25 +149,10 @@ def js_parse_int(text: Any = UNDEFINED, radix: Any = UNDEFINED, *_: Any) -> floa
 
 
 def js_parse_float(text: Any = UNDEFINED, *_: Any) -> float:
-    """``parseFloat``: the longest decimal prefix."""
-    raw = to_string(text).strip()
-    end = 0
-    seen_dot = seen_e = False
-    for i, ch in enumerate(raw):
-        if ch.isdigit():
-            end = i + 1
-        elif ch == "." and not seen_dot and not seen_e:
-            seen_dot = True
-        elif ch in "eE" and not seen_e and end:
-            seen_e = True
-        elif ch in "+-" and i == 0:
-            continue
-        else:
-            break
-    try:
-        return float(raw[: max(end, 1)])
-    except ValueError:
-        return _NAN
+    """``parseFloat`` (ES5 15.1.2.3): past leading white space, the
+    longest prefix that is a StrDecimalLiteral, or NaN."""
+    match = _STR_DECIMAL.match(to_string(text).lstrip(_STR_WHITESPACE))
+    return float(match.group()) if match else _NAN
 
 
 def js_from_char_code(*codes: Any) -> str:
@@ -289,7 +280,7 @@ def _string_member(interp: Any, s: str, name: str) -> Any:
             return "".join(parts)
         return method(concat)
     if name == "trim":
-        return method(lambda *_: s.strip())
+        return method(lambda *_: s.strip(_STR_WHITESPACE))
     if name == "toString":
         return method(lambda *_: s)
     return UNDEFINED
@@ -436,6 +427,16 @@ def _rounding(round_finite: Callable[[float], int]) -> Callable[..., float]:
     return apply
 
 
+def _extremum(pick: Callable[..., float], empty: float) -> Callable[..., float]:
+    """``Math.max``/``min`` (ES5 15.8.2.11-12): NaN when any argument is."""
+    def apply(*values: Any) -> float:
+        numbers = [to_number(value) for value in values]
+        if any(number != number for number in numbers):
+            return _NAN
+        return pick(numbers, default=empty)
+    return apply
+
+
 def _math_pow(a: Any = UNDEFINED, b: Any = UNDEFINED, *_: Any) -> float:
     """``Math.pow``: IEEE ``pow`` with JavaScript's special cases."""
     base, exponent = to_number(a), to_number(b)
@@ -466,8 +467,8 @@ def make_global_builtins(interp: Any) -> dict:
         "ceil": NativeFunction("Math.ceil", _rounding(math.ceil)),
         "round": NativeFunction("Math.round", _rounding(lambda v: math.floor(v + 0.5))),
         "abs": NativeFunction("Math.abs", lambda v=UNDEFINED, *_: abs(to_number(v))),
-        "max": NativeFunction("Math.max", lambda *vs: max((to_number(v) for v in vs), default=float("-inf"))),
-        "min": NativeFunction("Math.min", lambda *vs: min((to_number(v) for v in vs), default=float("inf"))),
+        "max": NativeFunction("Math.max", _extremum(max, float("-inf"))),
+        "min": NativeFunction("Math.min", _extremum(min, float("inf"))),
         "pow": NativeFunction("Math.pow", _math_pow),
         "sqrt": NativeFunction("Math.sqrt", lambda v=UNDEFINED, *_: (
             _NAN if to_number(v) < 0 else math.sqrt(to_number(v)))),

@@ -62,7 +62,7 @@ from .metrics import (
     default_count_buckets,
     default_latency_buckets,
 )
-from .observer import NULL_OBSERVER, NullObserver, RunObserver
+from .observer import RunObserver
 from .profile import (
     BudgetEntry,
     BudgetResult,
@@ -100,8 +100,6 @@ __all__ = [
     "MemoryLedger",
     "MetricsRegistry",
     "MonotonicClock",
-    "NULL_OBSERVER",
-    "NullObserver",
     "PhaseMemory",
     "ProvenanceStore",
     "RunDiff",

@@ -10,23 +10,21 @@ convenience methods so instrumentation sites stay one-liners::
 
 ``None`` is the disabled state: every hook in the pipeline guards with
 a plain attribute test, so an unobserved run does no obs work at all.
-:data:`NULL_OBSERVER` exists for code that prefers unconditional calls
-(every method is a no-op and the object is falsy).
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Optional
+from contextlib import nullcontext
+from typing import ContextManager, Optional
 
 from .clock import Clock, SimClock
 from .events import EventLog
 from .metrics import MetricsRegistry
 from .profile import WorkProfiler
-from .tracing import Span, Tracer
+from .tracing import Tracer
 
-__all__ = ["RunObserver", "NullObserver", "NULL_OBSERVER"]
+__all__ = ["RunObserver"]
 
 #: shared reusable no-op context for the profiler-disabled ``frame`` path —
 #: allocating nothing keeps the disabled profiler at one ``is None`` test
@@ -140,53 +138,3 @@ class RunObserver:
         if self.profiler is not None:
             self._check_thread()
             self.profiler.pop()
-
-
-class NullObserver:
-    """API-compatible no-op; falsy so ``if observer:`` disables hooks."""
-
-    #: mirrors :attr:`RunObserver.profiler` in its disabled state
-    profiler: Optional[WorkProfiler] = None
-    #: mirrors :attr:`RunObserver.live` in its detached state
-    live: Optional[object] = None
-
-    def __bool__(self) -> bool:
-        return False
-
-    def count(self, name: str, amount: float = 1.0, **labels: object) -> None:
-        pass
-
-    def gauge_set(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def gauge_max(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def observe(self, name: str, value: float, **labels: object) -> None:
-        pass
-
-    def heartbeat(self, phase: str, **fields: object) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name: str, **attrs: object) -> Iterator[Optional[Span]]:
-        yield None
-
-    def event(self, kind: str, **fields: object) -> None:
-        pass
-
-    def work(self, kind: str, amount: float = 1.0) -> None:
-        pass
-
-    def frame(self, name: str) -> ContextManager[None]:
-        return _NULL_FRAME
-
-    def frame_push(self, name: str) -> None:
-        pass
-
-    def frame_pop(self) -> None:
-        pass
-
-
-#: shared no-op instance for unconditional call sites
-NULL_OBSERVER = NullObserver()

@@ -159,11 +159,9 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
         "skipped_scripts": int(metrics.counter_total("staticjs.sandbox.skipped_scripts")),
         "dynamic_agreement_rate": (agreed / (agreed + disagreed)
                                    if (agreed + disagreed) else 0.0),
-        # abstract-interpretation sub-stage: pages whose complete effect
-        # summaries replaced execution, and why the rest still executed
+        # abstract-interpretation sub-stage: why pages still executed,
+        # and the redirect targets the static pass recovered
         "absint": {
-            "skipped_pages": int(
-                metrics.counter_total("staticjs.absint.skipped_pages")),
             "blocked_pages": {
                 k: int(v) for k, v in
                 _labeled_counts(observer, "staticjs.absint.blocked_pages",
@@ -376,11 +374,9 @@ def render_run_report_markdown(report: Dict[str, Any],
                         % (100 * staticjs["sandbox_skip_rate"],
                            100 * staticjs["dynamic_agreement_rate"]))
         absint = staticjs.get("absint", {})
-        if absint.get("skipped_pages") or absint.get("blocked_pages"):
+        if absint.get("blocked_pages") or absint.get("redirect_targets"):
             sections.append("\n### Abstract interpretation\n")
-            rows = [("effect-replay skipped pages",
-                     absint.get("skipped_pages", 0)),
-                    ("static redirect targets",
+            rows = [("static redirect targets",
                      absint.get("redirect_targets", 0))]
             rows.extend((("blocked: %s" % reason), count) for reason, count
                         in sorted(absint.get("blocked_pages", {}).items()))

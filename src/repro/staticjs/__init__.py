@@ -19,8 +19,8 @@ Cooperating layers over the :mod:`repro.jsengine` AST:
 Every layer reads a program through its
 :class:`~repro.jsengine.astindex.AstIndex`, built once per distinct
 script.  The headline API is :func:`analyze_script`; the detection layer uses
-its verdict and effect summary to decide whether a page may skip
-dynamic execution.
+its effect summary alone to decide whether a page may skip dynamic
+execution.
 """
 
 from .absint import (

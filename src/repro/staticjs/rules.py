@@ -11,26 +11,26 @@ beside the report), then applies the rule table to produce typed
 :class:`~repro.staticjs.report.StaticFinding`\\ s and a per-script
 verdict.
 
-The verdict ladder is deliberately conservative in one direction only:
+The verdict ladder is information, not a gate: whether a page skips
+the sandbox is decided from the abstract effect summaries alone
+(``detection.heuristics._page_skip_decision``), whatever the verdicts.
 
-* ``malicious`` / ``suspicious`` — a high/medium rule fired; the
-  script still goes to the sandbox (static findings *add* signal, they
-  never replace dynamic evidence).
+* ``malicious`` / ``suspicious`` — a high/medium rule fired (static
+  findings *add* signal, they never replace dynamic evidence).
 * ``needs-dynamic`` — no rule fired but the script touches a
   *capability*: any API whose execution could mutate what the
   detection heuristics observe (``document.write``, DOM mutation,
   ``src``/``location`` assignment, timers, listener registration, an
-  unresolvable call...).  Such scripts must run.
-* ``benign`` — the script provably cannot produce any signal the
-  dynamic heuristics consume.  Only this verdict allows the pipeline
-  to skip the sandbox, which is what makes the static pre-filter
-  *behaviour-preserving*: skipping a benign script never changes a
-  downstream engine's verdict.
+  unresolvable call...).
+* ``benign`` — no rule fired and the capability scan found no API the
+  sandbox observes.  The scan reads call paths, so it cannot see a
+  sink reached through an alias (``var e = eval; e(...)``); that is
+  why it decides nothing.
 
 Capability analysis runs over *executable* code only: the top level,
 every function expression, and function declarations that are
 referenced at least once.  A declared-but-never-called helper (common
-in template boilerplate) does not pin a page to the sandbox.
+in template boilerplate) does not make a script ``needs-dynamic``.
 """
 
 from __future__ import annotations

@@ -204,15 +204,15 @@ def _count_html_parses(monkeypatch, html: str):
     monkeypatch.setattr(heuristics, "parse", counting)
     observer = RunObserver()
     analysis = analyze_html(html, observer=observer)
-    absint_skips = observer.metrics.counter_total("staticjs.absint.skipped_pages")
-    return analysis, len(parses), absint_skips
+    skips = observer.metrics.counter_total("staticjs.sandbox.skipped_pages")
+    return analysis, len(parses), skips
 
 
 class TestEffectReplayEquivalence:
     def test_replay_without_attached_writes_parses_once(self, monkeypatch):
         html = _page("window.location = 'http://tds.example/door';")
-        analysis, parses, absint_skips = _count_html_parses(monkeypatch, html)
-        assert absint_skips == 1
+        analysis, parses, skips = _count_html_parses(monkeypatch, html)
+        assert skips == 1
         assert analysis.navigations == ["http://tds.example/door"]
         assert parses == 1
 
@@ -220,8 +220,8 @@ class TestEffectReplayEquivalence:
         html = _page(
             "document.write('<iframe src=\"http://bad/\" width=\"1\" "
             "height=\"1\"></iframe>');")
-        analysis, parses, absint_skips = _count_html_parses(monkeypatch, html)
-        assert absint_skips == 1
+        analysis, parses, skips = _count_html_parses(monkeypatch, html)
+        assert skips == 1
         assert parses == 2
         assert [f.injected_by_js for f in analysis.hidden_iframes] == [True]
 
@@ -282,7 +282,7 @@ class TestEffectReplayEquivalence:
         on, _ = _assert_equivalent(html)
         assert "http://late.example/x.js" in on.remote_scripts
 
-    def test_benign_pages_still_use_legacy_skip(self):
+    def test_benign_pages_skip_by_replay(self):
         on, _ = _assert_equivalent(_page("var a = 1 + 2;"))
         assert on.sandbox_skipped
 

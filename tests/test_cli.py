@@ -85,3 +85,39 @@ class TestNewCommands:
         assert main(["feed", "--scale", "0.004", "--seed", "5",
                      "-o", str(target)]) == 0
         assert "threat feed" in target.read_text()
+
+
+class TestStaticScanExplainSkips:
+    """``static-scan --explain-skips`` reports the one skip decision:
+    absint's, whatever the scripts' verdicts."""
+
+    ALIASED_EVAL = ("<html><body><p>x</p><script>var e = eval; "
+                    "e(\"location.href='http://evil.example/land'\");"
+                    "</script></body></html>")
+    INTERFERING = ("<html><body><script>var target = 'http://evil.example/land';"
+                   "</script><script>location.href = target;</script></body></html>")
+
+    def _scan(self, tmp_path, capsys, html, *flags):
+        page = tmp_path / "page.html"
+        page.write_text(html)
+        assert main(["static-scan", str(page), "--explain-skips", *flags]) == 0
+        return capsys.readouterr().out
+
+    def test_json(self, tmp_path, capsys):
+        aliased = json.loads(self._scan(tmp_path, capsys, self.ALIASED_EVAL))
+        # a benign verdict; the skip rests on the complete summary,
+        # whose replay navigates as the sandbox does
+        assert [s["verdict"] for s in aliased["scripts"]] == ["benign"]
+        assert aliased["scripts"][0]["redirect_targets"] == ["http://evil.example/land"]
+        assert aliased["page"] == {"sandbox_skip": True, "blockers": []}
+        interfering = json.loads(self._scan(tmp_path, capsys, self.INTERFERING))
+        assert interfering["page"] == {
+            "sandbox_skip": False, "blockers": ["global-interference:target"]}
+
+    def test_markdown(self, tmp_path, capsys):
+        out = self._scan(tmp_path, capsys, self.ALIASED_EVAL, "--markdown")
+        assert "## Sandbox skip decision" in out
+        assert "Page may **skip** dynamic execution." in out
+        out = self._scan(tmp_path, capsys, self.INTERFERING, "--markdown")
+        assert "Page must **execute**; blocking conditions:" in out
+        assert "- `global-interference:target`" in out

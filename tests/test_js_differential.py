@@ -17,14 +17,15 @@ control flow, functions, and the deobfuscation idioms exchange malware
 actually uses (``unescape``, ``String.fromCharCode``, ``eval``
 re-entry, the repo's own :mod:`repro.malware.obfuscation` layers).
 
-Three more differentials pin the static pre-filter's exactness, which
+Four more differentials pin the static pre-filter's exactness, which
 the sandbox skip rests on: a complete abstract-interpretation summary
 (:func:`repro.staticjs.interpret_script`) of a host-free program must
 report the interpreter's own steps, ``eval`` log and errors; a complete
 summary of a script touching every member of the browser host must
-report the effects of a sandbox run of that script; and every page of a
-generated web the pre-filter skips must yield the ``ContentAnalysis``
-the sandbox would have produced.
+report the effects of a sandbox run of that script; and every page the
+pre-filter skips, of a generated web or made of one host case or
+generated program, must yield the ``ContentAnalysis`` the sandbox would
+have produced.
 
 Any divergence is recorded and the full set is written to
 ``js_divergences.json`` (CI uploads it as an artifact) before the
@@ -560,6 +561,9 @@ def test_complete_absint_summaries_match_the_interpreter(seed):
     _record_and_assert(divergences)
 
 
+#: a navigation through an aliased ``eval``
+ALIASED_EVAL = "var e = eval; e(\"location.href='http://evil.example/land'\");"
+
 #: host-touching scripts: at least one per member the browser host
 #: installs, on the document and on created elements, with effects in
 #: the script, handler and timer phases
@@ -673,6 +677,11 @@ HOST_CASES = [
     "var a = []; a[0] = a; document.write('x' + a);",
     "var a = []; a[0] = a; document.write(JSON.stringify(a));",
     "var a = [1]; for (var i = 0; i < 40; i++) a = [a, a]; document.write('' + a);",
+    # sinks reached through an alias: the rule engine's capability scan
+    # reads call paths, so it calls these scripts benign
+    ALIASED_EVAL,
+    "var e = window['ev' + 'al']; e(\"location.href='http://evil.example/land'\");",
+    "var o = window.open; o('http://evil.example/pop');",
 ]
 
 #: page facts no summary can know: only these host cases may abort
@@ -801,3 +810,60 @@ def test_skipped_pages_match_the_sandbox(seed):
                                      if expected[k] != replayed[k])})
     _record_and_assert(divergences)
     assert skipped > 1000
+
+
+#: generated host-free programs per seed in the one-script page differential
+PAGE_PROGRAMS = 300
+
+
+def _one_script_page(source):
+    return "<html><body><p>x</p><script>%s</script></body></html>" % source
+
+
+@pytest.mark.parametrize("seed", [7, 8])
+def test_skipped_one_script_pages_match_the_sandbox(seed):
+    """Each page of one host case or generated program that the
+    pre-filter skips analyzes as if the sandbox ran: a benign verdict
+    is no reason to skip, so an aliased sink or a script that throws
+    still shows."""
+    from repro.detection.heuristics import analyze_html
+
+    rng = random.Random(seed)
+    sources = HOST_CASES + [ProgramGen(rng).program() for _ in range(PAGE_PROGRAMS)]
+    prefilter_cache, sandbox_cache = CompileCache(), CompileCache()
+    skipped = 0
+    divergences = []
+    for source in sources:
+        html = _one_script_page(source)
+        on = analyze_html(html, compile_cache=prefilter_cache)
+        if not on.sandbox_skipped:
+            continue
+        skipped += 1
+        off = analyze_html(html, static_prefilter=False, compile_cache=sandbox_cache)
+        expected, replayed = _analysis_fields(off), _analysis_fields(on)
+        if replayed != expected:
+            divergences.append({
+                "seed": seed, "source": source,
+                "fields": sorted(k for k in expected if expected[k] != replayed[k])})
+    _record_and_assert(divergences)
+    assert skipped > len(sources) * 0.9
+
+
+def test_aliased_eval_page_is_malicious_with_the_prefilter():
+    """The verdict of a page navigating through an aliased ``eval`` does
+    not depend on the pre-filter."""
+    from repro.detection import QutteraSim, UrlVerdictService, VirusTotalSim, build_blacklists
+
+    def verdict(static_prefilter):
+        service = UrlVerdictService(
+            virustotal=VirusTotalSim(static_prefilter=static_prefilter),
+            quttera=QutteraSim(static_prefilter=static_prefilter),
+            blacklists=build_blacklists([], [], random.Random(0)),
+            static_prefilter=static_prefilter)
+        return service.verdict("http://page.example/",
+                               content=_one_script_page(ALIASED_EVAL).encode())
+
+    on, off = verdict(True), verdict(False)
+    assert off.malicious
+    assert on.malicious
+    assert on.labels == off.labels

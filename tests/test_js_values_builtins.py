@@ -82,6 +82,42 @@ STRING_TO_NUMBER = [
     ("'-0x10'", NAN), ("'+0x10'", NAN), ("'0x1_0'", NAN), ("'0X1f'", 31.0),
 ]
 
+INF = float("inf")
+
+#: builtins on white space, decimal prefixes, NaN and non-ASCII text: the
+#: JS source of a call, its value, and whether the constant folder
+#: reaches it
+BUILTIN_CALLS = [
+    # 15.5.4.20 trim strips StrWhiteSpaceChar from both ends: the BOM and
+    # LS are white space, U+001C is not
+    ("'\\x1c5'.trim().length", 2.0, True), ("'\\ufeffa'.trim().length", 1.0, True),
+    ("'\\u2028 a\\u00a0'.trim()", "a", True), ("'\\x85a'.trim().length", 2.0, True),
+    # 15.1.2.2 step 2: parseInt strips it from the start only
+    ("parseInt('\\ufeff5')", 5.0, True), ("parseInt('\\x1c5')", NAN, True),
+    ("parseInt('\\u3000-0x1f')", -31.0, True),
+    # 15.1.2.3: parseFloat strips it from the start, then reads the
+    # longest prefix that is a StrDecimalLiteral (ASCII digits, no "_",
+    # "Infinity" spelled out)
+    ("parseFloat('\\ufeff1.5')", 1.5, False), ("parseFloat('\\x1c1.5')", NAN, False),
+    ("parseFloat('\\u0663')", NAN, False), ("parseFloat('Infinity')", INF, False),
+    ("parseFloat('-Infinityx')", -INF, False), ("parseFloat('infinity')", NAN, False),
+    ("parseFloat('1_0')", 1.0, False), ("parseFloat('1e')", 1.0, False),
+    ("parseFloat('-.5e-3x')", -0.0005, False), ("parseFloat('.')", NAN, False),
+    ("parseFloat('0x10')", 0.0, False), ("parseFloat('-0')", -0.0, False),
+    # 15.8.2.11-12: any NaN argument makes Math.max and Math.min NaN
+    ("Math.max(1, NaN)", NAN, False), ("Math.min(1, NaN)", NAN, False),
+    ("Math.max(NaN, 1)", NAN, False), ("Math.min(1, '2', 0)", 0.0, False),
+    ("Math.max()", -INF, False), ("Math.min()", INF, False),
+    # B.2.1 escape keeps only ASCII letters, digits and @*_+-./
+    ("escape('\\u00e9')", "%E9", False), ("escape('\\u0663')", "%u0663", False),
+    ("escape('aZ09@*_+-./ ')", "aZ09@*_+-./%20", False),
+    # 15.1.3.4 encodeURIComponent keeps only ASCII letters, digits and
+    # -_.!~*'(); the rest is written as its UTF-8 bytes
+    ("encodeURIComponent('\\u00e9')", "%C3%A9", False),
+    ("encodeURIComponent('\\u0663')", "%D9%A3", False),
+    ("encodeURIComponent(\"aZ09-_.!~*'() \")", "aZ09-_.!~*'()%20", False),
+]
+
 #: ES5 15.12.3, JSON.stringify: the JS source of a value and its JSON text
 JSON_STRINGIFY = [
     # no white space between members, and Quote writes non-ASCII as it is
@@ -117,6 +153,16 @@ class TestStringToNumber:
         for source in ("Number(%s)" % literal, "+%s" % literal):
             assert _same(Interpreter().run(source + ";"), expected)
             assert _same(_folded(source), expected)
+
+
+class TestBuiltinCalls:
+    @pytest.mark.parametrize("source, expected, folds", BUILTIN_CALLS)
+    def test_sandbox_and_folder(self, source, expected, folds):
+        from repro.staticjs.dataflow import UNKNOWN
+
+        assert _same(Interpreter().run(source + ";"), expected)
+        folded = _folded(source)
+        assert _same(folded, expected) if folds else folded is UNKNOWN
 
 
 class TestJsonStringify:

@@ -12,12 +12,10 @@ import pytest
 from repro import MalwareSlumsStudy, StudyConfig
 from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import (
-    NULL_OBSERVER,
     EventLog,
     Histogram,
     MetricsRegistry,
     MonotonicClock,
-    NullObserver,
     RunObserver,
     SimClock,
     Tracer,
@@ -156,15 +154,6 @@ def test_event_log_ring_buffer_bounds_and_jsonl():
 # ----------------------------------------------------------------------
 # observers
 # ----------------------------------------------------------------------
-def test_null_observer_is_falsy_and_inert():
-    assert not NullObserver()
-    assert not NULL_OBSERVER
-    NULL_OBSERVER.count("anything", label="x")
-    NULL_OBSERVER.observe("anything", 1.0)
-    with NULL_OBSERVER.span("anything") as span:
-        assert span is None
-
-
 def test_run_observer_shares_one_clock():
     clock = SimClock()
     observer = RunObserver(clock=clock)

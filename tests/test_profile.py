@@ -15,7 +15,6 @@ from repro.cli import main as cli_main
 from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.obs import (
     MemoryLedger,
-    NullObserver,
     RunObserver,
     WorkLedger,
     WorkProfiler,
@@ -131,25 +130,6 @@ def test_observer_profile_enabled_routes_to_ledger():
         (("scan",), "units"): 3.0,
         (("scan", "inner"), "units"): 2.0,
     }
-
-
-def test_null_observer_mirrors_run_observer_api():
-    """Every public RunObserver method exists on NullObserver with the
-    same signature — the profiler hooks included (the parity that lets
-    NULL_OBSERVER stand in at any call site)."""
-    import inspect
-
-    public = [name for name in vars(RunObserver)
-              if not name.startswith("_")
-              and callable(getattr(RunObserver, name))]
-    assert {"work", "frame", "frame_push", "frame_pop"} <= set(public)
-    for name in public:
-        null_method = getattr(NullObserver, name, None)
-        assert null_method is not None, "NullObserver lacks %s" % name
-        real = inspect.signature(getattr(RunObserver, name))
-        null = inspect.signature(null_method)
-        assert real.parameters == null.parameters, name
-    assert NullObserver.profiler is None
 
 
 # ----------------------------------------------------------------------
@@ -323,10 +303,13 @@ def test_profiled_study_stops_the_tracing_it_started():
     import tracemalloc
 
     assert not tracemalloc.is_tracing()
-    study = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.0005, profile=True))
-    study.crawl_and_scan()
+    web = MalwareSlumsStudy(StudyConfig(seed=5, scale=0.0005)).generate_web()
+    with MemoryLedger() as memory:
+        CrawlPipeline(web, PipelineOptions(
+            seed=66, observer=RunObserver(profile=True),
+            memory_ledger=memory)).run()
+        assert tracemalloc.is_tracing()
     assert not tracemalloc.is_tracing()
-    memory = study.pipeline.memory_ledger
     assert set(memory.phases) == {"crawl", "scan"}
     assert memory.peak_bytes > 0
 

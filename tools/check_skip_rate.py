@@ -71,8 +71,6 @@ def measure(seed: int, scale: float) -> Tuple[Dict, Dict[str, bool]]:
         "meta": {"seed": seed, "scale": scale},
         "skipped_pages": int(skipped),
         "executed_pages": int(executed),
-        "absint_skipped_pages": int(
-            metrics.counter_total("staticjs.absint.skipped_pages")),
         "skip_rate": round(skipped / total, 6) if total else 0.0,
         "verdicts": {
             "malicious": sum(1 for v in verdicts_on.values() if v),
