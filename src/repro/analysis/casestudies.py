@@ -22,7 +22,7 @@ from typing import List, Optional
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset
 from ..detection.heuristics import analyze_content
-from ..flashsim import DecompiledSwf, SwfFile, decompile_bytes
+from ..flashsim import DecompiledSwf, SwfError, SwfFile, decompile_bytes
 from ..jsengine import CompileCache, run_script_in_page
 
 __all__ = [
@@ -136,7 +136,10 @@ def flash_case_study(dataset: CrawlDataset, outcome: ScanOutcome) -> Optional[Fl
     for url, cached in _flagged_content(dataset, outcome):
         if not SwfFile.sniff(cached.content):
             continue
-        decompiled: DecompiledSwf = decompile_bytes(cached.content)
+        try:
+            decompiled: DecompiledSwf = decompile_bytes(cached.content)
+        except SwfError:
+            continue
         if not decompiled.calls_external_interface:
             continue
         # replay the attack end-to-end: first run the site's own loader

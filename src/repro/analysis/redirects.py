@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from ..crawler.pipeline import ScanOutcome
 from ..crawler.storage import CrawlDataset, RecordKind
-from ..httpsim import SimHttpClient
+from ..httpsim import HarLog, SimHttpClient
 
 __all__ = [
     "RedirectDistribution",
@@ -67,17 +67,18 @@ def example_chain(dataset: CrawlDataset, outcome: ScanOutcome,
                   min_hops: int = 3) -> Optional[List[str]]:
     """A Figure 4 style example: the URLs of one long malicious chain."""
     best: Optional[List[str]] = None
-    for exchange, log in dataset.har_logs.items():
-        for entry in log.entries:
-            if not entry.redirect_location:
+    for records in dataset.exchange_records.values():
+        log = HarLog(records)
+        for record in log.requests():
+            url, response, _next_hop = record.transaction
+            if not response.location or not outcome.is_malicious(url):
                 continue
-            if not outcome.is_malicious(entry.url):
-                continue
-            chain_entries = log.redirect_chain(entry.url)
-            if len(chain_entries) - 1 >= min_hops:
-                chain = [e.url for e in chain_entries]
-                if chain_entries[-1].redirect_location:
-                    chain.append(chain_entries[-1].redirect_location)
+            chain_records = log.redirect_chain(url)
+            if len(chain_records) - 1 >= min_hops:
+                chain = [r.transaction.url for r in chain_records]
+                last_location = chain_records[-1].transaction.response.location
+                if last_location:
+                    chain.append(last_location)
                 if best is None or len(chain) > len(best):
                     best = chain
     return best

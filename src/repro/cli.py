@@ -9,7 +9,7 @@ Usage (after install)::
     python -m repro records -o records.json               # export URL records
     python -m repro explain http://...                    # verdict provenance
     python -m repro obs-diff base.json cand.json          # regression gate
-    python -m repro profile --budget benchmarks/perf_budget.json
+    python -m repro profile --scale 0.01 --seed 2016 --budget benchmarks/perf_budget.json
     python -m repro watch status.jsonl                    # live run progress
 """
 
@@ -171,7 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="hot paths to print (default 10)")
     profile.add_argument("--budget", metavar="PATH",
                          help="check totals against this perf-budget JSON; "
-                              "exit 1 when any kind regresses past tolerance")
+                              "exit 1 when any kind regresses past tolerance, "
+                              "exit 2 before running when --seed or --scale "
+                              "differs from the budget's")
     profile.add_argument("--write-budget", metavar="PATH",
                          help="write a fresh budget JSON from this run's "
                               "totals (the budget-update procedure)")
@@ -182,8 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write a speedscope JSON profile "
                               "(open at speedscope.app)")
     profile.add_argument("--bench-out", metavar="PATH",
-                         help="write a BENCH JSON artifact (work totals + "
-                              "memory ledger + run parameters)")
+                         help="write a BENCH JSON artifact (work totals, "
+                              "hot paths, object counts and run parameters; "
+                              "byte-identical between runs)")
     profile.add_argument("--json", action="store_true",
                          help="print the full ledger + memory JSON instead "
                               "of the hot-path table")
@@ -296,12 +299,15 @@ def _run_crawl(seed: int, scale: float) -> MalwareSlumsStudy:
 
 
 def _cmd_har(args: argparse.Namespace) -> int:
+    from .httpsim import HarLog
+
     study = _run_crawl(args.seed, args.scale)
-    log = study.pipeline.dataset.har_logs.get(args.exchange)
-    if log is None:
+    exchange_records = study.pipeline.dataset.exchange_records
+    if args.exchange not in exchange_records:
         print("unknown exchange %r; choose from: %s"
-              % (args.exchange, ", ".join(study.pipeline.dataset.har_logs)), file=sys.stderr)
+              % (args.exchange, ", ".join(exchange_records)), file=sys.stderr)
         return 2
+    log = HarLog(exchange_records[args.exchange])
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(log.to_json())
     print("wrote %d HAR entries to %s" % (len(log), args.output))
@@ -445,6 +451,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         render_work_table,
     )
 
+    budget = None
+    if args.budget:
+        with open(args.budget, "r", encoding="utf-8") as handle:
+            budget = json.load(handle)
+        # work totals scale with the crawl, so a budget holds only for
+        # the seed and scale it was recorded at (the ledger is
+        # worker-invariant, so workers may differ)
+        pinned = budget.get("meta", {})
+        for key in ("seed", "scale"):
+            if key in pinned and pinned[key] != getattr(args, key):
+                print("budget %s was recorded at %s %s; this run has %s %s "
+                      "(pass --%s %s)" % (args.budget, key, pinned[key], key,
+                                          getattr(args, key), key, pinned[key]),
+                      file=sys.stderr)
+                return 2
+
     config = StudyConfig(seed=args.seed, scale=args.scale, workers=args.workers)
     web = MalwareSlumsStudy(config).generate_web()
     observer = RunObserver(profile=True)
@@ -493,7 +515,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
                     {"path": ";".join(stack), "kind": kind, "units": units}
                     for stack, kind, units in ledger.hot_paths(args.top)
                 ],
-                "memory": memory.to_dict(),
+                # only the deterministic object counts: tracemalloc's
+                # bytes differ between runs of identical code
+                "memory": {"objects": dict(memory.objects)},
             }, handle, indent=2, sort_keys=True)
         print("wrote bench artifact to %s" % args.bench_out)
     if args.write_budget:
@@ -503,9 +527,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
             handle.write("\n")
         print("wrote perf budget to %s" % args.write_budget)
 
-    if args.budget:
-        with open(args.budget, "r", encoding="utf-8") as handle:
-            budget = json.load(handle)
+    if budget is not None:
         result = check_budget(totals, budget)
         print()
         print(render_budget_table(result))

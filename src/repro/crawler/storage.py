@@ -2,19 +2,22 @@
 
 Holds the raw measurement data: one :class:`UrlRecord` per logged URL
 instance (the paper's 1,003,087 URLs are instances, its 306,895
-"distinct URLs" the deduplicated set), a content cache of what the
-browser saw at each distinct URL (the footnote-1 cloaking mitigation:
-pages are saved locally for file submission), and the per-exchange HAR
-logs the redirect analysis reads.
+"distinct URLs" the deduplicated set), kept once for the whole crawl and
+once per exchange, and a content cache of what the browser saw at each
+distinct URL (the footnote-1 cloaking mitigation: pages are saved
+locally for file submission).  A record is also the crawl's only copy
+of its request: an exchange's HAR log
+(:class:`repro.httpsim.HarLog`), which the redirect analysis reads, is a
+view over that exchange's records.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Dict, Iterator, List, Optional, Set
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Set
 
-from ..httpsim import HarLog
+from ..httpsim.client import Transaction
 from ..simweb.url import UrlTable
 
 __all__ = ["RecordKind", "UrlRecord", "CachedContent", "CrawlDataset"]
@@ -30,7 +33,8 @@ class RecordKind:
 
 @dataclass
 class UrlRecord:
-    """One logged URL instance."""
+    """One logged URL instance, and its request: one row of the crawl's
+    log, which the HAR log renders (see :class:`repro.httpsim.HarLog`)."""
 
     url: str
     exchange: str
@@ -41,6 +45,20 @@ class UrlRecord:
     role: str = "page"
     final_url: str = ""
     redirect_count: int = 0
+    #: the request's transaction in the client's memo (the HAR's URL text
+    #: and the frozen response); ``None`` for a chain URL that was never
+    #: requested (a URL that does not parse, or the one past the
+    #: client's ``MAX_REDIRECTS``)
+    transaction: Optional[Transaction] = None
+    referrer: str = ""
+    #: the request's start on the capture clock (``None`` when it was
+    #: never requested)
+    started: Optional[float] = None
+
+    @property
+    def page_ref(self) -> str:
+        """The HAR page identifier tying sub-resources to their visit."""
+        return "%s-%06d" % (self.exchange, self.step_index)
 
 
 @dataclass
@@ -63,8 +81,11 @@ class CrawlDataset:
 
     def __init__(self, url_table: Optional[UrlTable] = None) -> None:
         self.records: List[UrlRecord] = []
+        #: exchange name → its records in crawl order: the same objects
+        #: as in :attr:`records`, one list per exchange (a browser session
+        #: registers its exchange's list when it is built)
+        self.exchange_records: Dict[str, List[UrlRecord]] = {}
         self.content: Dict[str, CachedContent] = {}
-        self.har_logs: Dict[str, HarLog] = {}
         self.url_table = url_table if url_table is not None else UrlTable()
 
     # -- writing -----------------------------------------------------------
@@ -73,6 +94,13 @@ class CrawlDataset:
     # derivable from the dataset itself at report time
     def add_record(self, record: UrlRecord) -> None:
         self.records.append(record)
+        self.exchange_records.setdefault(record.exchange, []).append(record)
+
+    def merge_records(self, other: CrawlDataset) -> None:
+        """Append ``other``'s records after this dataset's."""
+        self.records.extend(other.records)
+        for exchange, records in other.exchange_records.items():
+            self.exchange_records.setdefault(exchange, []).extend(records)
 
     def cache_content(self, url: str, content: bytes, content_type: str,
                       final_url: str) -> None:
@@ -90,26 +118,17 @@ class CrawlDataset:
         for url, cached in other.content.items():
             self.content.setdefault(url, cached)
 
-    def har_log(self, exchange: str) -> HarLog:
-        log = self.har_logs.get(exchange)
-        if log is None:
-            log = HarLog()
-            self.har_logs[exchange] = log
-        return log
-
     # -- reading -------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.records)
 
     def records_for(self, exchange: str) -> List[UrlRecord]:
-        return [r for r in self.records if r.exchange == exchange]
+        """``exchange``'s records: the dataset's own list, not a copy."""
+        return self.exchange_records.get(exchange, [])
 
     def exchanges(self) -> List[str]:
-        seen: List[str] = []
-        for record in self.records:
-            if record.exchange not in seen:
-                seen.append(record.exchange)
-        return seen
+        """The exchanges with records, in the order they were first logged."""
+        return [name for name, records in self.exchange_records.items() if records]
 
     def distinct_urls(self, kind: Optional[str] = None) -> List[str]:
         seen: Set[str] = set()
@@ -140,14 +159,16 @@ class CrawlDataset:
                 out.append(domain)
         return out
 
-    def iter_regular(self) -> Iterator[UrlRecord]:
-        for record in self.records:
-            if record.kind == RecordKind.REGULAR:
-                yield record
-
     # -- (de)serialization (records only; content is bulky) ------------------
     def records_to_json(self) -> str:
-        return json.dumps([asdict(r) for r in self.records])
+        """The records' URL-instance fields (the request each one holds
+        is the HAR log's to write)."""
+        return json.dumps([
+            {"url": r.url, "exchange": r.exchange, "kind": r.kind,
+             "step_index": r.step_index, "timestamp": r.timestamp,
+             "role": r.role, "final_url": r.final_url,
+             "redirect_count": r.redirect_count}
+            for r in self.records])
 
     @classmethod
     def records_from_json(cls, text: str) -> "CrawlDataset":

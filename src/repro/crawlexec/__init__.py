@@ -27,10 +27,10 @@ Shared mutable state the merge reconciles:
   before starting the next),
 * **the shared clock** — shard clients run on private clocks from
   zero; the merge *replays* each shard's request ticks on the shared
-  clock (one ``REQUEST_SECONDS`` advance per HAR entry, restamping
-  ``started``), reproducing the serial float-accumulation sequence bit
-  for bit — offset-shifting shard-local sums would differ in the last
-  ulp.
+  clock (one ``REQUEST_SECONDS`` advance per record that holds a
+  request, restamping its ``started``), reproducing the serial
+  float-accumulation sequence bit for bit — offset-shifting
+  shard-local sums would differ in the last ulp.
 """
 
 from .executor import CrawlExecution, CrawlSpec, ParallelCrawlExecutor

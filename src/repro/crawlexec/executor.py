@@ -214,25 +214,23 @@ class ParallelCrawlExecutor(PhaseExecutor):
 
         Runs inside the exchange's span/frame.  The shared clock is
         *replayed*, not shifted: every crawl-phase advance is the
-        client's per-request ``REQUEST_SECONDS``, captured as one HAR
-        entry, so re-advancing per entry and restamping ``started``
-        performs the identical float-accumulation sequence the serial
-        loop did — offset-adding a shard-local sum would round
-        differently in the last ulp.  The telemetry buffer replays
-        *after*, so the ``crawl.exchange.done`` event lands on the
-        session-end instant.
+        client's per-request ``REQUEST_SECONDS``, one per record that
+        holds a request, so re-advancing per such record and restamping
+        its ``started`` performs the identical float-accumulation
+        sequence the serial loop did — offset-adding a shard-local sum
+        would round differently in the last ulp.  The telemetry buffer
+        replays *after*, so the ``crawl.exchange.done`` event lands on
+        the session-end instant.
         """
         pipeline.crawl_stats[spec.name] = result.stats
-        pipeline.dataset.records.extend(result.dataset.records)
+        for record in result.dataset.records_for(spec.name):
+            if record.transaction is not None:
+                clock.advance(SimHttpClient.REQUEST_SECONDS)
+                record.started = clock.now()
+        pipeline.dataset.merge_records(result.dataset)
         # first capture wins across exchanges, in exchange order — the
         # same winner the serial loop picks
         pipeline.dataset.merge_content(result.dataset)
-        shard_log = result.dataset.har_logs.get(spec.name)
-        if shard_log is not None:
-            for entry in shard_log.entries:
-                clock.advance(SimHttpClient.REQUEST_SECONDS)
-                entry.started = clock.now()
-            pipeline.dataset.har_log(spec.name).extend(shard_log.entries)
         # server-side accounting continues into the scan phase, so the
         # main server must hold the post-crawl totals
         rotation = pipeline.server._rotation_counters

@@ -591,11 +591,10 @@ def analyze_swf(content: bytes) -> ContentAnalysis:
     """Decompile SWF bytes and extract indicators."""
     analysis = ContentAnalysis(kind="flash")
     try:
-        swf = SwfFile.from_bytes(content)
+        decompiled = decompile(SwfFile.from_bytes(content))
     except SwfError as exc:
         analysis.analysis_errors.append(str(exc))
         return analysis
-    decompiled = decompile(swf)
     analysis.external_interface_calls = [name for name, _arg in decompiled.external_calls]
     analysis.flash_invisible_overlay = decompiled.transparent_overlay
     analysis.flash_allows_any_domain = decompiled.allows_any_domain

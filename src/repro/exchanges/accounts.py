@@ -118,6 +118,3 @@ class AccountPolicy:
     def close_session(self, handle: SessionHandle) -> None:
         sessions = self._open_sessions.get(handle.member_id, set())
         sessions.discard(handle.session_id)
-
-    def session_open(self, member_id: str) -> bool:
-        return bool(self._open_sessions.get(member_id))

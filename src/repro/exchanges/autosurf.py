@@ -9,7 +9,7 @@ Traffic is therefore high-volume, steady, and "gradual and predictable"
 
 from __future__ import annotations
 
-from typing import Iterator, List
+from typing import Iterator
 
 from .accounts import SessionHandle
 from .base import SurfStep, TrafficExchange
@@ -30,6 +30,3 @@ class AutoSurfExchange(TrafficExchange):
         """Yield ``steps`` automatic page views (the crawl's main loop)."""
         for _ in range(steps):
             yield self.next_step(session)
-
-    def surf_batch(self, session: SessionHandle, steps: int) -> List[SurfStep]:
-        return list(self.auto_surf(session, steps))

@@ -178,10 +178,5 @@ class TrafficExchange:
         """Dwell time for one page; subclasses refine."""
         return self.min_surf_seconds
 
-    # -- metadata ----------------------------------------------------------
-    @property
-    def steps_delivered(self) -> int:
-        return self._step_counter
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "%s(%r, %d listed)" % (type(self).__name__, self.name, len(self.rotation))

@@ -66,6 +66,3 @@ class CampaignSchedule:
         if campaign is not None and rng.random() < campaign.intensity:
             return campaign.target_url
         return None
-
-    def total_steps_claimed(self) -> int:
-        return sum(c.end_step - c.start_step for c in self.campaigns)

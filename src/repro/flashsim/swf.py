@@ -78,11 +78,15 @@ class SwfFile:
         return self
 
     def action_programs(self) -> List[ActionProgram]:
-        """Decode every DoAction tag."""
+        """Decode every DoAction tag; :class:`SwfError` on a malformed
+        one (truncated, or an operand that is not UTF-8)."""
         out: List[ActionProgram] = []
         for tag in self.tags:
             if tag.code == TagCode.DO_ACTION:
-                out.append(decode_program(tag.body))
+                try:
+                    out.append(decode_program(tag.body))
+                except ValueError as exc:
+                    raise SwfError("bad DoAction block: %s" % exc) from exc
         return out
 
     @property
@@ -117,10 +121,19 @@ class SwfFile:
         compressed = signature == b"CWS"
         payload = data[8:]
         if compressed:
+            # inflate no further than the header's declared length (the
+            # 8 header bytes included), so a small file cannot expand
+            # without bound
+            (declared,) = struct.unpack_from("<I", data, 4)
+            if declared <= 8:
+                raise SwfError("truncated body")
+            inflater = zlib.decompressobj()
             try:
-                payload = zlib.decompress(payload)
+                payload = inflater.decompress(payload, declared - 8)
             except zlib.error as exc:
                 raise SwfError("bad compressed body: %s" % exc) from exc
+            if not inflater.eof and len(payload) < declared - 8:
+                raise SwfError("bad compressed body: truncated stream")
         if len(payload) < 5:
             raise SwfError("truncated body")
         width, height, frame_rate = struct.unpack_from("<HHB", payload, 0)

@@ -211,8 +211,3 @@ class Document(Element):
                 return el
         return None
 
-    def get_elements_by_tag_name(self, tag: str) -> List[Element]:
-        return self.find_all(tag)
-
-    def create_element(self, tag: str) -> Element:
-        return Element(tag)

@@ -11,13 +11,12 @@ NetExport::
 """
 
 from .client import FetchResult, SimHttpClient
-from .har import HarEntry, HarLog
+from .har import HarLog
 from .message import HttpRequest, HttpResponse
 from .server import SimHttpServer
 
 __all__ = [
     "FetchResult",
-    "HarEntry",
     "HarLog",
     "HttpRequest",
     "HttpResponse",

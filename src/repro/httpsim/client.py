@@ -2,10 +2,12 @@
 
 Follows HTTP 3xx, ``<meta http-equiv=refresh>``, and trivial JS
 ``window.location`` hops (the three kinds of hop in the paper's Figure 4
-chain), recording every transaction as a HAR entry and each hop as a
-(from, to) URL pair; which kind of hop it was is not recorded.  The
-crawler and the URL scanners both fetch through this client — with
-different referrer policies, which is exactly what cloaked sites
+chain), returning every request's transaction with its capture-clock
+start and each hop as a (from, to) URL pair; which kind of hop it was is
+not recorded.  The client logs nothing itself: the crawler's browser
+session stores each request once, as a record its HAR log is rendered
+from.  The crawler and the URL scanners both fetch through this client
+— with different referrer policies, which is exactly what cloaked sites
 discriminate on.
 """
 
@@ -18,7 +20,6 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from ..obs.clock import Clock, SimClock
 from ..obs.observer import RunObserver
 from ..simweb.url import Url, UrlTable
-from .har import HarEntry
 from .message import HttpRequest, HttpResponse
 from .server import SimHttpServer
 
@@ -39,8 +40,8 @@ _JS_LOCATION = re.compile(
 class Transaction(NamedTuple):
     """One served request, as every later fetch of its URL replays it."""
 
-    #: the requested URL as the HAR entry records it (``str`` of the
-    #: parsed URL)
+    #: the requested URL as the HAR log writes it (``str`` of the parsed
+    #: URL)
     url: str
     response: HttpResponse
     #: the URL the hop rule follows from here, or ``None``
@@ -55,7 +56,13 @@ class FetchResult:
     final_url: str
     response: HttpResponse
     hops: List[Tuple[str, str]] = field(default_factory=list)  # (from, to)
-    entries: List[HarEntry] = field(default_factory=list)
+    #: one per request, in order: the request URL, then each hop target
+    #: up to the last one requested (a URL that does not parse, or the
+    #: one past ``MAX_REDIRECTS``, was not)
+    transactions: List[Transaction] = field(default_factory=list)
+    #: each request's start on the capture clock, parallel to
+    #: ``transactions``
+    started: List[float] = field(default_factory=list)
 
     @property
     def redirect_count(self) -> int:
@@ -74,7 +81,7 @@ class SimHttpClient:
     **Transaction memo.**  :attr:`transactions` keeps, per requested URL
     string, every transaction whose response the server did not call
     per-request (see :meth:`SimHttpServer.serve`), and :meth:`fetch`
-    replays it by building only its HAR entry.  So the shorteners, the
+    replays it without serving it again.  So the shorteners, the
     rotating redirectors, the cloaked paths and the unknown hosts are
     served on every request, and Table IV's hit accounting, the rotation
     order and every server counter stay exact.  Each client has its own
@@ -91,8 +98,8 @@ class SimHttpClient:
                  observer: Optional[object] = None,
                  url_table: Optional[UrlTable] = None) -> None:
         self.server = server
-        #: capture clock (seconds); HAR entries and the tracer share it,
-        #: so cross-layer timestamps never drift
+        #: capture clock (seconds); request starts (the HAR timings) and
+        #: the tracer share it, so cross-layer timestamps never drift
         self.clock: Clock = clock if clock is not None else SimClock()
         self._simulated = isinstance(self.clock, SimClock)
         #: optional :class:`repro.obs.RunObserver` (None = no-op hooks)
@@ -134,17 +141,16 @@ class SimHttpClient:
         url: str,
         referrer: str = "",
         country: str = "US",
-        page_ref: str = "",
     ) -> FetchResult:
         """GET ``url``; follow up to ``MAX_REDIRECTS`` redirect hops.
 
-        A request of a URL in :attr:`transactions` is replayed from it:
-        only its HAR entry is built.
+        A request of a URL in :attr:`transactions` is replayed from it.
         """
         current = url
         current_referrer = referrer
         hops: List[Tuple[str, str]] = []
-        entries: List[HarEntry] = []
+        requested: List[Transaction] = []
+        started: List[float] = []
         response: Optional[HttpResponse] = None
         observer = self.observer
         clock = self.clock
@@ -152,7 +158,6 @@ class SimHttpClient:
         if observer is not None and not simulated:
             fetch_started = clock.now()
         transactions = self.transactions
-        duration_ms = self.REQUEST_SECONDS * 1000.0
 
         for _ in range(MAX_REDIRECTS + 1):
             transaction = transactions.get(current)
@@ -161,14 +166,10 @@ class SimHttpClient:
                 if transaction is None:
                     response = HttpResponse.not_found()
                     break
-            url_text, response, next_url = transaction
-            started = (clock.advance(self.REQUEST_SECONDS) if simulated
-                       else clock.now())
-            entries.append(HarEntry(
-                url_text, "GET", response.status, response.content_type,
-                response.location or "", current_referrer, len(response.body),
-                started, duration_ms, page_ref,
-            ))
+            requested.append(transaction)
+            started.append(clock.advance(self.REQUEST_SECONDS) if simulated
+                           else clock.now())
+            _url_text, response, next_url = transaction
             if observer is not None:
                 # hot loop: bump the counter slot directly rather than
                 # paying a method call per request
@@ -185,22 +186,23 @@ class SimHttpClient:
         if observer is not None:
             # integral float sums are exact, so one add per fetch equals
             # one add per request
-            self._requests_counter.value += len(entries)
+            self._requests_counter.value += len(requested)
             if simulated:
                 # the simulated duration is *defined* as requests × unit
                 # cost; computing it as a clock difference would pick up
                 # accumulated rounding that differs between the serial
                 # loop and a shard-local clock starting at zero
-                self._fetch_seconds.observe(len(entries) * self.REQUEST_SECONDS)
+                self._fetch_seconds.observe(len(requested) * self.REQUEST_SECONDS)
             else:
                 self._fetch_seconds.observe(clock.now() - fetch_started)
             if hops:
                 self._redirect_hops.inc(len(hops))
             if self._counts_work:
                 # batched per fetch: request/byte work for the profiler
-                observer.work("http.requests", len(entries))
-                observer.work("http.bytes", sum(entry.body_size for entry in entries))
-        return FetchResult(url, current, response, hops, entries)
+                observer.work("http.requests", len(requested))
+                observer.work("http.bytes", sum(len(transaction.response.body)
+                                                for transaction in requested))
+        return FetchResult(url, current, response, hops, requested, started)
 
     def _transact(self, url: str, referrer: str, country: str) -> Optional[Transaction]:
         """Serve ``url`` and apply the hop rule to the response, keeping

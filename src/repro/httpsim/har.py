@@ -2,156 +2,130 @@
 
 The paper's crawlers captured traffic "including HTTP and HTTPS" with
 Firebug plus the NetExport extension, which writes HAR files (Section
-III-A).  This module provides a compatible subset of the HAR 1.2 format:
-entries with request/response records, redirect locations, and timings,
-plus (de)serialization — the redirection-chain analysis (Figures 4/5)
-runs off these records.
+III-A).  This module renders a compatible subset of the HAR 1.2 format:
+entries with request/response records, redirect locations, and timings.
+It stores no entries of its own: the crawl keeps each request once, as
+a row of its log (a :class:`repro.crawler.storage.UrlRecord`), and a
+:class:`HarLog` is a view over one exchange's rows — the
+redirection-chain analysis (Figures 4/5) reads the same rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, Iterator, List, Sequence
 
-__all__ = ["HarEntry", "HarLog"]
+from .client import SimHttpClient
 
-
-@dataclass
-class HarEntry:
-    """One request/response pair."""
-
-    url: str
-    method: str = "GET"
-    status: int = 200
-    content_type: str = ""
-    redirect_location: str = ""
-    referrer: str = ""
-    body_size: int = 0
-    #: seconds on the capture clock — the *same* injectable clock
-    #: (:class:`repro.obs.clock.Clock`) the tracer and event log use, so
-    #: HAR timings line up with spans without wall-clock drift
-    started: float = 0.0
-    duration_ms: float = 0.0
-    #: page identifier tying sub-resources to their page visit
-    page_ref: str = ""
-
-    def to_har_dict(self) -> Dict[str, Any]:
-        return {
-            "pageref": self.page_ref,
-            "startedDateTime": self.started,
-            "time": self.duration_ms,
-            "request": {
-                "method": self.method,
-                "url": self.url,
-                "headers": (
-                    [{"name": "Referer", "value": self.referrer}] if self.referrer else []
-                ),
-            },
-            "response": {
-                "status": self.status,
-                "content": {"size": self.body_size, "mimeType": self.content_type},
-                "redirectURL": self.redirect_location,
-            },
-        }
-
-    @classmethod
-    def from_har_dict(cls, data: Dict[str, Any]) -> "HarEntry":
-        request = data.get("request", {})
-        response = data.get("response", {})
-        referrer = ""
-        for header in request.get("headers", []):
-            if header.get("name") == "Referer":
-                referrer = header.get("value", "")
-        return cls(
-            url=request.get("url", ""),
-            method=request.get("method", "GET"),
-            status=response.get("status", 0),
-            content_type=response.get("content", {}).get("mimeType", ""),
-            redirect_location=response.get("redirectURL", ""),
-            referrer=referrer,
-            body_size=response.get("content", {}).get("size", 0),
-            started=data.get("startedDateTime", 0.0),
-            duration_ms=data.get("time", 0.0),
-            page_ref=data.get("pageref", ""),
-        )
+__all__ = ["HarLog"]
 
 
-@dataclass
 class HarLog:
-    """An ordered log of entries (one crawl session's capture)."""
+    """One crawl session's capture, as a view over its request rows.
 
-    creator: str = "repro-netexport/1.0"
-    entries: List[HarEntry] = field(default_factory=list)
-    #: first entry per URL over ``entries[:_indexed]``; redirect_chain
-    #: extends it to the entries appended since its last call
-    _first_by_url: Dict[str, HarEntry] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    A row has a ``transaction`` (the client's
+    :class:`~repro.httpsim.client.Transaction`: the HAR's URL text and
+    the frozen response), a ``referrer``, a ``started`` time on the
+    capture clock — the *same* injectable clock
+    (:class:`repro.obs.clock.Clock`) the tracer and event log use, so
+    HAR timings line up with spans without wall-clock drift — and a
+    ``page_ref`` tying sub-resources to their page visit.  A row whose
+    ``transaction`` is ``None`` logs a URL that was never requested (a
+    URL that does not parse, or the one past the redirect limit) and is
+    no HAR entry.  The view reads the sequence it is given, not a copy,
+    so rows appended later belong to it.
+    """
 
-    def add(self, entry: HarEntry) -> None:
-        self.entries.append(entry)
+    creator = "repro-netexport/1.0"
 
-    def extend(self, entries: List[HarEntry]) -> None:
-        self.entries.extend(entries)
+    def __init__(self, rows: Sequence[Any]) -> None:
+        self.rows = rows
+        #: first request per HAR URL over ``rows[:_indexed]``;
+        #: redirect_chain extends it to the rows appended since its last
+        #: call
+        self._first_by_url: Dict[str, Any] = {}
+        self._indexed = 0
+
+    def requests(self) -> Iterator[Any]:
+        """The rows that are HAR entries, in log order."""
+        return (row for row in self.rows if row.transaction is not None)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return sum(1 for _row in self.requests())
 
     def time_span(self) -> float:
         """Capture duration in seconds (first request start to last end).
 
-        Well-defined because every entry's ``started`` comes from one
+        Well-defined because every request's ``started`` comes from one
         shared clock; feeds the per-exchange request-rate telemetry.
         """
-        if not self.entries:
+        started = [row.started for row in self.requests()]
+        if not started:
             return 0.0
-        first = min(e.started for e in self.entries)
-        last = max(e.started + e.duration_ms / 1000.0 for e in self.entries)
-        return last - first
+        return max(started) + SimHttpClient.REQUEST_SECONDS - min(started)
 
-    def redirect_chain(self, start_url: str) -> List[HarEntry]:
+    def redirect_chain(self, start_url: str) -> List[Any]:
         """Follow redirect records from ``start_url`` through the log.
 
-        Each URL resolves to its first entry in the log.  The index
+        Each URL resolves to its first request in the log, and each
+        request leads on to its response's ``Location``.  The index
         behind that lookup is built once and then only extended, so a
-        call costs the chain's length plus the entries appended since
-        the previous call (entries are only ever appended).
+        call costs the chain's length plus the rows appended since the
+        previous call (rows are only ever appended).
         """
         by_url = self._first_by_url
-        for entry in self.entries[self._indexed:]:
-            by_url.setdefault(entry.url, entry)
-        self._indexed = len(self.entries)
-        chain: List[HarEntry] = []
+        rows = self.rows
+        for index in range(self._indexed, len(rows)):
+            row = rows[index]
+            if row.transaction is not None:
+                by_url.setdefault(row.transaction.url, row)
+        self._indexed = len(rows)
+        chain: List[Any] = []
         current = start_url
         seen = set()
         while current in by_url and current not in seen:
             seen.add(current)
-            entry = by_url[current]
-            chain.append(entry)
-            if not entry.redirect_location:
+            row = by_url[current]
+            chain.append(row)
+            location = row.transaction.response.location
+            if not location:
                 break
-            current = entry.redirect_location
+            current = location
         return chain
 
-    # -- (de)serialization --------------------------------------------------
+    # -- serialization ------------------------------------------------------
     def to_json(self) -> str:
+        duration_ms = SimHttpClient.REQUEST_SECONDS * 1000.0
         return json.dumps(
             {
                 "log": {
                     "version": "1.2",
                     "creator": {"name": self.creator, "version": "1.0"},
-                    "entries": [entry.to_har_dict() for entry in self.entries],
+                    "entries": [_entry(row, duration_ms) for row in self.requests()],
                 }
             },
             indent=2,
         )
 
-    @classmethod
-    def from_json(cls, text: str) -> "HarLog":
-        data = json.loads(text)
-        log = data.get("log", {})
-        out = cls(creator=log.get("creator", {}).get("name", "unknown"))
-        for entry in log.get("entries", []):
-            out.add(HarEntry.from_har_dict(entry))
-        return out
+
+def _entry(row: Any, duration_ms: float) -> Dict[str, Any]:
+    """One request row as a HAR entry."""
+    transaction = row.transaction
+    response = transaction.response
+    return {
+        "pageref": row.page_ref,
+        "startedDateTime": row.started,
+        "time": duration_ms,
+        "request": {
+            "method": "GET",
+            "url": transaction.url,
+            "headers": (
+                [{"name": "Referer", "value": row.referrer}] if row.referrer else []
+            ),
+        },
+        "response": {
+            "status": response.status,
+            "content": {"size": len(response.body), "mimeType": response.content_type},
+            "redirectURL": response.location or "",
+        },
+    }

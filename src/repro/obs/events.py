@@ -59,9 +59,6 @@ class EventLog:
             return []
         return list(self._events)[-n:]
 
-    def of_kind(self, kind: str) -> List[Dict[str, object]]:
-        return [e for e in self._events if e["kind"] == kind]
-
     # -- export --------------------------------------------------------------
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(event, sort_keys=True) for event in self._events)

@@ -67,9 +67,6 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
     def set_max(self, value: float) -> None:
         """Keep the high-water mark (eval depth, op count, queue peak)."""
         if value > self.value:

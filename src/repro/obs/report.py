@@ -79,6 +79,8 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
     if observer is None:
         raise ValueError("pipeline has no observer attached; "
                          "construct it with CrawlPipeline(web, PipelineOptions(observer=RunObserver()))")
+    from ..httpsim.har import HarLog
+
     metrics = observer.metrics
     dataset = pipeline.dataset
 
@@ -86,9 +88,8 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
     exchanges: Dict[str, Dict[str, Any]] = {}
     for name, stats in sorted(pipeline.crawl_stats.items()):
         records = dataset.records_for(name)
-        har = dataset.har_logs.get(name)
-        crawl_seconds = har.time_span() if har is not None else 0.0
-        entry_count = len(har) if har is not None else 0
+        har = HarLog(records)
+        crawl_seconds = har.time_span()
         exchanges[name] = {
             "steps": stats.steps,
             "member_visits": stats.member_visits,
@@ -97,7 +98,7 @@ def build_run_report(pipeline: Any, outcome: Any = None) -> Dict[str, Any]:
             "campaign_visits": stats.campaign_visits,
             "records": len(records),
             "distinct_urls": len({r.url for r in records}),
-            "har_entries": entry_count,
+            "har_entries": len(har),
             "crawl_seconds": crawl_seconds,
             "urls_per_second": (len(records) / crawl_seconds) if crawl_seconds else 0.0,
         }

@@ -11,7 +11,6 @@ analysis module rebuilds the histogram.
 from __future__ import annotations
 
 import enum
-import random
 from typing import Dict
 
 from .tlds import WeightedChoice
@@ -95,12 +94,6 @@ CATEGORY_TOPICS: Dict[str, tuple] = {
         "chat rooms", "forums", "photo sharing", "pen pals",
     ),
 }
-
-
-def sample_category(rng: random.Random, malicious: bool) -> ContentCategory:
-    """Sample a content category for a new site."""
-    weights = MALICIOUS_CATEGORY_WEIGHTS if malicious else BENIGN_CATEGORY_WEIGHTS
-    return ContentCategory(WeightedChoice(weights).sample(rng))
 
 
 #: Pre-built samplers (building the cumulative table per call is wasteful

@@ -35,9 +35,6 @@ class WebRegistry:
     def site(self, host: str) -> Optional[Site]:
         return self._sites.get(host)
 
-    def site_for_url(self, url: Url) -> Optional[Site]:
-        return self._sites.get(url.host)
-
     def __contains__(self, host: str) -> bool:
         return host in self._sites
 

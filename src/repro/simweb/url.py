@@ -259,19 +259,6 @@ class Url:
             fragment="",
         )
 
-    def with_path(self, path: str) -> "Url":
-        if not path.startswith("/"):
-            path = "/" + path
-        return replace(self, path=path)
-
-    def with_query(self, query: str) -> "Url":
-        return replace(self, query=query)
-
-    def with_params(self, params: Dict[str, str]) -> "Url":
-        pairs = [(k, v) for k, v in self.query_pairs if k not in params]
-        pairs.extend(sorted(params.items()))
-        return replace(self, query=encode_query(pairs))
-
     def join(self, reference: str) -> "Url":
         """Resolve ``reference`` against this URL (subset of RFC 3986 §5)."""
         reference = reference.strip()

@@ -48,12 +48,6 @@ class CallGraph:
     def edge_count(self) -> int:
         return sum(len(callees) for callees in self.edges.values())
 
-    def is_recursive(self, name: str) -> bool:
-        return name in self.recursive
-
-    def callees_of(self, name: str) -> List[str]:
-        return self.edges.get(name, [])
-
 
 def _collect_functions(nodes: Sequence[N.Node]) -> Dict[str, FunctionNode]:
     functions: Dict[str, FunctionNode] = {}

@@ -1,12 +1,14 @@
 """Unit tests for BrowserSession and CrawlDataset plumbing."""
 
+import json
 import random
 
 import pytest
 
 from repro.crawler.session import BrowserSession
 from repro.crawler.storage import CrawlDataset, RecordKind, UrlRecord
-from repro.httpsim import SimHttpClient, SimHttpServer
+from repro.httpsim import HarLog, SimHttpClient, SimHttpServer
+from repro.httpsim.client import MAX_REDIRECTS
 from repro.simweb import (
     ContentCategory,
     GroundTruth,
@@ -83,15 +85,57 @@ class TestVisit:
     def test_har_log_populated(self, world):
         _registry, dataset, session = world
         session.visit("http://member.example.com/", RecordKind.REGULAR, 4, 1.5)
-        log = dataset.har_log("TestEx")
+        log = HarLog(dataset.records_for("TestEx"))
         assert len(log) == 2  # page + subresource
-        assert all(e.page_ref.startswith("TestEx-") for e in log.entries)
+        assert all(r.page_ref.startswith("TestEx-") for r in log.requests())
+        entries = json.loads(log.to_json())["log"]["entries"]
+        assert [e["pageref"] for e in entries] == ["TestEx-000004"] * 2
 
     def test_referrer_is_exchange_surf_page(self, world):
         _registry, dataset, session = world
         session.visit("http://member.example.com/", RecordKind.REGULAR, 5, 0.0)
-        entries = dataset.har_log("TestEx").entries
-        assert entries[0].referrer == "http://exchange.example/surf"
+        records = dataset.records_for("TestEx")
+        assert records[0].referrer == "http://exchange.example/surf"
+        # the sub-resource's referrer is the page it was fetched from
+        assert records[1].referrer == "http://member.example.com/"
+
+    def test_unparseable_url_logs_a_record_and_no_request(self, world):
+        _registry, dataset, session = world
+        result = session.visit("no-scheme.example/x", RecordKind.REGULAR, 6, 0.0)
+        assert result.response.status == 404 and not result.transactions
+        [record] = dataset.records_for("TestEx")
+        assert record.url == "no-scheme.example/x"
+        assert record.transaction is None and record.started is None
+        log = HarLog(dataset.records_for("TestEx"))
+        assert len(log) == 0
+        assert json.loads(log.to_json())["log"]["entries"] == []
+        assert log.time_span() == 0.0
+
+    def test_redirect_loop_logs_the_url_past_the_limit_without_a_request(self, world):
+        registry, dataset, session = world
+        site = registry.site("hop.example.org")
+        site.behavior.redirects["/a"] = RedirectHop("http://hop.example.org/b")
+        site.behavior.redirects["/b"] = RedirectHop("http://hop.example.org/a")
+        result = session.visit("http://hop.example.org/a", RecordKind.REGULAR, 7, 0.0)
+        records = dataset.records_for("TestEx")
+        assert len(records) == MAX_REDIRECTS + 2 == 12
+        assert len(result.transactions) == len(result.hops) == MAX_REDIRECTS + 1
+        assert [r.transaction is None for r in records] == [False] * 11 + [True]
+        log = HarLog(records)
+        assert len(log) == 11
+        entries = json.loads(log.to_json())["log"]["entries"]
+        assert [e["request"]["url"] for e in entries] == [
+            "http://hop.example.org/a", "http://hop.example.org/b"] * 5 + [
+            "http://hop.example.org/a"]
+        # each hop's referrer is the URL before it
+        assert [e["request"]["headers"][0]["value"] for e in entries] == (
+            ["http://exchange.example/surf"] + [r.url for r in records[:10]])
+        starts = [e["startedDateTime"] for e in entries]
+        assert starts == sorted(starts) and len(set(starts)) == 11
+        # the loop's first request resolves each URL, so the chain stops
+        # where it would revisit one
+        assert [r.url for r in log.redirect_chain("http://hop.example.org/a")] == [
+            "http://hop.example.org/a", "http://hop.example.org/b"]
 
 
 class TestDatasetOps:
@@ -134,8 +178,9 @@ def crawl_digest():
     """(record count, sha256 over every artifact a crawl leaves).
 
     Crawls seed 2016 at scale 0.005 with a ``RunObserver`` and hashes,
-    in this order: ``records_to_json()``; each exchange's
-    ``HarLog.to_json()`` in ``har_logs`` order; the content cache as
+    in this order: ``records_to_json()``; each exchange's HAR JSON
+    (``HarLog(records).to_json()`` over its list in
+    ``exchange_records``, in that dict's order); the content cache as
     sorted (url, sha256(content), content_type, final_url) tuples; every
     ``http.*`` counter and the ``http.fetch.seconds`` histogram (count,
     exact sum, bucket counts); and each shortened URL's hit, referrer
@@ -147,6 +192,7 @@ def crawl_digest():
 
     from repro import MalwareSlumsStudy, StudyConfig
     from repro.crawler import CrawlPipeline
+    from repro.httpsim import HarLog
     from repro.obs import RunObserver
 
     config = StudyConfig(seed=2016, scale=0.005)
@@ -163,9 +209,9 @@ def crawl_digest():
         digest.update(b"\n")
 
     add(dataset.records_to_json())
-    for exchange, log in dataset.har_logs.items():
+    for exchange, records in dataset.exchange_records.items():
         add(exchange)
-        add(log.to_json())
+        add(HarLog(records).to_json())
     add(json.dumps([
         (url, hashlib.sha256(cached.content).hexdigest(), cached.content_type,
          cached.final_url)

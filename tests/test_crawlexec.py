@@ -16,6 +16,7 @@ import pytest
 
 from repro.crawler import CrawlPipeline, PipelineOptions
 from repro.crawlexec import CrawlExecution, ParallelCrawlExecutor
+from repro.httpsim import HarLog
 from repro.obs import RunObserver, build_run_report
 from repro.obs.clock import SimClock
 from repro.phasexec import InlineExecutor, PhaseExecutor
@@ -55,9 +56,9 @@ def parallel_run():
 
 
 def _har_view(pipeline):
-    return {name: [(e.url, e.status, e.referrer, e.started)
-                   for e in log.entries]
-            for name, log in pipeline.dataset.har_logs.items()}
+    return {name: [(r.transaction.url, r.transaction.response.status, r.referrer, r.started)
+                   for r in HarLog(records).requests()]
+            for name, records in pipeline.dataset.exchange_records.items()}
 
 
 class TestBitIdenticalParity:

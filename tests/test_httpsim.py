@@ -1,19 +1,21 @@
 """Tests for repro.httpsim: messages, server behaviours, client, HAR."""
 
 import dataclasses
+import json
 import random
 
 import pytest
 
+from repro.crawler.session import BrowserSession
+from repro.crawler.storage import CrawlDataset, RecordKind, UrlRecord
 from repro.httpsim import (
-    HarEntry,
     HarLog,
     HttpRequest,
     HttpResponse,
     SimHttpClient,
     SimHttpServer,
 )
-from repro.httpsim.client import MAX_REDIRECTS
+from repro.httpsim.client import MAX_REDIRECTS, Transaction
 from repro.simweb import (
     ContentCategory,
     GroundTruth,
@@ -100,7 +102,7 @@ class TestRedirects:
         result = client.fetch("http://landing.example.com/go")
         assert result.redirect_count == 1
         assert result.final_url == "http://landing.example.com/deal"
-        assert [e.status for e in result.entries] == [302, 200]
+        assert [t.response.status for t in result.transactions] == [302, 200]
 
     def test_meta_refresh_hop(self, registry, client):
         site = registry.site("landing.example.com")
@@ -110,7 +112,7 @@ class TestRedirects:
         result = client.fetch("http://landing.example.com/m")
         assert result.redirect_count == 1
         assert result.final_url == "http://landing.example.com/deal"
-        assert [e.status for e in result.entries] == [200, 200]
+        assert [t.response.status for t in result.transactions] == [200, 200]
 
     def test_js_redirect_hop(self, registry, client):
         site = registry.site("landing.example.com")
@@ -182,38 +184,54 @@ class TestShortenerServing:
         assert result.redirect_count == 2
 
 
+def _session_log(client, url):
+    """Visit ``url`` in a browser session bound to exchange ``E`` (surf
+    page ``http://e.com/surf``, no sub-resources) and return the HAR
+    view of the records it logged."""
+    dataset = CrawlDataset()
+    BrowserSession(client, dataset, "E", "e.com").visit(url, RecordKind.SELF_REFERRAL, 1, 0.0)
+    return HarLog(dataset.records_for("E"))
+
+
+def _row(url, location=None):
+    """A logged request of ``url`` whose response redirects to
+    ``location`` (or is a page)."""
+    response = HttpResponse.redirect(location) if location else HttpResponse.html("")
+    return UrlRecord(url, "E", RecordKind.REGULAR, 0, 0.0,
+                     transaction=Transaction(url, response, location), started=0.0)
+
+
 class TestHar:
     def test_entries_capture_chain(self, registry, client):
         site = registry.site("landing.example.com")
         site.behavior.redirects["/go"] = RedirectHop("http://landing.example.com/deal")
-        result = client.fetch("http://landing.example.com/go", page_ref="visit-1")
-        log = HarLog()
-        log.extend(result.entries)
+        log = _session_log(client, "http://landing.example.com/go")
         assert len(log) == 2
         chain = log.redirect_chain("http://landing.example.com/go")
         assert len(chain) == 2
-        assert chain[0].redirect_location.endswith("/deal")
+        assert chain[0].transaction.response.location.endswith("/deal")
 
     def test_chain_appended_after_first_lookup_is_found(self):
-        log = HarLog()
-        log.add(HarEntry(url="http://a.com/", redirect_location="http://b.com/"))
-        assert [e.url for e in log.redirect_chain("http://a.com/")] == ["http://a.com/"]
-        log.extend([HarEntry(url="http://b.com/", redirect_location="http://c.com/"),
-                    HarEntry(url="http://c.com/")])
-        log.add(HarEntry(url="http://b.com/", redirect_location="http://elsewhere/"))
+        rows = [_row("http://a.com/", "http://b.com/")]
+        log = HarLog(rows)
+        assert [r.url for r in log.redirect_chain("http://a.com/")] == ["http://a.com/"]
+        rows.extend([_row("http://b.com/", "http://c.com/"), _row("http://c.com/")])
+        rows.append(_row("http://b.com/", "http://elsewhere/"))
         # each URL still resolves to its first entry in the log
-        assert [e.url for e in log.redirect_chain("http://a.com/")] == [
+        assert [r.url for r in log.redirect_chain("http://a.com/")] == [
             "http://a.com/", "http://b.com/", "http://c.com/"]
         assert log.redirect_chain("http://missing/") == []
 
     def test_json_round_trip(self, registry, client):
-        result = client.fetch("http://landing.example.com/deal", referrer="http://e.com/")
-        log = HarLog()
-        log.extend(result.entries)
-        restored = HarLog.from_json(log.to_json())
-        assert len(restored) == len(log)
-        assert restored.entries[0].url == log.entries[0].url
-        assert restored.entries[0].referrer == "http://e.com/"
+        log = _session_log(client, "http://landing.example.com/deal")
+        restored = json.loads(log.to_json())["log"]["entries"]
+        assert len(restored) == len(log) == 1
+        [record] = log.requests()
+        assert restored[0]["request"]["url"] == record.transaction.url
+        assert restored[0]["request"]["headers"] == [
+            {"name": "Referer", "value": "http://e.com/surf"}]
+        assert restored[0]["response"]["content"]["size"] == len(
+            record.transaction.response.body)
 
 
 class TestTransactionMemo:

@@ -2,6 +2,7 @@
 
 
 from repro.crawler.storage import RecordKind
+from repro.httpsim import HarLog
 from repro.simweb.url import Url
 
 
@@ -35,8 +36,9 @@ class TestCrawl:
         assert cached / len(regular) > 0.99
 
     def test_har_logs_per_exchange(self, small_dataset):
-        assert len(small_dataset.har_logs) == 9
-        assert all(len(log) > 0 for log in small_dataset.har_logs.values())
+        assert len(small_dataset.exchange_records) == 9
+        assert all(len(HarLog(records)) > 0
+                   for records in small_dataset.exchange_records.values())
 
     def test_auto_crawls_bigger_than_manual(self, small_dataset):
         auto = len(small_dataset.records_for("10KHits"))

@@ -368,7 +368,7 @@ def test_profile_cli_exports_and_budget_gate(tmp_path, capsys):
     scope = json.loads(speedscope.read_text(encoding="utf-8"))
     assert scope["profiles"][0]["type"] == "sampled"
     artifact = json.loads(bench.read_text(encoding="utf-8"))
-    assert artifact["work_totals"] and artifact["memory"]["phases"]
+    assert artifact["work_totals"] and artifact["memory"]["objects"]
 
     # the identical run passes its own freshly written budget...
     assert cli_main(["profile", "--scale", "0.005", "--seed", "5",
@@ -380,6 +380,38 @@ def test_profile_cli_exports_and_budget_gate(tmp_path, capsys):
     assert cli_main(["profile", "--scale", "0.005", "--seed", "5",
                      "--budget", str(budget)]) == 1
     assert "REGRESSION" in capsys.readouterr().out
+
+
+def test_bench_out_is_reproducible(tmp_path, capsys):
+    """Two runs of identical code write byte-identical bench artifacts:
+    the memory section keeps only object counts (tracemalloc's bytes
+    move between runs)."""
+    paths = [tmp_path / "first.json", tmp_path / "second.json"]
+    for path in paths:
+        assert cli_main(["profile", "--scale", "0.005", "--seed", "2016",
+                         "--workers", "1", "--bench-out", str(path)]) == 0
+    capsys.readouterr()
+    first, second = (path.read_bytes() for path in paths)
+    assert first == second
+    assert set(json.loads(first)["memory"]) == {"objects"}
+
+
+def test_budget_from_another_seed_or_scale_stops_before_running(capsys):
+    """A budget holds only at the seed and scale it was recorded at; a run
+    at another one exits 2 naming both values instead of printing drift."""
+    import os
+
+    path = os.path.join(os.path.dirname(__file__), "..", "benchmarks",
+                        "perf_budget.json")
+    assert cli_main(["profile", "--scale", "0.005", "--seed", "2016",
+                     "--budget", path]) == 2
+    captured = capsys.readouterr()
+    assert "scale 0.01" in captured.err and "scale 0.005" in captured.err
+    assert "Perf budget" not in captured.out
+    assert cli_main(["profile", "--scale", "0.01", "--seed", "7",
+                     "--budget", path]) == 2
+    captured = capsys.readouterr()
+    assert "seed 2016" in captured.err and "seed 7" in captured.err
 
 
 def test_committed_budget_matches_pinned_run(capsys):

@@ -13,13 +13,16 @@ must degrade, never crash:
 
 import gc
 import random
+import struct
 import time
+import tracemalloc
+import zlib
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.detection import QutteraSim, Submission, VirusTotalSim, analyze_content, analyze_html
-from repro.flashsim import SwfError, SwfFile
+from repro.flashsim import SwfError, SwfFile, SwfTag, TagCode
 from repro.htmlparse import parse, serialize
 from repro.jsengine import LexError, ParseError, run_script_in_page
 from repro.jsengine.lexer import tokenize
@@ -130,6 +133,70 @@ class TestSwfFuzz:
                 SwfFile.from_bytes(good[:cut])
             except SwfError:
                 pass
+
+    @staticmethod
+    def _with_action_block(body, compressed=False):
+        swf = SwfFile(compressed=compressed)
+        swf.tags.append(SwfTag(TagCode.DO_ACTION, body))
+        return swf.to_bytes()
+
+    @pytest.mark.parametrize("body", [
+        b"",                                    # too short for the op count
+        b"\x05\x00\x01",                        # 5 ops declared, header cut
+        b"\x01\x00\x07\x01\x01",                # operand length cut
+        b"\x01\x00\x07\x01\x05\x00ab",          # operand body cut
+        b"\x01\x00\x07\x01\x02\x00\xff\xfe",    # operand not UTF-8
+    ])
+    @pytest.mark.parametrize("compressed", [False, True])
+    def test_corrupted_action_block_is_an_analysis_error(self, body, compressed):
+        data = self._with_action_block(body, compressed)
+        with pytest.raises(SwfError):
+            SwfFile.from_bytes(data).action_programs()
+        analysis = analyze_content(data, "application/x-shockwave-flash")
+        assert analysis.kind == "flash"
+        assert len(analysis.analysis_errors) == 1
+        assert "DoAction" in analysis.analysis_errors[0]
+
+    @given(st.binary(max_size=40))
+    @settings(max_examples=150, deadline=None)
+    def test_any_action_block_analyzes_without_raising(self, body):
+        analyze_content(self._with_action_block(body), "application/x-shockwave-flash")
+
+    def test_cws_inflates_no_further_than_its_declared_length(self):
+        """A 50 KB CWS file whose header declares 13 bytes but whose body
+        inflates to 50 MiB: decoding stops at the declared length."""
+        packer = zlib.compressobj(9)
+        stream = b"".join(packer.compress(bytes(2**20)) for _ in range(50)) + packer.flush()
+        bomb = b"CWS\x0a" + struct.pack("<I", 13) + stream
+        assert len(bomb) < 60_000
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            swf = SwfFile.from_bytes(bomb)
+            analysis = analyze_content(bomb, "application/x-shockwave-flash")
+            elapsed = time.perf_counter() - started
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (swf.width, swf.height, swf.tags) == (0, 0, [])
+        assert analysis.kind == "flash" and not analysis.analysis_errors
+        assert peak < 2**20 and elapsed < 1.0
+
+    def test_generated_swf_inflates_to_exactly_its_declared_length(self):
+        data = self._with_action_block(b"\x00\x00", compressed=True)
+        (declared,) = struct.unpack_from("<I", data, 4)
+        assert len(zlib.decompress(data[8:])) == declared - 8
+        assert SwfFile.from_bytes(data).action_programs()[0].ops == []
+
+    def test_truncated_cws_stream_is_rejected(self):
+        """Bounding the inflate keeps the check that the stream is
+        whole: a body cut short of its declared length is an error."""
+        data = self._with_action_block(b"\x01\x00\x07\x01\x40\x00" + bytes(range(64)),
+                                       compressed=True)
+        SwfFile.from_bytes(data)
+        for cut in (9, len(data) // 2, len(data) - 6):
+            with pytest.raises(SwfError, match="compressed body"):
+                SwfFile.from_bytes(data[:cut])
 
 
 #: JS-significant characters plus digits and spaces beyond ASCII

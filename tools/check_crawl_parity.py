@@ -35,8 +35,10 @@ def run_pipeline(seed: int, scale: float, workers: int):
 
 
 def har_timestamps(pipeline):
-    return {name: [entry.started for entry in log.entries]
-            for name, log in pipeline.dataset.har_logs.items()}
+    from repro.httpsim import HarLog
+
+    return {name: [record.started for record in HarLog(records).requests()]
+            for name, records in pipeline.dataset.exchange_records.items()}
 
 
 def measure(seed: int, scale: float, workers: int):
